@@ -1,16 +1,15 @@
 //! Headline detection benchmark: runs the fig7 worked example and a
-//! generated province TPIIN through the three detection arms —
+//! generated province TPIIN through the two detection arms —
 //!
-//! 1. serial mining over the legacy nested-adjacency shards,
-//! 2. serial mining over the frozen CSR shards,
-//! 3. work-stealing mining over the CSR shards at `THREADS` workers —
+//! 1. serial mining over the pre-segmented shards,
+//! 2. work-stealing mining over the same shards at `THREADS` workers —
 //!
 //! plus every default [`GroupMiner`](tpiin_core::GroupMiner) strategy
 //! end-to-end (segmentation included), and writes `BENCH_detect.json`
 //! with per-workload timings, the per-miner `mine_ms` entries and the
-//! derived `csr_over_nested` / `thread_speedup` ratios for CI trend
-//! tracking.  The top-level `{wall_ms, groups, subtpiins}` fields stay
-//! compatible with the old single-number schema.
+//! derived `thread_speedup` ratio for CI trend tracking.  The top-level
+//! `{wall_ms, groups, subtpiins}` fields stay compatible with the old
+//! single-number schema.
 //!
 //! Usage: `bench_detect [OUT_PATH] [SCALE] [THREADS]` — defaults to
 //! `BENCH_detect.json`, scale 0.5, 8 threads.
@@ -20,8 +19,7 @@ use std::time::Instant;
 use tpiin_bench::fixtures::{nation_tpiin_fixture, tpiin_fixture};
 use tpiin_bench::record::{self, BenchMeta, DetectBench, MinerTiming, WorkloadRecord};
 use tpiin_core::{
-    segment_tpiin, segment_tpiin_nested, DetectionResult, Detector, DetectorConfig, MineContext,
-    MinerRegistry,
+    segment_tpiin, DetectionResult, Detector, DetectorConfig, MineContext, MinerRegistry,
 };
 use tpiin_datagen::fig7_registry;
 use tpiin_fusion::{fuse, Tpiin};
@@ -65,7 +63,6 @@ fn measure(
     threads: usize,
 ) -> WorkloadRecord {
     let csr = segment_tpiin(tpiin);
-    let nested = segment_tpiin_nested(tpiin);
     let serial = Detector::new(DetectorConfig {
         threads: 1,
         ..DetectorConfig::default()
@@ -75,11 +72,8 @@ fn measure(
         ..DetectorConfig::default()
     });
 
-    let (nested_serial_ms, r1) =
-        median_ms(warmup, reps, || serial.detect_segmented(tpiin, &nested));
     let (csr_serial_ms, r2) = median_ms(warmup, reps, || serial.detect_segmented(tpiin, &csr));
     let (csr_threads_ms, r3) = median_ms(warmup, reps, || stealing.detect_segmented(tpiin, &csr));
-    assert_eq!(r1.group_count(), r2.group_count(), "{name}: arms disagree");
     assert_eq!(r2.group_count(), r3.group_count(), "{name}: arms disagree");
 
     // Each default strategy end-to-end (segmentation included), serial
@@ -113,7 +107,6 @@ fn measure(
         name: name.to_string(),
         groups: r2.group_count(),
         subtpiins: csr.len(),
-        nested_serial_ms,
         csr_serial_ms,
         csr_threads_ms,
         threads,
@@ -152,7 +145,6 @@ fn main() {
         "detect",
         specs.iter().map(|(name, ..)| name.clone()),
         [
-            "nested_serial",
             "csr_serial",
             "csr_stealing",
             "miner:rules",
@@ -183,11 +175,9 @@ fn main() {
     };
     for w in &bench.workloads {
         println!(
-            "bench detect [{}]: nested {:.2} ms, csr {:.2} ms ({:.2}x), csr@{} {:.2} ms ({:.2}x), {} groups / {} subTPIINs",
+            "bench detect [{}]: csr {:.2} ms, csr@{} {:.2} ms ({:.2}x), {} groups / {} subTPIINs",
             w.name,
-            w.nested_serial_ms,
             w.csr_serial_ms,
-            w.csr_over_nested(),
             w.threads,
             w.csr_threads_ms,
             w.thread_speedup(),

@@ -225,9 +225,8 @@ impl MinerTiming {
     }
 }
 
-/// One workload timed across the three detection arms: the legacy
-/// nested-adjacency shards, the CSR shards run serially, and the CSR
-/// shards under the work-stealing scheduler — plus every registered
+/// One workload timed across the two detection arms: the shards mined
+/// serially and under the work-stealing scheduler — plus every registered
 /// [`GroupMiner`](tpiin_core::GroupMiner) strategy end-to-end.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadRecord {
@@ -237,8 +236,6 @@ pub struct WorkloadRecord {
     pub groups: usize,
     /// SubTPIINs the network segmented into.
     pub subtpiins: usize,
-    /// Serial detection over the legacy `Vec<Vec<u32>>` adjacency shards.
-    pub nested_serial_ms: f64,
     /// Serial detection over the frozen CSR shards.
     pub csr_serial_ms: f64,
     /// Work-stealing detection over the CSR shards at [`threads`](Self::threads).
@@ -250,11 +247,6 @@ pub struct WorkloadRecord {
 }
 
 impl WorkloadRecord {
-    /// How much faster the CSR kernel is than the nested adjacency, serially.
-    pub fn csr_over_nested(&self) -> f64 {
-        self.nested_serial_ms / self.csr_serial_ms
-    }
-
     /// How much faster the stealing scheduler is than serial CSR.
     pub fn thread_speedup(&self) -> f64 {
         self.csr_serial_ms / self.csr_threads_ms
@@ -266,20 +258,12 @@ impl WorkloadRecord {
             ("name".to_string(), Json::Str(self.name.clone())),
             ("groups".to_string(), Json::Int(self.groups as u64)),
             ("subtpiins".to_string(), Json::Int(self.subtpiins as u64)),
-            (
-                "nested_serial_ms".to_string(),
-                Json::Float(self.nested_serial_ms),
-            ),
             ("csr_serial_ms".to_string(), Json::Float(self.csr_serial_ms)),
             (
                 "csr_threads_ms".to_string(),
                 Json::Float(self.csr_threads_ms),
             ),
             ("threads".to_string(), Json::Int(self.threads as u64)),
-            (
-                "csr_over_nested".to_string(),
-                Json::Float(self.csr_over_nested()),
-            ),
             (
                 "thread_speedup".to_string(),
                 Json::Float(self.thread_speedup()),
@@ -881,13 +865,11 @@ mod tests {
             name: "toy".into(),
             groups: 3,
             subtpiins: 2,
-            nested_serial_ms: 30.0,
             csr_serial_ms: 20.0,
             csr_threads_ms: 5.0,
             threads: 8,
             miners: Vec::new(),
         };
-        assert!((w.csr_over_nested() - 1.5).abs() < 1e-12);
         assert!((w.thread_speedup() - 4.0).abs() < 1e-12);
     }
 
@@ -899,7 +881,6 @@ mod tests {
                 name: "province-0.5".into(),
                 groups: 42,
                 subtpiins: 7,
-                nested_serial_ms: 30.0,
                 csr_serial_ms: 12.5,
                 csr_threads_ms: 4.0,
                 threads: 8,
@@ -916,7 +897,6 @@ mod tests {
         assert!(text.contains("\"subtpiins\": 7"));
         assert!(text.contains("\"workloads\""));
         assert!(text.contains("\"thread_speedup\""));
-        assert!(text.contains("\"csr_over_nested\""));
         assert!(text.contains("\"miners\""));
         assert!(text.contains("\"rules\""));
         assert!(text.contains("\"mine_ms\": 13"));

@@ -1,11 +1,20 @@
 //! Algorithm 1 orchestration: serial and work-stealing parallel
 //! suspicious-group detection over a whole TPIIN.
 //!
+//! There is one mining kernel and one way to build a result.
+//! [`mine_root`] mines one (subTPIIN, root) work item and always emits
+//! **shard-local** node ids; [`fold_roots`] folds a shard's root
+//! outcomes, in root order, into a [`ShardOutcome`] (cross-root circle
+//! dedup happens here); [`assemble_detection`] remaps shard outcomes
+//! through [`SubTpiin::global`] and builds the [`DetectionResult`].
+//! [`Detector::detect`], [`mine_shard`] and the delta engine differ only
+//! in how they obtain the root outcomes.
+//!
 //! The parallel path shards detection into (subTPIIN, root) work items,
 //! sorts them by estimated shard cost (nodes + trading arcs, heaviest
 //! first), seeds one deque per worker round-robin, and lets idle workers
 //! steal from siblings.  Outcomes carry their original work index and are
-//! sorted before merging, so results are bit-identical to the serial run
+//! sorted before folding, so results are bit-identical to the serial run
 //! regardless of scheduling.
 //!
 //! Scheduling is **adaptive**: the requested worker count is capped at
@@ -20,8 +29,7 @@
 
 use crate::matching::match_root;
 use crate::result::{DetectionResult, GroupKind, SubTpiinStats, SuspiciousGroup};
-use crate::subtpiin::segment_tpiin;
-use crate::topology::ShardTopology;
+use crate::subtpiin::{segment_tpiin, SubTpiin};
 use crate::tree::PatternsTree;
 use crossbeam::deque::{Steal, Stealer, Worker};
 use std::collections::HashSet;
@@ -77,14 +85,14 @@ pub struct Detector {
     pub config: DetectorConfig,
 }
 
-/// Output of mining one root of one subTPIIN.
+/// Output of mining one root of one subTPIIN, in local ids.
 #[derive(Default)]
 struct RootOutcome {
     groups: Vec<SuspiciousGroup>,
     complex: usize,
     simple: usize,
-    arcs: Vec<(NodeId, NodeId)>,
-    /// Circle groups with their local dedup key (circle trail); merged
+    arcs: Vec<(u32, u32)>,
+    /// Circle groups with their local dedup key (circle trail); folded
     /// across roots because every root reaching a circle re-discovers it.
     circles: Vec<(Vec<u32>, SuspiciousGroup)>,
     tree_nodes: usize,
@@ -92,8 +100,8 @@ struct RootOutcome {
     overflowed: bool,
 }
 
-fn mine_root<S: ShardTopology + ?Sized>(
-    sub: &S,
+fn mine_root(
+    sub: &SubTpiin,
     root: u32,
     config: &DetectorConfig,
     parent: Option<&SpanHandle>,
@@ -115,66 +123,94 @@ fn mine_root<S: ShardTopology + ?Sized>(
     };
     out.tree_nodes = tree.nodes.len();
     out.patterns = tree.a_leaves.len() + tree.b_leaves.len();
-    let to_global = |v: u32| sub.global(v);
+    let local = |v: u32| NodeId::from_index(v as usize);
     match_root(sub, &tree, |view| {
-        let arc = (to_global(view.trade_source), to_global(view.target));
+        if !view.circle {
+            if view.simple {
+                out.simple += 1;
+            } else {
+                out.complex += 1;
+            }
+            out.arcs.push((view.trade_source, view.target));
+            if !config.collect_groups {
+                return;
+            }
+        }
+        // A circle's prefix starts at the node its trading arc re-enters,
+        // so `prefix[0]` is the antecedent of either kind.
+        let group = SuspiciousGroup {
+            subtpiin: sub.index,
+            kind: if view.circle {
+                GroupKind::Circle
+            } else {
+                GroupKind::Matched
+            },
+            antecedent: local(view.prefix[0]),
+            end: local(view.target),
+            trading_arc: (local(view.trade_source), local(view.target)),
+            trail_with_trade: view.prefix.iter().map(|&v| local(v)).collect(),
+            trail_plain: view.plain.iter().map(|&v| local(v)).collect(),
+            simple: view.simple,
+        };
         if view.circle {
-            let group = SuspiciousGroup {
-                subtpiin: sub.shard_index(),
-                kind: GroupKind::Circle,
-                antecedent: to_global(view.target),
-                end: to_global(view.target),
-                trading_arc: arc,
-                trail_with_trade: view.prefix.iter().map(|&v| to_global(v)).collect(),
-                trail_plain: view.plain.iter().map(|&v| to_global(v)).collect(),
-                simple: view.simple,
-            };
+            // Kept even when not collecting: the fold needs its arc.
             out.circles.push((view.prefix.to_vec(), group));
-            return;
-        }
-        if view.simple {
-            out.simple += 1;
         } else {
-            out.complex += 1;
-        }
-        out.arcs.push(arc);
-        if config.collect_groups {
-            out.groups.push(SuspiciousGroup {
-                subtpiin: sub.shard_index(),
-                kind: GroupKind::Matched,
-                antecedent: to_global(view.prefix[0]),
-                end: to_global(view.target),
-                trading_arc: arc,
-                trail_with_trade: view.prefix.iter().map(|&v| to_global(v)).collect(),
-                trail_plain: view.plain.iter().map(|&v| to_global(v)).collect(),
-                simple: view.simple,
-            });
+            out.groups.push(group);
         }
     });
     out
 }
 
-/// Merges ordered root outcomes into the final result.
-fn merge<S: ShardTopology>(
+/// Folds one shard's root outcomes, in root order, into its
+/// [`ShardOutcome`]; a circle re-discovered under a later root is
+/// dropped here.
+fn fold_roots(roots: impl Iterator<Item = RootOutcome>, collect_groups: bool) -> ShardOutcome {
+    let mut out = ShardOutcome::default();
+    let mut seen_circles: HashSet<Vec<u32>> = HashSet::new();
+    for mined in roots {
+        out.tree_nodes += mined.tree_nodes;
+        out.patterns += mined.patterns;
+        out.overflowed |= mined.overflowed;
+        out.complex += mined.complex;
+        out.simple += mined.simple;
+        out.arcs.extend(mined.arcs);
+        out.groups.extend(mined.groups);
+        for (key, group) in mined.circles {
+            if seen_circles.insert(key) {
+                out.simple += 1;
+                let (source, target) = group.trading_arc;
+                out.arcs
+                    .push((source.index() as u32, target.index() as u32));
+                if collect_groups {
+                    out.groups.push(group);
+                }
+            }
+        }
+    }
+    out.arcs.sort_unstable();
+    out.arcs.dedup();
+    out
+}
+
+/// Builds the [`DetectionResult`] of `tpiin` from its shards and their
+/// mined outcomes (`outcomes[i]` belongs to `subs[i]`): remaps every
+/// group and arc to global ids, seeds the intra-syndicate arcs, sums the
+/// counters, fills `per_subtpiin` and assembles provenances.  Every
+/// producer of a `DetectionResult` for the Rule 1/Rule 2 detector ends
+/// here, so any way of obtaining the outcomes — serial, work-stealing,
+/// [`mine_shard`] per shard, a cache replay — yields the same result.
+pub fn assemble_detection(
     tpiin: &Tpiin,
-    subs: &[S],
-    work: &[(usize, u32)],
-    outcomes: Vec<RootOutcome>,
-    config: &DetectorConfig,
+    subs: &[SubTpiin],
+    outcomes: Vec<ShardOutcome>,
 ) -> DetectionResult {
+    assert_eq!(subs.len(), outcomes.len(), "one outcome per shard");
     let mut result = DetectionResult {
         total_trading_arcs: tpiin.trading_arc_count + tpiin.intra_syndicate_trades.len(),
         intra_syndicate_trades: tpiin.intra_syndicate_trades.len(),
-        per_subtpiin: subs
-            .iter()
-            .map(|s| SubTpiinStats {
-                index: s.shard_index(),
-                nodes: s.node_count(),
-                influence_arcs: s.influence_arc_count(),
-                trading_arcs: s.trading_arc_count(),
-                ..Default::default()
-            })
-            .collect(),
+        groups: Vec::with_capacity(outcomes.iter().map(|out| out.groups.len()).sum()),
+        per_subtpiin: Vec::with_capacity(subs.len()),
         ..Default::default()
     };
     // Intra-syndicate trades are suspicious by construction (§4.3): count
@@ -185,32 +221,46 @@ fn merge<S: ShardTopology>(
             tpiin.company_node[t.buyer.index()],
         ));
     }
-    // Cross-root circle dedup, per subTPIIN.
-    let mut seen_circles: Vec<HashSet<Vec<u32>>> = vec![HashSet::new(); subs.len()];
-    for (&(sub_idx, _), outcome) in work.iter().zip(outcomes) {
-        let stats = &mut result.per_subtpiin[sub_idx];
-        stats.tree_nodes += outcome.tree_nodes;
-        stats.patterns += outcome.patterns;
-        stats.groups += outcome.complex + outcome.simple;
-        result.overflowed |= outcome.overflowed;
-        result.complex_group_count += outcome.complex;
-        result.simple_group_count += outcome.simple;
-        result.suspicious_trading_arcs.extend(outcome.arcs);
-        if config.collect_groups {
-            result.groups.extend(outcome.groups);
-        }
-        for (key, group) in outcome.circles {
-            if seen_circles[sub_idx].insert(key) {
-                result.simple_group_count += 1;
-                result.per_subtpiin[sub_idx].groups += 1;
-                result.suspicious_trading_arcs.insert(group.trading_arc);
-                if config.collect_groups {
-                    result.groups.push(group);
-                }
-            }
-        }
+    for (sub, out) in subs.iter().zip(outcomes) {
+        result.per_subtpiin.push(SubTpiinStats {
+            index: sub.index,
+            nodes: sub.node_count(),
+            influence_arcs: sub.influence_arc_count(),
+            trading_arcs: sub.trading_arc_count,
+            tree_nodes: out.tree_nodes,
+            patterns: out.patterns,
+            groups: out.complex + out.simple,
+        });
+        result.overflowed |= out.overflowed;
+        result.complex_group_count += out.complex;
+        result.simple_group_count += out.simple;
+        let global = |v: u32| sub.global[v as usize];
+        result
+            .suspicious_trading_arcs
+            .extend(out.arcs.iter().map(|&(s, t)| (global(s), global(t))));
+        result.groups.extend(out.groups.into_iter().map(|mut g| {
+            remap_to_global(sub, &mut g);
+            g
+        }));
     }
+    result.provenances = crate::provenance::assemble_all(tpiin, &result.groups);
     result
+}
+
+/// Rewrites a shard-local group of `sub` into global TPIIN node ids.
+fn remap_to_global(sub: &SubTpiin, g: &mut SuspiciousGroup) {
+    let global = |v: NodeId| sub.global[v.index()];
+    g.subtpiin = sub.index;
+    g.antecedent = global(g.antecedent);
+    g.end = global(g.end);
+    g.trading_arc = (global(g.trading_arc.0), global(g.trading_arc.1));
+    for v in g
+        .trail_with_trade
+        .iter_mut()
+        .chain(g.trail_plain.iter_mut())
+    {
+        *v = global(*v);
+    }
 }
 
 impl Detector {
@@ -228,14 +278,8 @@ impl Detector {
     }
 
     /// Mines pre-segmented shards; exposed so benchmarks can separate
-    /// segmentation cost from mining cost, and generic over the shard
-    /// representation so the CSR production path and the nested-vector
-    /// reference path run through the identical scheduler and merge.
-    pub fn detect_segmented<S: ShardTopology + Sync>(
-        &self,
-        tpiin: &Tpiin,
-        subs: &[S],
-    ) -> DetectionResult {
+    /// segmentation cost from mining cost.
+    pub fn detect_segmented(&self, tpiin: &Tpiin, subs: &[SubTpiin]) -> DetectionResult {
         let span = Span::at("detect");
         let parent = span.handle();
         self.detect_under(tpiin, subs, parent.as_ref())
@@ -244,19 +288,20 @@ impl Detector {
     /// The shared mining body behind [`Detector::detect`] and
     /// [`Detector::detect_segmented`]; `parent` is the handle of the
     /// enclosing `detect` span that worker threads attach under.
-    fn detect_under<S: ShardTopology + Sync>(
+    fn detect_under(
         &self,
         tpiin: &Tpiin,
-        subs: &[S],
+        subs: &[SubTpiin],
         parent: Option<&SpanHandle>,
     ) -> DetectionResult {
-        // Work items: one per (subTPIIN, root).  SubTPIINs without trading
-        // arcs can be skipped wholesale — no type-(b) walks exist.
+        // Work items: one per (subTPIIN, root), in shard order.  SubTPIINs
+        // without trading arcs can be skipped wholesale — no type-(b)
+        // walks exist.
         let work: Vec<(usize, u32)> = subs
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.trading_arc_count() > 0)
-            .flat_map(|(i, s)| s.zero_indegree_roots().into_iter().map(move |r| (i, r)))
+            .filter(|(_, s)| s.trading_arc_count > 0)
+            .flat_map(|(i, s)| s.roots().map(move |r| (i, r)))
             .collect();
 
         // Adaptive plan: clamp to the host, then compare the summed cost
@@ -266,19 +311,24 @@ impl Detector {
         if self.config.clamp_to_host {
             threads = threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()));
         }
-        let outcomes: Vec<RootOutcome> =
+        let mut outcomes =
             if threads > 1 && work.len() > 1 && total_cost >= self.config.serial_cutoff as u64 {
                 self.mine_stealing(subs, &work, threads, parent)
             } else {
-                work.iter()
-                    .map(|&(sub_idx, root)| mine_root(&subs[sub_idx], root, &self.config, parent))
-                    .collect()
-            };
+                self.mine_serial(subs, &work, parent)
+            }
+            .into_iter();
 
-        let mut result = merge(tpiin, subs, &work, outcomes, &self.config);
-        if self.config.collect_groups {
-            result.provenances = crate::provenance::assemble_all(tpiin, &result.groups);
-        }
+        // Each shard's roots are one consecutive run of `work`.
+        let mut next = 0;
+        let shards: Vec<ShardOutcome> = (0..subs.len())
+            .map(|i| {
+                let roots = work[next..].iter().take_while(|w| w.0 == i).count();
+                next += roots;
+                fold_roots(outcomes.by_ref().take(roots), self.config.collect_groups)
+            })
+            .collect();
+        let result = assemble_detection(tpiin, subs, shards);
         if tpiin_obs::profiling_enabled() {
             let registry = tpiin_obs::global();
             registry.counter("detect.subtpiins").add(subs.len() as u64);
@@ -299,6 +349,18 @@ impl Detector {
         result
     }
 
+    /// Mines `work` on the calling thread, in work order.
+    fn mine_serial(
+        &self,
+        subs: &[SubTpiin],
+        work: &[(usize, u32)],
+        parent: Option<&SpanHandle>,
+    ) -> Vec<RootOutcome> {
+        work.iter()
+            .map(|&(sub_idx, root)| mine_root(&subs[sub_idx], root, &self.config, parent))
+            .collect()
+    }
+
     /// Mines `work` with a pool of work-stealing workers, returning
     /// outcomes in work order.
     ///
@@ -310,9 +372,9 @@ impl Detector {
     /// and spread across workers; what gets stolen is whole batches.
     /// Per-worker counters (items, batches, steals, busy time) flow into
     /// the metrics registry when profiling is on.
-    fn mine_stealing<S: ShardTopology + Sync>(
+    fn mine_stealing(
         &self,
-        subs: &[S],
+        subs: &[SubTpiin],
         work: &[(usize, u32)],
         threads: usize,
         parent: Option<&SpanHandle>,
@@ -332,10 +394,7 @@ impl Detector {
         let threads = threads.min(batches.len());
         if threads <= 1 {
             // Batching collapsed the workload onto one worker: skip the pool.
-            return work
-                .iter()
-                .map(|&(sub_idx, root)| mine_root(&subs[sub_idx], root, &self.config, parent))
-                .collect();
+            return self.mine_serial(subs, work, parent);
         }
         let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_fifo()).collect();
         let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
@@ -455,19 +514,24 @@ pub fn detect(tpiin: &Tpiin) -> DetectionResult {
 }
 
 /// Everything mining one shard produces, in the shard's **local**
-/// coordinates: group node ids are local indices re-cast as [`NodeId`]s
-/// and must be remapped through [`ShardTopology::global`] before they
-/// mean anything in the full network.  Local coordinates are the point —
-/// a delta engine can cache the outcome keyed on the shard's local
-/// structure and replay it after global node ids shift.
+/// coordinates: node ids are local indices (groups carry them re-cast as
+/// [`NodeId`]s) and only mean something in the full network after
+/// [`assemble_detection`] remaps them through [`SubTpiin::global`].
+/// Local coordinates are the point — a delta engine can cache the
+/// outcome keyed on the shard's local structure and replay it after
+/// global node ids shift.
 #[derive(Clone, Debug, Default)]
 pub struct ShardOutcome {
-    /// The shard's groups in the exact order the global merge emits them:
-    /// per root (ascending), matched groups first, then that root's
-    /// not-yet-seen circles.  Suspicious arcs are recoverable as the
-    /// distinct `trading_arc`s; complex/simple counts from the `kind` and
-    /// `simple` fields.
+    /// The shard's groups in result order: per root (ascending), matched
+    /// groups first, then that root's not-yet-seen circles.  Empty when
+    /// mined with `collect_groups: false`.
     pub groups: Vec<SuspiciousGroup>,
+    /// Complex groups found (Definition 3).
+    pub complex: usize,
+    /// Simple groups found, circles included.
+    pub simple: usize,
+    /// Distinct suspicious trading arcs `(source, target)`, sorted.
+    pub arcs: Vec<(u32, u32)>,
     /// Total patterns-tree nodes across the shard's roots.
     pub tree_nodes: usize,
     /// Total component patterns across the shard's roots.
@@ -476,69 +540,23 @@ pub struct ShardOutcome {
     pub overflowed: bool,
 }
 
-/// Identity-mapped view of a shard: `global(v) = v`, so [`mine_root`]
-/// emits local ids through the one shared mining kernel.
-struct LocalShard<'a, S: ?Sized>(&'a S);
-
-impl<S: ShardTopology + ?Sized> ShardTopology for LocalShard<'_, S> {
-    fn shard_index(&self) -> usize {
-        self.0.shard_index()
+/// Serially mines every root of one shard and returns the outcome in
+/// local coordinates (see [`ShardOutcome`]).  Groups are always collected
+/// regardless of `config.collect_groups`, and `max_tree_nodes` applies
+/// per root exactly as in [`Detector::detect`]: this is the detector's
+/// serial path restricted to one shard.
+pub fn mine_shard(sub: &SubTpiin, config: &DetectorConfig) -> ShardOutcome {
+    if sub.trading_arc_count == 0 {
+        return ShardOutcome::default();
     }
-    fn node_count(&self) -> usize {
-        self.0.node_count()
-    }
-    fn global(&self, v: u32) -> NodeId {
-        NodeId::from_index(v as usize)
-    }
-    fn influence(&self, v: u32) -> &[u32] {
-        self.0.influence(v)
-    }
-    fn trading(&self, v: u32) -> &[u32] {
-        self.0.trading(v)
-    }
-    fn influence_in_degree(&self, v: u32) -> u32 {
-        self.0.influence_in_degree(v)
-    }
-    fn trading_arc_count(&self) -> usize {
-        self.0.trading_arc_count()
-    }
-    fn is_person(&self, v: u32) -> bool {
-        self.0.is_person(v)
-    }
-}
-
-/// Serially mines every root of one shard, replicating the global
-/// merge's per-shard inner loop — matched groups in root order, then
-/// per-root circles deduplicated across the shard — and returns the
-/// outcome in local coordinates (see [`ShardOutcome`]).  Groups are
-/// always collected regardless of `config.collect_groups`, and
-/// `max_tree_nodes` applies per root exactly as in [`Detector::detect`],
-/// so concatenating remapped shard outcomes over a segmentation reproduces
-/// the global result's group sequence bit for bit.
-pub fn mine_shard<S: ShardTopology + ?Sized>(sub: &S, config: &DetectorConfig) -> ShardOutcome {
     let config = DetectorConfig {
         collect_groups: true,
         ..*config
     };
-    let mut out = ShardOutcome::default();
-    if sub.trading_arc_count() == 0 {
-        return out;
-    }
-    let local = LocalShard(sub);
-    let mut seen_circles: HashSet<Vec<u32>> = HashSet::new();
-    for root in sub.zero_indegree_roots() {
-        let mined = mine_root(&local, root, &config, None);
-        out.tree_nodes += mined.tree_nodes;
-        out.patterns += mined.patterns;
-        out.overflowed |= mined.overflowed;
-        out.groups.extend(mined.groups);
-        for (key, group) in mined.circles {
-            if seen_circles.insert(key) {
-                out.groups.push(group);
-            }
-        }
-    }
-    out
+    fold_roots(
+        sub.roots().map(|root| mine_root(sub, root, &config, None)),
+        config.collect_groups,
+    )
 }
 
 #[cfg(test)]

@@ -42,7 +42,6 @@ mod detector;
 mod listd;
 mod matching;
 mod miner;
-mod nested;
 mod patterns;
 mod provenance;
 mod query;
@@ -50,26 +49,23 @@ mod result;
 mod score;
 mod stats;
 mod subtpiin;
-mod topology;
 mod tree;
 
-pub use detector::{detect, mine_shard, Detector, DetectorConfig, ShardOutcome};
+pub use detector::{
+    assemble_detection, detect, mine_shard, Detector, DetectorConfig, ShardOutcome,
+};
 pub use listd::listd_order;
 pub use matching::match_root;
 pub use miner::{
     mine_with_obs, BaselineMiner, CircularTradingMiner, GroupMiner, MineContext, MinerRegistry,
     Rule12Miner, WindowedMiner, BASELINE_MINER, CIRCULAR_MINER, RULES_MINER,
 };
-pub use nested::{segment_tpiin_nested, NestedSubTpiin};
 pub use patterns::{generate_pattern_base, ComponentPattern};
 pub use provenance::{ArcProvenance, MatchedRule, MemberLineage, Provenance, ScoreBreakdown};
 pub use query::groups_behind_arc;
 pub use result::{DetectionResult, GroupKind, SubTpiinStats, SuspiciousGroup};
-pub use stats::{
-    group_size_histogram, groups_per_suspicious_arc, node_involvement, top_involved, Involvement,
-};
+pub use stats::{top_involved, Involvement};
 pub use subtpiin::{segment_one, segment_tpiin, subtpiin_from_arcs, whole_tpiin, SubTpiin};
-pub use topology::ShardTopology;
 pub use tree::{PatternsTree, TreeNode};
 
 /// The global traversal baseline (Section 5.1).

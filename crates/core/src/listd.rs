@@ -6,14 +6,14 @@
 //! component pattern base, not its contents; we keep it for fidelity and
 //! deterministic output.
 
-use crate::topology::ShardTopology;
+use crate::subtpiin::SubTpiin;
 
 /// Returns the local node ids of `sub` sorted by (indegree ascending,
 /// outdegree descending, node id ascending).
 ///
 /// Degrees are taken over the whole subTPIIN (influence + trading), as in
 /// Algorithm 2 step 1.
-pub fn listd_order<S: ShardTopology + ?Sized>(sub: &S) -> Vec<u32> {
+pub fn listd_order(sub: &SubTpiin) -> Vec<u32> {
     let n = sub.node_count();
     let mut in_deg = vec![0u32; n];
     for v in 0..n as u32 {

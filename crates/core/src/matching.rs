@@ -15,7 +15,7 @@
 //! full walk is then not a simple trail, so the circle is the only group
 //! extracted from it.
 
-use crate::topology::ShardTopology;
+use crate::subtpiin::SubTpiin;
 use crate::tree::PatternsTree;
 
 /// A borrowed view of one discovered group in subTPIIN-local node ids.
@@ -44,11 +44,7 @@ pub struct LocalGroupView<'a> {
 /// reachable through every prefix leading into it); cross-root circle
 /// deduplication is the detector's job, since identical circles appear
 /// under every root that reaches them.
-pub fn match_root<S: ShardTopology + ?Sized>(
-    sub: &S,
-    tree: &PatternsTree,
-    mut emit: impl FnMut(LocalGroupView<'_>),
-) {
+pub fn match_root(sub: &SubTpiin, tree: &PatternsTree, mut emit: impl FnMut(LocalGroupView<'_>)) {
     let _ = sub; // adjacency already baked into the tree; kept for symmetry
     let _span = tpiin_obs::Span::at("detect/match_patterns");
     let mut prefix: Vec<u32> = Vec::new();
@@ -113,7 +109,7 @@ pub fn match_root<S: ShardTopology + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subtpiin::{subtpiin_from_arcs, SubTpiin};
+    use crate::subtpiin::subtpiin_from_arcs;
     use crate::tree::PatternsTree;
 
     type Found = (Vec<u32>, u32, Vec<u32>, bool, bool);

@@ -6,7 +6,7 @@
 //! tests.
 
 use crate::listd::listd_order;
-use crate::topology::ShardTopology;
+use crate::subtpiin::SubTpiin;
 use crate::tree::PatternsTree;
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
@@ -44,14 +44,14 @@ impl ComponentPattern {
 /// roots processed in `ListD` order and walks in DFS discovery order.
 ///
 /// `max_tree_nodes` bounds each root's tree; `None` on overflow.
-pub fn generate_pattern_base<S: ShardTopology + ?Sized>(
-    sub: &S,
+pub fn generate_pattern_base(
+    sub: &SubTpiin,
     max_tree_nodes: usize,
 ) -> Option<Vec<ComponentPattern>> {
     let mut base = Vec::new();
     let order = listd_order(sub);
     for &v in &order {
-        if sub.influence_in_degree(v) != 0 {
+        if sub.influence_in_degree[v as usize] != 0 {
             continue;
         }
         let tree = PatternsTree::build(sub, v, max_tree_nodes)?;
@@ -68,8 +68,12 @@ pub fn generate_pattern_base<S: ShardTopology + ?Sized>(
         tagged.sort_by_key(|&(t, i, ref target)| (t, target.is_some(), i));
         for (t, _, target) in tagged {
             base.push(ComponentPattern {
-                nodes: tree.trail(t).into_iter().map(|l| sub.global(l)).collect(),
-                trading_target: target.map(|c| sub.global(c)),
+                nodes: tree
+                    .trail(t)
+                    .into_iter()
+                    .map(|l| sub.global[l as usize])
+                    .collect(),
+                trading_target: target.map(|c| sub.global[c as usize]),
             });
         }
     }

@@ -1,6 +1,6 @@
 //! Aggregate statistics over a detection result — the "integration
 //! analysis" of the Section 6 monitoring system: which taxpayers recur
-//! across suspicious groups, and how large the mined groups are.
+//! across suspicious groups.
 
 use crate::result::DetectionResult;
 use std::collections::BTreeMap;
@@ -25,7 +25,7 @@ pub struct Involvement {
 ///
 /// Requires a result collected with `collect_groups: true`; an empty
 /// result yields an empty map.
-pub fn node_involvement(result: &DetectionResult) -> BTreeMap<NodeId, Involvement> {
+fn node_involvement(result: &DetectionResult) -> BTreeMap<NodeId, Involvement> {
     let mut map: BTreeMap<NodeId, Involvement> = BTreeMap::new();
     for group in &result.groups {
         for member in group.members() {
@@ -54,24 +54,6 @@ pub fn top_involved<'t>(
         .take(limit)
         .map(|(node, inv)| (tpiin.label(node), inv))
         .collect()
-}
-
-/// Histogram of group sizes (distinct member counts) over all groups.
-pub fn group_size_histogram(result: &DetectionResult) -> BTreeMap<usize, usize> {
-    let mut hist = BTreeMap::new();
-    for group in &result.groups {
-        *hist.entry(group.members().len()).or_insert(0) += 1;
-    }
-    hist
-}
-
-/// Groups per suspicious trading arc — the multiplicity Table 1 implies
-/// (groups ÷ suspicious arcs ≈ 14 in the paper).  Zero when no arcs.
-pub fn groups_per_suspicious_arc(result: &DetectionResult) -> f64 {
-    if result.suspicious_trading_arcs.is_empty() {
-        return 0.0;
-    }
-    result.group_count() as f64 / result.suspicious_trading_arcs.len() as f64
 }
 
 #[cfg(test)]
@@ -119,22 +101,5 @@ mod tests {
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].0, "C5", "C5 is in two groups: {top:?}");
         assert!(top.iter().all(|(_, inv)| inv.groups >= 1));
-    }
-
-    #[test]
-    fn histogram_of_the_worked_example() {
-        let (_, result) = fig7();
-        let hist = group_size_histogram(&result);
-        // Two 3-member groups and one 5-member group.
-        assert_eq!(hist.get(&3), Some(&2));
-        assert_eq!(hist.get(&5), Some(&1));
-        assert_eq!(hist.values().sum::<usize>(), 3);
-    }
-
-    #[test]
-    fn multiplicity_metric() {
-        let (_, result) = fig7();
-        assert!((groups_per_suspicious_arc(&result) - 1.0).abs() < 1e-12);
-        assert_eq!(groups_per_suspicious_arc(&DetectionResult::default()), 0.0);
     }
 }

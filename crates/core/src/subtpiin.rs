@@ -11,7 +11,6 @@
 //! shard's adjacency is re-packed into local CSR arrays so the tree DFS
 //! of Algorithm 2 walks contiguous slices.
 
-use crate::topology::ShardTopology;
 use tpiin_fusion::{NodeColor, Tpiin, INFLUENCE_LANE, TRADING_LANE};
 use tpiin_graph::NodeId;
 
@@ -122,43 +121,12 @@ impl SubTpiin {
     pub fn out_degree(&self, v: u32) -> usize {
         self.influence(v).len() + self.trading(v).len()
     }
-}
 
-impl ShardTopology for SubTpiin {
-    fn shard_index(&self) -> usize {
-        self.index
-    }
-
-    fn node_count(&self) -> usize {
-        self.global.len()
-    }
-
-    fn global(&self, v: u32) -> NodeId {
-        self.global[v as usize]
-    }
-
-    fn influence(&self, v: u32) -> &[u32] {
-        SubTpiin::influence(self, v)
-    }
-
-    fn trading(&self, v: u32) -> &[u32] {
-        SubTpiin::trading(self, v)
-    }
-
-    fn influence_in_degree(&self, v: u32) -> u32 {
-        self.influence_in_degree[v as usize]
-    }
-
-    fn trading_arc_count(&self) -> usize {
-        self.trading_arc_count
-    }
-
-    fn is_person(&self, v: u32) -> bool {
-        self.is_person[v as usize]
-    }
-
-    fn influence_arc_count(&self) -> usize {
-        self.influence_targets.len()
+    /// Scheduler cost estimate for mining this shard: node count plus
+    /// trading-arc count.  Both terms bound the per-root work (tree size
+    /// scales with reachable nodes, matches with type-(b) leaves).
+    pub fn estimated_cost(&self) -> u64 {
+        self.node_count() as u64 + self.trading_arc_count as u64
     }
 }
 
@@ -384,8 +352,6 @@ mod tests {
             }
             let person_count = sub.is_person.iter().filter(|&&p| p).count();
             assert_eq!(sub.roots().count(), person_count);
-            // The trait view agrees with the inherent iterator.
-            assert_eq!(sub.zero_indegree_roots(), sub.roots().collect::<Vec<u32>>());
         }
     }
 
@@ -463,21 +429,5 @@ mod tests {
         assert_eq!(sub.influence(0), &[1]);
         assert_eq!(sub.trading(2), &[1]);
         assert!(sub.influence(2).is_empty());
-    }
-
-    #[test]
-    fn csr_segmentation_matches_the_nested_reference() {
-        let (tpiin, _) = tpiin_fusion::fuse(&two_component_registry()).unwrap();
-        let csr_subs = segment_tpiin(&tpiin);
-        let nested_subs = crate::nested::segment_tpiin_nested(&tpiin);
-        assert_eq!(csr_subs.len(), nested_subs.len());
-        for (a, b) in csr_subs.iter().zip(&nested_subs) {
-            assert_eq!(a.global, b.global);
-            assert_eq!(a.trading_arc_count, ShardTopology::trading_arc_count(b));
-            for v in 0..a.node_count() as u32 {
-                assert_eq!(a.influence(v), ShardTopology::influence(b, v));
-                assert_eq!(a.trading(v), ShardTopology::trading(b, v));
-            }
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! no outgoing arcs at all is a *type-(a)* leaf (Rule 1, `InOT-OutOSP`
 //! walk).
 
-use crate::topology::ShardTopology;
+use crate::subtpiin::SubTpiin;
 use std::collections::HashMap;
 
 /// One node of a patterns tree: a trail from the root ending at
@@ -57,11 +57,7 @@ impl PatternsTree {
     /// pathologically dense antecedent DAGs, whose trail count can grow
     /// exponentially; `None` on overflow.  The paper's province-scale
     /// networks stay far below any practical bound.
-    pub fn build<S: ShardTopology + ?Sized>(
-        sub: &S,
-        root: u32,
-        max_nodes: usize,
-    ) -> Option<PatternsTree> {
+    pub fn build(sub: &SubTpiin, root: u32, max_nodes: usize) -> Option<PatternsTree> {
         let mut tree = PatternsTree {
             root,
             nodes: vec![TreeNode {
@@ -149,7 +145,7 @@ impl PatternsTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subtpiin::{subtpiin_from_arcs, SubTpiin};
+    use crate::subtpiin::subtpiin_from_arcs;
 
     /// L(0) -> C1(1) -> C2(2); C2 trades with C3(3); C3 is also directly
     /// influenced by L.

@@ -201,37 +201,26 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Concatenating per-shard [`tpiin_core::mine_shard`] outcomes
-    /// (remapped from local to global coordinates) reproduces the global
-    /// detector's group sequence exactly — the invariant the delta
+    /// Mining every shard on its own with [`tpiin_core::mine_shard`] and
+    /// handing the outcomes to [`tpiin_core::assemble_detection`]
+    /// reproduces the detector's result exactly — the invariant the delta
     /// engine's shard cache rests on.
     #[test]
-    fn shard_outcomes_concatenate_to_global_detection(raw in arb_registry()) {
+    fn shard_outcomes_assemble_to_global_detection(raw in arb_registry()) {
         let registry = build(&raw);
         let (tpiin, _) = fuse(&registry).expect("valid registry fuses");
         let global = detect(&tpiin);
         let subs = tpiin_core::segment_tpiin(&tpiin);
         let config = DetectorConfig::default();
-        let mut groups = Vec::new();
-        let mut overflowed = false;
-        for sub in &subs {
-            let out = tpiin_core::mine_shard(sub, &config);
-            overflowed |= out.overflowed;
-            for mut g in out.groups {
-                use tpiin_core::ShardTopology;
-                let map = |v: NodeId| sub.global(v.index() as u32);
-                g.antecedent = map(g.antecedent);
-                g.end = map(g.end);
-                g.trading_arc = (map(g.trading_arc.0), map(g.trading_arc.1));
-                for v in g.trail_with_trade.iter_mut().chain(g.trail_plain.iter_mut()) {
-                    *v = map(*v);
-                }
-                groups.push(g);
-            }
-        }
-        prop_assert_eq!(overflowed, global.overflowed);
-        let keys: Vec<Key> = groups.iter().map(|g| g.key()).collect();
-        let global_keys: Vec<Key> = global.groups.iter().map(|g| g.key()).collect();
-        prop_assert_eq!(keys, global_keys, "same groups in the same order");
+        let outcomes = subs.iter().map(|sub| tpiin_core::mine_shard(sub, &config)).collect();
+        let assembled = tpiin_core::assemble_detection(&tpiin, &subs, outcomes);
+        prop_assert_eq!(&assembled.groups, &global.groups, "same groups in the same order");
+        prop_assert_eq!(&assembled.provenances, &global.provenances);
+        prop_assert_eq!(&assembled.per_subtpiin, &global.per_subtpiin);
+        prop_assert_eq!(&assembled.suspicious_trading_arcs, &global.suspicious_trading_arcs);
+        prop_assert_eq!(
+            (assembled.complex_group_count, assembled.simple_group_count, assembled.overflowed),
+            (global.complex_group_count, global.simple_group_count, global.overflowed)
+        );
     }
 }

@@ -5,8 +5,8 @@ use crate::cache::ShardCache;
 use crate::stats::DeltaStats;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use tpiin_core::{
-    segment_one, segment_tpiin, DetectionResult, DetectorConfig, GroupKind, Provenance,
-    ShardOutcome, SubTpiinStats, SuspiciousGroup,
+    assemble_detection, segment_one, segment_tpiin, DetectionResult, DetectorConfig, GroupKind,
+    ShardOutcome, SubTpiin, SuspiciousGroup,
 };
 use tpiin_fusion::compact::{Label, Members};
 use tpiin_fusion::incremental::{
@@ -313,7 +313,8 @@ impl DeltaEngine {
             stats: DeltaStats::default(),
         };
         engine.reindex_arcs();
-        let (detection, _, _) = engine.remine();
+        // Construction-time mining is not a batch: its tallies are dropped.
+        let detection = engine.remine(&mut ApplyOutcome::empty(DeltaPath::FullRebuild));
         for g in &detection.groups {
             *engine
                 .group_keys
@@ -397,6 +398,8 @@ impl DeltaEngine {
             self.apply_incremental(batch)?
         };
         self.stats.batches_applied += 1;
+        self.stats.shards_remined += outcome.shards_remined as u64;
+        self.stats.shard_cache_hits += outcome.cache_hits as u64;
         self.stats.publish_to(tpiin_obs::global());
         Ok(outcome)
     }
@@ -776,19 +779,13 @@ impl DeltaEngine {
                 .sum();
             let old_len = self.detection.per_subtpiin[idx].groups;
             for i in start..start + old_len {
-                let (key, arc, complex) = {
-                    let g = &self.detection.groups[i];
-                    (
-                        group_label_key(&self.tpiin, g),
-                        g.trading_arc,
-                        g.kind == GroupKind::Matched && !g.simple,
-                    )
-                };
-                group_removed.push(key);
-                if complex {
-                    self.detection.complex_group_count -= 1;
-                } else {
+                let g = &self.detection.groups[i];
+                let arc = g.trading_arc;
+                group_removed.push(group_label_key(&self.tpiin, g));
+                if g.simple {
                     self.detection.simple_group_count -= 1;
+                } else {
+                    self.detection.complex_group_count -= 1;
                 }
                 // Group trading arcs have distinct endpoints, so this
                 // never evicts an intra-syndicate self pair.
@@ -797,73 +794,40 @@ impl DeltaEngine {
                 }
             }
 
-            let out = if sub.trading_arc_count == 0 {
-                ShardOutcome::default()
-            } else {
-                let (out, hit) = self.cache.lookup(&sub, &self.config.detector);
-                if hit {
-                    outcome.cache_hits += 1;
-                    self.stats.shard_cache_hits += 1;
-                } else {
-                    outcome.shards_remined += 1;
-                    self.stats.shards_remined += 1;
-                }
-                out
-            };
-            let stats_entry = &mut self.detection.per_subtpiin[idx];
-            stats_entry.nodes = sub.node_count();
-            stats_entry.influence_arcs = sub.influence_arc_count();
-            stats_entry.trading_arcs = sub.trading_arc_count;
-            stats_entry.tree_nodes = out.tree_nodes;
-            stats_entry.patterns = out.patterns;
-            stats_entry.groups = out.groups.len();
-            self.shard_overflow[idx] = out.overflowed;
+            let out = self.lookup_shard(&sub, outcome);
 
-            let mut spliced = Vec::with_capacity(out.groups.len());
-            for mut g in out.groups {
-                let map = |v: NodeId| sub.global[v.index()];
-                g.subtpiin = idx;
-                g.antecedent = map(g.antecedent);
-                g.end = map(g.end);
-                g.trading_arc = (map(g.trading_arc.0), map(g.trading_arc.1));
-                for v in g
-                    .trail_with_trade
-                    .iter_mut()
-                    .chain(g.trail_plain.iter_mut())
-                {
-                    *v = map(*v);
-                }
-                if g.kind == GroupKind::Matched && !g.simple {
-                    self.detection.complex_group_count += 1;
-                } else {
-                    self.detection.simple_group_count += 1;
-                }
-                if self.detection.suspicious_trading_arcs.insert(g.trading_arc) {
-                    let key = arc_label_key(&self.tpiin, g.trading_arc);
+            // The shard's new contribution, assembled exactly as a full
+            // re-mine would assemble it, replaces the old slice.  (The
+            // part's arc set also carries the intra-syndicate seeds; those
+            // are already in the maintained set and insert as no-ops.)
+            let part = assemble_detection(&self.tpiin, std::slice::from_ref(&sub), vec![out]);
+            self.detection.per_subtpiin[idx] = part.per_subtpiin[0];
+            self.shard_overflow[idx] = part.overflowed;
+            self.detection.complex_group_count += part.complex_group_count;
+            self.detection.simple_group_count += part.simple_group_count;
+            for arc in part.suspicious_trading_arcs {
+                if self.detection.suspicious_trading_arcs.insert(arc) {
+                    let key = arc_label_key(&self.tpiin, arc);
                     if !self.arc_keys.contains_key(&key) {
-                        outcome.new_suspicious_arcs.push(g.trading_arc);
+                        outcome.new_suspicious_arcs.push(arc);
                     }
                     arc_added.push(key);
                 }
-                let gkey = group_label_key(&self.tpiin, &g);
+            }
+            for g in &part.groups {
+                let gkey = group_label_key(&self.tpiin, g);
                 if !self.group_keys.contains_key(&gkey) {
                     outcome.new_groups.push(g.clone());
                 }
                 group_added.push(gkey);
-                spliced.push(g);
             }
-            // Provenance only assembles for the re-mined shard's groups;
-            // every other shard's records move (not clone) in place.
-            let provs: Vec<Provenance> = spliced
-                .iter()
-                .map(|g| Provenance::assemble(&self.tpiin, g))
-                .collect();
+            // Every other shard's records move (not clone) in place.
             self.detection
                 .provenances
-                .splice(start..start + old_len, provs);
+                .splice(start..start + old_len, part.provenances);
             self.detection
                 .groups
-                .splice(start..start + old_len, spliced);
+                .splice(start..start + old_len, part.groups);
         }
         self.detection.overflowed = self.shard_overflow.iter().any(|&o| o);
         // The full refresh reports new arcs in suspicious-set order.
@@ -886,11 +850,7 @@ impl DeltaEngine {
     /// Re-mines the current network through the shard cache and swaps
     /// the detection in, diffing groups and arcs by label key.
     fn refresh_detection(&mut self, outcome: &mut ApplyOutcome) {
-        let (detection, remined, hits) = self.remine();
-        outcome.shards_remined = remined;
-        outcome.cache_hits = hits;
-        self.stats.shards_remined += remined as u64;
-        self.stats.shard_cache_hits += hits as u64;
+        let detection = self.remine(outcome);
 
         let mut next_group_keys: HashMap<String, u32> =
             HashMap::with_capacity(detection.groups.len());
@@ -916,87 +876,41 @@ impl DeltaEngine {
         self.detection = detection;
     }
 
-    /// Rebuilds the full [`DetectionResult`] by concatenating per-shard
-    /// outcomes, replaying cached shards.  Replicates the global
-    /// detector's merge exactly (the shard-concatenation invariant is
-    /// property-tested in `tpiin-core`), so the result is bit-identical
-    /// to [`tpiin_core::detect`] over the current network.
-    fn remine(&mut self) -> (DetectionResult, usize, usize) {
-        let tpiin = &self.tpiin;
-        let subs = segment_tpiin(tpiin);
+    /// Rebuilds the full [`DetectionResult`]: segments the current
+    /// network, obtains every shard's outcome through the cache and
+    /// hands them to [`assemble_detection`] — the same assembler the
+    /// detector uses, so the result is bit-identical to
+    /// [`tpiin_core::detect`] over the current network.
+    fn remine(&mut self, outcome: &mut ApplyOutcome) -> DetectionResult {
+        let subs = segment_tpiin(&self.tpiin);
         // Refresh the shard membership map the splice paths extend.
-        self.shard_of = vec![u32::MAX; tpiin.node_count()];
+        self.shard_of = vec![u32::MAX; self.tpiin.node_count()];
         for sub in &subs {
             for &g in &sub.global {
                 self.shard_of[g.index()] = sub.index as u32;
             }
         }
-        self.shard_overflow = vec![false; subs.len()];
-        let mut result = DetectionResult {
-            total_trading_arcs: tpiin.trading_arc_count + tpiin.intra_syndicate_trades.len(),
-            intra_syndicate_trades: tpiin.intra_syndicate_trades.len(),
-            per_subtpiin: subs
-                .iter()
-                .map(|s| SubTpiinStats {
-                    index: s.index,
-                    nodes: s.node_count(),
-                    influence_arcs: s.influence_arc_count(),
-                    trading_arcs: s.trading_arc_count,
-                    ..Default::default()
-                })
-                .collect(),
-            ..Default::default()
-        };
-        for t in &tpiin.intra_syndicate_trades {
-            result.suspicious_trading_arcs.insert((
-                tpiin.company_node[t.seller.index()],
-                tpiin.company_node[t.buyer.index()],
-            ));
-        }
-        let (mut remined, mut hits) = (0usize, 0usize);
-        for sub in &subs {
-            if sub.trading_arc_count == 0 {
-                continue;
-            }
-            let (out, hit) = self.cache.lookup(sub, &self.config.detector);
-            if hit {
-                hits += 1;
-            } else {
-                remined += 1;
-            }
-            let stats = &mut result.per_subtpiin[sub.index];
-            stats.tree_nodes = out.tree_nodes;
-            stats.patterns = out.patterns;
-            stats.groups = out.groups.len();
-            self.shard_overflow[sub.index] = out.overflowed;
-            result.overflowed |= out.overflowed;
-            for mut g in out.groups {
-                let map = |v: NodeId| sub.global[v.index()];
-                g.subtpiin = sub.index;
-                g.antecedent = map(g.antecedent);
-                g.end = map(g.end);
-                g.trading_arc = (map(g.trading_arc.0), map(g.trading_arc.1));
-                for v in g
-                    .trail_with_trade
-                    .iter_mut()
-                    .chain(g.trail_plain.iter_mut())
-                {
-                    *v = map(*v);
-                }
-                if g.kind == GroupKind::Matched && !g.simple {
-                    result.complex_group_count += 1;
-                } else {
-                    result.simple_group_count += 1;
-                }
-                result.suspicious_trading_arcs.insert(g.trading_arc);
-                result.groups.push(g);
-            }
-        }
-        result.provenances = result
-            .groups
+        let mined: Vec<ShardOutcome> = subs
             .iter()
-            .map(|g| Provenance::assemble(tpiin, g))
+            .map(|sub| self.lookup_shard(sub, outcome))
             .collect();
-        (result, remined, hits)
+        self.shard_overflow = mined.iter().map(|out| out.overflowed).collect();
+        assemble_detection(&self.tpiin, &subs, mined)
+    }
+
+    /// One shard's outcome through the cache, tallied on `outcome` as
+    /// re-mined or replayed.  Shards without trading arcs mine to nothing
+    /// and are neither.
+    fn lookup_shard(&mut self, sub: &SubTpiin, outcome: &mut ApplyOutcome) -> ShardOutcome {
+        if sub.trading_arc_count == 0 {
+            return ShardOutcome::default();
+        }
+        let (out, hit) = self.cache.lookup(sub, &self.config.detector);
+        if hit {
+            outcome.cache_hits += 1;
+        } else {
+            outcome.shards_remined += 1;
+        }
+        out
     }
 }

@@ -32,7 +32,9 @@
 //! Mining after a patch is shard-cached: subTPIINs are keyed by a
 //! 128-bit signature of their *local* structure, and shards untouched by
 //! a delta replay their cached groups instead of re-running Algorithm 2
-//! (see [`tpiin_core::mine_shard`]).
+//! (see [`tpiin_core::mine_shard`]).  Cached or fresh, shard outcomes
+//! become a result only through [`tpiin_core::assemble_detection`] — the
+//! detector's own assembler — so the engine carries no copy of it.
 
 mod cache;
 mod engine;

@@ -140,32 +140,6 @@ impl Partition {
     }
 }
 
-/// Removes duplicate `(source, target, key)` arcs, keeping the first
-/// occurrence of each.  `key` projects the payload to the equality class
-/// that matters (for TPIIN arcs, the color).  Returns a new graph with the
-/// same nodes.
-pub fn dedup_edges<N: Clone, E: Clone, K: Ord>(
-    graph: &DiGraph<N, E>,
-    mut key: impl FnMut(&E) -> K,
-) -> DiGraph<N, E> {
-    let mut out: DiGraph<N, E> = DiGraph::with_capacity(graph.node_count(), graph.edge_count());
-    for (_, w) in graph.nodes() {
-        out.add_node(w.clone());
-    }
-    let mut seen: std::collections::BTreeSet<(u32, u32, K)> = std::collections::BTreeSet::new();
-    for edge in graph.edges() {
-        let sig = (
-            edge.source.index() as u32,
-            edge.target.index() as u32,
-            key(edge.weight),
-        );
-        if seen.insert(sig) {
-            out.add_edge(edge.source, edge.target, edge.weight.clone());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,29 +208,6 @@ mod tests {
         assert_eq!(out.graph.node_count(), 3);
         assert_eq!(out.graph.edge_count(), 2);
         assert_eq!(out.dropped_internal_edges, 0);
-    }
-
-    #[test]
-    fn quotient_keeps_parallel_arcs_until_dedup() {
-        // Merging 1 and 2 makes both 0->1 and 0->2 become 0'->{1,2}.
-        let g = graph_from(&[(0, 1), (0, 2)], 3);
-        let p = Partition::from_merge_pairs(3, [(NodeId::from_index(1), NodeId::from_index(2))]);
-        let out = p.quotient(&g, |_| ());
-        assert_eq!(out.graph.edge_count(), 2);
-        let deduped = dedup_edges(&out.graph, |_| 0u8);
-        assert_eq!(deduped.edge_count(), 1);
-    }
-
-    #[test]
-    fn dedup_distinguishes_by_key() {
-        let mut g: DiGraph<(), char> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b, 'x');
-        g.add_edge(a, b, 'x');
-        g.add_edge(a, b, 'y');
-        let d = dedup_edges(&g, |&c| c);
-        assert_eq!(d.edge_count(), 2);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! `tpiin-graph` — a from-scratch directed multigraph substrate.
 //!
 //! The TPIIN pipeline of the paper needs a small set of graph operations:
-//! adjacency storage with typed payloads, depth-first traversal, Tarjan's
+//! adjacency storage with typed payloads, reachability, Tarjan's
 //! strongly-connected-components algorithm (used to contract mutual
 //! investment structures), weakly-connected components (used to segment a
 //! TPIIN into `subTPIIN`s), node contraction into *syndicates* with
-//! provenance, bipartite/degree property checks, and DOT export for
+//! provenance, bipartite property checks, and DOT export for
 //! inspection.  None of the offline dependency set provides these, so this
 //! crate implements them directly.
 //!
@@ -34,21 +34,17 @@ mod export;
 mod ids;
 mod properties;
 mod scc;
-mod subgraph;
 mod traversal;
 mod unionfind;
 mod wcc;
 
-pub use contraction::{dedup_edges, ContractionOutcome, Partition};
+pub use contraction::{ContractionOutcome, Partition};
 pub use csr::{csr_index, CsrGraph, CsrLaneParts};
 pub use digraph::{DiGraph, EdgeRef};
 pub use export::{dot, edge_list, DotStyle, EdgeRender, NodeRender};
 pub use ids::{EdgeId, NodeId};
-pub use properties::{check_bipartite, degree_summary, BipartiteViolation, DegreeSummary};
+pub use properties::{check_bipartite, BipartiteViolation};
 pub use scc::{condensation_partition, tarjan_scc, SccScratch};
-pub use subgraph::{induced_subgraph, transpose, InducedSubgraph};
-pub use traversal::{
-    dfs_postorder, dfs_preorder, is_acyclic, reachable_from, topological_sort, CycleError,
-};
+pub use traversal::{is_acyclic, reachable_from, topological_sort, CycleError};
 pub use unionfind::UnionFind;
-pub use wcc::{weak_component_members, weakly_connected_components};
+pub use wcc::weakly_connected_components;

@@ -49,44 +49,6 @@ pub fn check_bipartite<N, E>(
     Ok(())
 }
 
-/// Aggregate degree statistics of a graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DegreeSummary {
-    /// Number of nodes with indegree zero (the pattern-tree roots of
-    /// Algorithm 2).
-    pub indegree_zero: usize,
-    /// Number of nodes with outdegree zero (Rule 1 stop nodes).
-    pub outdegree_zero: usize,
-    /// Maximum outdegree over all nodes.
-    pub max_out_degree: usize,
-    /// Maximum indegree over all nodes.
-    pub max_in_degree: usize,
-    /// `edge_count / node_count` — the paper's "average node degree"
-    /// column of Table 1 (arcs per node).
-    pub mean_degree: f64,
-}
-
-/// Computes a [`DegreeSummary`] for `graph`.
-pub fn degree_summary<N, E>(graph: &DiGraph<N, E>) -> DegreeSummary {
-    let mut s = DegreeSummary::default();
-    for v in graph.node_ids() {
-        let ind = graph.in_degree(v);
-        let outd = graph.out_degree(v);
-        if ind == 0 {
-            s.indegree_zero += 1;
-        }
-        if outd == 0 {
-            s.outdegree_zero += 1;
-        }
-        s.max_in_degree = s.max_in_degree.max(ind);
-        s.max_out_degree = s.max_out_degree.max(outd);
-    }
-    if graph.node_count() > 0 {
-        s.mean_degree = graph.edge_count() as f64 / graph.node_count() as f64;
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,28 +85,5 @@ mod tests {
         let p1 = g.add_node(true);
         g.add_edge(p0, p1, ());
         assert!(check_bipartite(&g, |_, &is_person| is_person).is_err());
-    }
-
-    #[test]
-    fn degree_summary_on_diamond() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
-        g.add_edge(n[0], n[1], ());
-        g.add_edge(n[0], n[2], ());
-        g.add_edge(n[1], n[3], ());
-        g.add_edge(n[2], n[3], ());
-        let s = degree_summary(&g);
-        assert_eq!(s.indegree_zero, 1);
-        assert_eq!(s.outdegree_zero, 1);
-        assert_eq!(s.max_out_degree, 2);
-        assert_eq!(s.max_in_degree, 2);
-        assert!((s.mean_degree - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_summary_on_empty_graph() {
-        let g: DiGraph<(), ()> = DiGraph::new();
-        let s = degree_summary(&g);
-        assert_eq!(s, DegreeSummary::default());
     }
 }

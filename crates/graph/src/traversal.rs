@@ -1,5 +1,4 @@
-//! Depth-first traversals, reachability, cycle detection and topological
-//! ordering.
+//! Reachability, cycle detection and topological ordering.
 //!
 //! Everything here is iterative — the synthetic province networks reach
 //! hundreds of thousands of arcs and a recursive DFS would overflow the
@@ -27,56 +26,6 @@ impl std::fmt::Display for CycleError {
 }
 
 impl std::error::Error for CycleError {}
-
-/// Nodes reachable from `start` (including `start`) in preorder.
-pub fn dfs_preorder<N, E>(graph: &DiGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(node) = stack.pop() {
-        if std::mem::replace(&mut visited[node.index()], true) {
-            continue;
-        }
-        order.push(node);
-        // Push successors in reverse so the first successor is visited first.
-        let succs: Vec<_> = graph.successors(node).collect();
-        for &s in succs.iter().rev() {
-            if !visited[s.index()] {
-                stack.push(s);
-            }
-        }
-    }
-    order
-}
-
-/// Nodes reachable from `start` (including `start`) in postorder: a node
-/// appears only after all of its descendants.
-pub fn dfs_postorder<N, E>(graph: &DiGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    // Stack frame: (node, next successor offset).
-    let mut stack: Vec<(NodeId, usize)> = Vec::new();
-    if !visited[start.index()] {
-        visited[start.index()] = true;
-        stack.push((start, 0));
-    }
-    while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-        let succ = graph.successors(node).nth(*next);
-        *next += 1;
-        match succ {
-            Some(s) if !visited[s.index()] => {
-                visited[s.index()] = true;
-                stack.push((s, 0));
-            }
-            Some(_) => {}
-            None => {
-                order.push(node);
-                stack.pop();
-            }
-        }
-    }
-    order
-}
 
 /// Boolean reachability mask from `start` (index = node index).
 pub fn reachable_from<N, E>(graph: &DiGraph<N, E>, start: NodeId) -> Vec<bool> {
@@ -145,42 +94,6 @@ mod tests {
             g.add_edge(ids[a], ids[b], ());
         }
         g
-    }
-
-    #[test]
-    fn preorder_visits_parent_before_children() {
-        let g = graph_from(&[(0, 1), (0, 2), (1, 3), (2, 3)], 4);
-        let order = dfs_preorder(&g, NodeId::from_index(0));
-        assert_eq!(order[0], NodeId::from_index(0));
-        assert_eq!(order.len(), 4);
-        let pos = |i: usize| {
-            order
-                .iter()
-                .position(|&v| v == NodeId::from_index(i))
-                .unwrap()
-        };
-        assert!(pos(0) < pos(1) && pos(0) < pos(2) && pos(1) < pos(3));
-    }
-
-    #[test]
-    fn postorder_emits_descendants_first() {
-        let g = graph_from(&[(0, 1), (1, 2)], 3);
-        let order = dfs_postorder(&g, NodeId::from_index(0));
-        assert_eq!(
-            order,
-            vec![
-                NodeId::from_index(2),
-                NodeId::from_index(1),
-                NodeId::from_index(0)
-            ]
-        );
-    }
-
-    #[test]
-    fn postorder_handles_cycles_without_spinning() {
-        let g = graph_from(&[(0, 1), (1, 0)], 2);
-        let order = dfs_postorder(&g, NodeId::from_index(0));
-        assert_eq!(order.len(), 2);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! (divide and conquer).
 
 use crate::digraph::DiGraph;
-use crate::ids::NodeId;
 use crate::unionfind::UnionFind;
 
 /// Computes the weakly connected components of `graph` (edge direction
@@ -22,17 +21,6 @@ pub fn weakly_connected_components<N, E>(graph: &DiGraph<N, E>) -> (Vec<u32>, us
         uf.union(edge.source.index(), edge.target.index());
     }
     uf.into_labels()
-}
-
-/// Groups node ids by weak component, preserving node order inside each
-/// component.  Convenience wrapper over [`weakly_connected_components`].
-pub fn weak_component_members<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
-    let (labels, count) = weakly_connected_components(graph);
-    let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); count];
-    for v in graph.node_ids() {
-        groups[labels[v.index()] as usize].push(v);
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -64,21 +52,6 @@ mod tests {
         assert_eq!(count, 3);
         assert_eq!(labels[0], labels[1]);
         assert_ne!(labels[2], labels[3]);
-    }
-
-    #[test]
-    fn members_grouped_in_order() {
-        let g = graph_from(&[(0, 2), (1, 3)], 4);
-        let groups = weak_component_members(&g);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(
-            groups[0],
-            vec![NodeId::from_index(0), NodeId::from_index(2)]
-        );
-        assert_eq!(
-            groups[1],
-            vec![NodeId::from_index(1), NodeId::from_index(3)]
-        );
     }
 
     #[test]
