@@ -403,25 +403,13 @@ pub fn explain(opts: &Options) -> Result<(), tpiin::Error> {
             result.groups.len().saturating_sub(1)
         )));
     };
-    let assembled;
-    let prov = match result.provenances.get(id) {
-        Some(prov) => prov,
-        // Counting-only detections carry no pre-assembled provenance;
-        // ask the owning miner's hook (only Rule 1/Rule 2 shaped
-        // strategies have one).
-        None => match miner.provenance(&tpiin, group) {
-            Some(prov) => {
-                assembled = prov;
-                &assembled
-            }
-            None => {
-                return Err(tpiin::Error::Usage(format!(
-                    "miner `{name}` has no provenance hook: group {id} carries no \
-                     Rule 1/Rule 2 evidence chain to render (its pattern is: {})",
-                    group.explain(&tpiin)
-                )))
-            }
-        },
+    // Only Rule 1/Rule 2 shaped strategies have a provenance hook.
+    let Some(prov) = miner.provenance(&tpiin, group) else {
+        return Err(tpiin::Error::Usage(format!(
+            "miner `{name}` has no provenance hook: group {id} carries no \
+             Rule 1/Rule 2 evidence chain to render (its pattern is: {})",
+            group.explain(&tpiin)
+        )));
     };
     println!("group {id} of {} (miner `{name}`)", result.groups.len());
     print!("{}", prov.render(group, &tpiin));

@@ -287,7 +287,7 @@ fn trace_out_exports_one_trace_spanning_cli_pipeline_detector() {
         "fusion/validate",
         "detect",
         "detect/build_tree",
-        "detect/provenance",
+        "detect/match_patterns",
     ] {
         assert!(names.contains(&expected), "{expected} missing: {names:?}");
     }

@@ -196,10 +196,12 @@ fn fold_roots(roots: impl Iterator<Item = RootOutcome>, collect_groups: bool) ->
 /// Builds the [`DetectionResult`] of `tpiin` from its shards and their
 /// mined outcomes (`outcomes[i]` belongs to `subs[i]`): remaps every
 /// group and arc to global ids, seeds the intra-syndicate arcs, sums the
-/// counters, fills `per_subtpiin` and assembles provenances.  Every
-/// producer of a `DetectionResult` for the Rule 1/Rule 2 detector ends
-/// here, so any way of obtaining the outcomes — serial, work-stealing,
-/// [`mine_shard`] per shard, a cache replay — yields the same result.
+/// counters and fills `per_subtpiin`.  Every producer of a
+/// `DetectionResult` for the Rule 1/Rule 2 detector ends here, so any way
+/// of obtaining the outcomes — serial, work-stealing, [`mine_shard`] per
+/// shard, a cache replay — yields the same result.  Provenance is not
+/// part of it: [`crate::Provenance::assemble`] derives a group's chain
+/// per request from `(tpiin, group)`.
 pub fn assemble_detection(
     tpiin: &Tpiin,
     subs: &[SubTpiin],
@@ -243,7 +245,6 @@ pub fn assemble_detection(
             g
         }));
     }
-    result.provenances = crate::provenance::assemble_all(tpiin, &result.groups);
     result
 }
 

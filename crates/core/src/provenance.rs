@@ -4,8 +4,9 @@
 //! The paper pitches pattern-based mining as *explainable*: an
 //! investigator handed a group must be able to trace every claim back to
 //! the source records.  A [`Provenance`] record makes that chain
-//! explicit, assembled from data the detector already holds (so the cost
-//! is a handful of adjacency probes per group, not a re-run):
+//! explicit.  It is a pure function of `(tpiin, group)`, assembled when
+//! someone asks for one group's chain (a handful of adjacency probes, not
+//! a re-run) and never stored beside the detection:
 //!
 //! * **pattern rule** — whether the group came from Rule 1 (two matched
 //!   component patterns sharing an antecedent, the regular case of
@@ -335,10 +336,10 @@ impl Provenance {
             }
             let physical = arc_weight(tpiin, arc.source, arc.target, arc.color).is_some();
             let intra = arc.color == ArcColor::Trading
-                && tpiin
-                    .intra_syndicate_trades
-                    .iter()
-                    .any(|t| tpiin.company_node[t.seller.index()] == arc.source);
+                && tpiin.intra_syndicate_trades.iter().any(|t| {
+                    tpiin.company_node[t.seller.index()] == arc.source
+                        && tpiin.company_node[t.buyer.index()] == arc.target
+                });
             if !physical && !intra {
                 return Err(format!(
                     "arc {} -> {} ({:?}) not present in the TPIIN",
@@ -371,23 +372,13 @@ fn resolve_arc(tpiin: &Tpiin, s: NodeId, t: NodeId, color: ArcColor) -> Option<A
         })
 }
 
-/// Assembles provenance for every collected group of a detection run, in
-/// group order.
-pub(crate) fn assemble_all(tpiin: &Tpiin, groups: &[SuspiciousGroup]) -> Vec<Provenance> {
-    let _span = tpiin_obs::Span::at("detect/provenance");
-    groups
-        .iter()
-        .map(|g| Provenance::assemble(tpiin, g))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::detect;
     use tpiin_model::{
-        InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Role, RoleSet,
-        SourceRegistry, TradingRecord,
+        CompanyId, InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Role,
+        RoleSet, SourceRegistry, TradingRecord,
     };
 
     fn case1_registry() -> SourceRegistry {
@@ -506,6 +497,34 @@ mod tests {
         });
         let (other_tpiin, _) = tpiin_fusion::fuse(&other).unwrap();
         assert!(p.audit(&other_tpiin).is_err());
+    }
+
+    #[test]
+    fn audit_rejects_a_fabricated_arc_leaving_a_syndicate() {
+        // C1 <-> C3 now contract into one syndicate with one internal trade.
+        let mut r = case1_registry();
+        let (c1, c3) = (CompanyId(0), CompanyId(2));
+        r.add_investment(InvestmentRecord {
+            investor: c3,
+            investee: c1,
+            share: 0.5,
+        });
+        r.add_trading(TradingRecord {
+            seller: c1,
+            buyer: c3,
+            volume: 7.0,
+        });
+        let (tpiin, _) = tpiin_fusion::fuse(&r).unwrap();
+        assert_eq!(tpiin.intra_syndicate_trades.len(), 1);
+        let syndicate = tpiin.company_node[c1.index()];
+        let mut p = Provenance::assemble(&tpiin, &detect(&tpiin).groups[0]);
+        // The recorded internal trade audits clean; the same seller with
+        // a buyer it never traded with is not in the network.
+        p.trading_arc.source = syndicate;
+        p.trading_arc.target = syndicate;
+        assert!(p.audit(&tpiin).is_ok());
+        p.trading_arc.target = tpiin.person_node[2];
+        assert!(p.audit(&tpiin).is_err());
     }
 
     #[test]

@@ -117,9 +117,6 @@ pub struct DetectionResult {
     /// The groups, if the detector was configured to collect them
     /// (ordered deterministically); counts below are always filled.
     pub groups: Vec<SuspiciousGroup>,
-    /// Provenance record of each collected group, index-aligned with
-    /// [`DetectionResult::groups`] (empty for counting-only runs).
-    pub provenances: Vec<crate::provenance::Provenance>,
     /// Number of complex suspicious groups (Table 1, column 3).
     pub complex_group_count: usize,
     /// Number of simple suspicious groups (Table 1, column 4).

@@ -10,7 +10,7 @@
 
 use tpiin_core::{
     BaselineMiner, CircularTradingMiner, Detector, DetectorConfig, GroupMiner, MineContext,
-    MinerRegistry, Rule12Miner, WindowedMiner,
+    MinerRegistry, Provenance, Rule12Miner, WindowedMiner,
 };
 use tpiin_datagen::{
     add_random_trading, circular_case_registry, circular_control_registry, fig7_registry,
@@ -63,7 +63,11 @@ fn rules_miner_is_bit_identical_to_detector_on_fig7_and_province() {
             assert_eq!(direct.complex_group_count, mined.complex_group_count);
             assert_eq!(direct.simple_group_count, mined.simple_group_count);
             assert_eq!(direct.per_subtpiin, mined.per_subtpiin);
-            assert_eq!(direct.provenances.len(), mined.provenances.len());
+            for (d, m) in direct.groups.iter().zip(&mined.groups) {
+                let chain = Provenance::assemble(&tpiin, m);
+                assert_eq!(chain, Provenance::assemble(&tpiin, d));
+                assert!(chain.audit(&tpiin).is_ok());
+            }
         }
     }
 }

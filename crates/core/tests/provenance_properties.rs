@@ -5,7 +5,7 @@
 //! must agree with `score_group` term by term.
 
 use proptest::prelude::*;
-use tpiin_core::{detect, score_group, Provenance};
+use tpiin_core::{detect, score_group, GroupMiner, Provenance, Rule12Miner};
 use tpiin_fusion::ArcColor;
 use tpiin_model::{
     CompanyId, InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, PersonId,
@@ -81,10 +81,10 @@ proptest! {
         let registry = build(&raw);
         let (tpiin, _) = tpiin_fusion::fuse(&registry).expect("constructed registries are valid");
         let result = detect(&tpiin);
-        prop_assert_eq!(result.provenances.len(), result.groups.len());
         let influence_feed = registry.influences().len() + registry.investments().len();
         let trading_feed = registry.tradings().len();
-        for (group, prov) in result.groups.iter().zip(&result.provenances) {
+        for group in &result.groups {
+            let prov = Provenance::assemble(&tpiin, group);
             // Self-audit: every referenced node and arc resolves.
             prop_assert!(prov.audit(&tpiin).is_ok(), "{:?}", prov.audit(&tpiin));
             // Influence arcs physically present, with in-range sources.
@@ -131,16 +131,24 @@ proptest! {
             ..Default::default()
         })
         .detect(&tpiin);
-        prop_assert_eq!(&serial.provenances, &parallel.provenances);
+        prop_assert_eq!(serial.groups.len(), parallel.groups.len());
+        for (s, p) in serial.groups.iter().zip(&parallel.groups) {
+            let chain = Provenance::assemble(&tpiin, p);
+            prop_assert_eq!(&chain, &Provenance::assemble(&tpiin, s));
+            prop_assert!(chain.audit(&tpiin).is_ok());
+        }
     }
-
 }
 
+/// What `explain` and `/groups/{id}/provenance` obtain through the
+/// miner hook is exactly [`Provenance::assemble`] over the same pair.
 #[test]
-fn provenance_assemble_matches_detection_fill() {
+fn provenance_hook_matches_assemble() {
     let (tpiin, _) = tpiin_fusion::fuse(&tpiin_datagen::fig7_registry()).unwrap();
     let result = detect(&tpiin);
-    for (group, prov) in result.groups.iter().zip(&result.provenances) {
-        assert_eq!(prov, &Provenance::assemble(&tpiin, group));
+    assert!(!result.groups.is_empty());
+    for group in &result.groups {
+        let hooked = Rule12Miner.provenance(&tpiin, group);
+        assert_eq!(hooked, Some(Provenance::assemble(&tpiin, group)));
     }
 }

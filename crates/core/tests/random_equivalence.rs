@@ -215,7 +215,11 @@ proptest! {
         let outcomes = subs.iter().map(|sub| tpiin_core::mine_shard(sub, &config)).collect();
         let assembled = tpiin_core::assemble_detection(&tpiin, &subs, outcomes);
         prop_assert_eq!(&assembled.groups, &global.groups, "same groups in the same order");
-        prop_assert_eq!(&assembled.provenances, &global.provenances);
+        for (a, g) in assembled.groups.iter().zip(&global.groups) {
+            let chain = tpiin_core::Provenance::assemble(&tpiin, a);
+            prop_assert_eq!(&chain, &tpiin_core::Provenance::assemble(&tpiin, g));
+            prop_assert!(chain.audit(&tpiin).is_ok());
+        }
         prop_assert_eq!(&assembled.per_subtpiin, &global.per_subtpiin);
         prop_assert_eq!(&assembled.suspicious_trading_arcs, &global.suspicious_trading_arcs);
         prop_assert_eq!(

@@ -594,20 +594,6 @@ impl DeltaEngine {
                         *s += 1;
                     }
                     self.tpiin.arc_sources.insert(pos, seq);
-                    // Stored provenances snapshot those sequences; patch
-                    // the investment-sourced ones (>= the new record's
-                    // seq) in every kept shard so they keep matching a
-                    // from-scratch assembly.  Trading source records
-                    // index the trading feed and are unaffected.
-                    for p in &mut self.detection.provenances {
-                        for arc in &mut p.influence_arcs {
-                            if let Some(rec) = &mut arc.source_record {
-                                if *rec >= seq {
-                                    *rec += 1;
-                                }
-                            }
-                        }
-                    }
                     self.tpiin.graph.splice_edge(
                         pos,
                         syndicate,
@@ -725,10 +711,10 @@ impl DeltaEngine {
     }
 
     /// Splices a batch's surgical changes into the maintained detection:
-    /// only the dirty shards re-segment and re-mine, and their group and
-    /// provenance slices are replaced in place.  Untouched shards cost
-    /// nothing — no signature hashing, no result copying — which is what
-    /// makes a small batch O(changed shards) instead of O(network).
+    /// only the dirty shards re-segment and re-mine, and their group
+    /// slices are replaced in place.  Untouched shards cost nothing — no
+    /// signature hashing, no result copying — which is what makes a small
+    /// batch O(changed shards) instead of O(network).
     ///
     /// The result is bit-identical to a full re-mine: shard membership
     /// only grows along monotone paths (appends never merge or split
@@ -821,10 +807,7 @@ impl DeltaEngine {
                 }
                 group_added.push(gkey);
             }
-            // Every other shard's records move (not clone) in place.
-            self.detection
-                .provenances
-                .splice(start..start + old_len, part.provenances);
+            // Every other shard's groups move (not clone) in place.
             self.detection
                 .groups
                 .splice(start..start + old_len, part.groups);

@@ -6,7 +6,7 @@
 //! the engine untouched.
 
 use proptest::prelude::*;
-use tpiin_core::detect;
+use tpiin_core::{detect, Provenance};
 use tpiin_delta::DeltaEngine;
 use tpiin_fusion::{fuse, Tpiin};
 use tpiin_model::{
@@ -278,7 +278,12 @@ proptest! {
             assert_identical(engine.tpiin(), &expected_tpiin)?;
             let got = engine.detection();
             prop_assert_eq!(&got.groups, &expected.groups);
-            prop_assert_eq!(&got.provenances, &expected.provenances);
+            for g in &expected.groups {
+                let chain = Provenance::assemble(engine.tpiin(), g);
+                prop_assert_eq!(&chain, &Provenance::assemble(&expected_tpiin, g));
+                prop_assert!(chain.audit(engine.tpiin()).is_ok());
+                prop_assert!(chain.audit(&expected_tpiin).is_ok());
+            }
             prop_assert_eq!(&got.suspicious_trading_arcs, &expected.suspicious_trading_arcs);
             prop_assert_eq!(got.complex_group_count, expected.complex_group_count);
             prop_assert_eq!(got.simple_group_count, expected.simple_group_count);

@@ -2,7 +2,7 @@
 //! `IncrementalDetector` contract (trading appends over a fused TPIIN)
 //! re-expressed against [`DeltaEngine`], plus the registry-backed paths.
 
-use tpiin_core::detect;
+use tpiin_core::{detect, Provenance};
 use tpiin_datagen::{add_random_trading, generate_province, ProvinceConfig};
 use tpiin_delta::{DeltaConfig, DeltaEngine, DeltaError, DeltaPath};
 use tpiin_fusion::fuse;
@@ -239,7 +239,11 @@ fn incremental_path_matches_full_fuse() {
     let expected = detect(&expected_tpiin);
     assert_identical(engine.tpiin(), &expected_tpiin);
     assert_eq!(engine.detection().groups, expected.groups);
-    assert_eq!(engine.detection().provenances, expected.provenances);
+    for g in &expected.groups {
+        let got = Provenance::assemble(engine.tpiin(), g);
+        assert_eq!(got, Provenance::assemble(&expected_tpiin, g));
+        assert!(got.audit(engine.tpiin()).is_ok() && got.audit(&expected_tpiin).is_ok());
+    }
     assert_eq!(engine.detection().per_subtpiin, expected.per_subtpiin);
 }
 

@@ -443,34 +443,22 @@ fn provenance(state: &ServerState, req: &Request) -> Response {
         );
     }
     let group = &detection.groups[index];
-    let assembled;
-    let prov = match detection.provenances.get(index) {
-        Some(prov) => prov,
-        // Counting-only detections carry no pre-assembled provenance;
-        // ask the owning miner's provenance hook to build it on demand.
-        None => match state
-            .miners
-            .get(&miner)
-            .and_then(|m| m.provenance(&snap.tpiin, group))
-        {
-            Some(prov) => {
-                assembled = prov;
-                &assembled
-            }
-            None => {
-                return Response::error(
-                    422,
-                    format!(
-                        "miner `{miner}` has no provenance hook; its groups carry no \
-                         evidence chain (use /groups?miner={miner} for the group itself)"
-                    ),
-                );
-            }
-        },
+    let Some(prov) = state
+        .miners
+        .get(&miner)
+        .and_then(|m| m.provenance(&snap.tpiin, group))
+    else {
+        return Response::error(
+            422,
+            format!(
+                "miner `{miner}` has no provenance hook; its groups carry no \
+                 evidence chain (use /groups?miner={miner} for the group itself)"
+            ),
+        );
     };
     Response::json(
         200,
-        &responses::provenance_json(&snap, &miner, group, index, prov),
+        &responses::provenance_json(&snap, &miner, group, index, &prov),
     )
 }
 
@@ -572,15 +560,11 @@ fn ingest(state: &ServerState, req: &Request) -> Response {
         Err(err) => return Response::error(400, err.to_string()),
     };
     let stats = writer.stats();
-    let tpiin = writer.tpiin().clone();
-    let primary = writer.detection().clone();
     let prev = state.store.current();
-    let detections = prev.detections_with_primary(primary);
     let epoch = state.next_epoch();
-    let body = responses::ingest_json(&tpiin, epoch, &outcome, &stats);
-    state
-        .store
-        .swap(ServeSnapshot::with_detections(epoch, tpiin, detections));
+    let snapshot = ServeSnapshot::from_engine(epoch, &writer, &state.miners, Some(&prev));
+    let body = responses::ingest_json(&snapshot.tpiin, epoch, &outcome, &stats);
+    state.store.swap(snapshot);
     drop(span);
     drop(writer);
     Response::json(200, &body)
@@ -604,11 +588,11 @@ pub fn reload(state: &ServerState) -> Result<u64, (u16, String)> {
 
     let mut writer = state.writer.lock();
     let epoch = state.next_epoch();
-    let snapshot = ServeSnapshot::build_with(epoch, tpiin.clone(), &state.miners);
     // A snapshot file carries no source registry, so the reloaded
     // engine serves trading-append deltas only (registry mutations get
     // 422 until the daemon is restarted with a registry).
     *writer = DeltaEngine::from_tpiin(tpiin);
+    let snapshot = ServeSnapshot::from_engine(epoch, &writer, &state.miners, None);
     state.store.swap(snapshot);
     drop(writer);
     state.last_load_micros.store(load_micros, Ordering::Relaxed);

@@ -35,12 +35,15 @@
 //! * **Group provenance**: `GET /groups/{id}/provenance` serves the
 //!   full evidence chain behind one mined group — matched rule, arc
 //!   lineage with winning source records, contraction lineage, score
-//!   breakdown.
-//! * **Miner strategies**: every full snapshot build runs the
+//!   breakdown — assembled per request from `(tpiin, group)` through
+//!   the owning miner's hook; no epoch stores chains.
+//! * **Miner strategies**: bind and reload run the
 //!   [`tpiin_core::GroupMiner`] set from [`ServeConfig::miners`]
 //!   (default: the Rule 1/Rule 2 detector plus the circular-trading
-//!   miner); `?miner=NAME` on `/groups` and `/groups/{id}/provenance`
-//!   selects which strategy's detection a request reads.
+//!   miner), except that `rules` is mined once, by the delta engine,
+//!   and served from there; `?miner=NAME` on `/groups` and
+//!   `/groups/{id}/provenance` selects which strategy's detection a
+//!   request reads.
 //!
 //! ## Endpoints
 //!

@@ -237,9 +237,9 @@ fn arc_provenance_json(arc: &tpiin_core::ArcProvenance) -> Json {
 
 /// The `/groups/{id}/provenance` body: rule, arc lineage (each arc
 /// resolved to its winning source record), contraction lineage and the
-/// per-term score breakdown of one mined group.  The handler resolves
-/// `prov` through the owning miner's provenance hook (or the detection's
-/// pre-assembled list) before calling this.
+/// per-term score breakdown of one mined group.  Nothing stores a chain:
+/// the handler assembles `prov` per request from `(tpiin, group)` through
+/// the owning miner's provenance hook before calling this.
 pub fn provenance_json(
     snapshot: &ServeSnapshot,
     miner: &str,

@@ -229,7 +229,6 @@ impl ServerHandle {
     }
 
     fn bind_engine(engine: DeltaEngine, config: ServeConfig) -> Result<ServerHandle, ServeError> {
-        let tpiin = engine.tpiin().clone();
         let listener = TcpListener::bind(&config.addr).map_err(|source| ServeError::Bind {
             addr: config.addr.clone(),
             source,
@@ -244,7 +243,7 @@ impl ServerHandle {
         } else {
             MinerRegistry::from_specs(&config.miners).map_err(ServeError::Miner)?
         };
-        let snapshot = ServeSnapshot::build_with(1, tpiin, &miners);
+        let snapshot = ServeSnapshot::from_engine(1, &engine, &miners, None);
         let telemetry = config.telemetry.then(|| {
             Arc::new(handlers::Telemetry {
                 timeline: tpiin_obs::Timeline::new(config.timeline.clone()),

@@ -12,6 +12,7 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tpiin_core::{mine_with_obs, DetectionResult, MineContext, MinerRegistry, RULES_MINER};
+use tpiin_delta::DeltaEngine;
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
 
@@ -21,9 +22,10 @@ pub struct ServeSnapshot {
     pub epoch: u64,
     /// The fused network this epoch serves.
     pub tpiin: Tpiin,
-    /// Full detection over `tpiin`, keyed by miner name in mining
-    /// order.  The primary strategy — the Rule 1/Rule 2 detector — is
-    /// always first; `/groups?miner=...` selects the others.
+    /// Full detection over `tpiin`, keyed by miner name in request
+    /// order.  The first is the primary strategy (the Rule 1/Rule 2
+    /// detector unless `--miner` says otherwise);
+    /// `/groups?miner=...` selects the others.
     pub detections: Vec<(String, DetectionResult)>,
     /// Label -> node index for query-by-label endpoints.
     labels: BTreeMap<String, NodeId>,
@@ -47,11 +49,36 @@ impl ServeSnapshot {
         ServeSnapshot::with_detections(epoch, tpiin, detections)
     }
 
-    /// Wraps an already-computed primary detection result as a
-    /// rules-only snapshot (the ingest path extends the previous
-    /// epoch's result instead of re-detecting).
-    pub fn with_detection(epoch: u64, tpiin: Tpiin, detection: DetectionResult) -> ServeSnapshot {
-        ServeSnapshot::with_detections(epoch, tpiin, vec![(RULES_MINER.to_string(), detection)])
+    /// The next epoch from the delta engine's state — the one way bind,
+    /// reload and ingest turn an engine into what is served.  The engine
+    /// already maintains the Rule 1/Rule 2 result (under the same
+    /// default [`tpiin_core::DetectorConfig`] a fresh mine would use), so
+    /// `rules` is taken from it, never mined again.  Every other miner
+    /// in `miners` is carried over from `prev` when the caller has a
+    /// previous epoch (ingest: those results refresh on the next reload)
+    /// and mined over the engine's network otherwise (bind, reload).
+    pub(crate) fn from_engine(
+        epoch: u64,
+        engine: &DeltaEngine,
+        miners: &MinerRegistry,
+        prev: Option<&ServeSnapshot>,
+    ) -> ServeSnapshot {
+        let tpiin = engine.tpiin().clone();
+        let ctx = MineContext::default();
+        let detections = miners
+            .iter()
+            .map(|m| {
+                let detection = if m.name() == RULES_MINER {
+                    engine.detection().clone()
+                } else if let Some(carried) = prev.and_then(|p| p.detection_for(m.name())) {
+                    carried.clone()
+                } else {
+                    mine_with_obs(m, &tpiin, &ctx)
+                };
+                (m.name().to_string(), detection)
+            })
+            .collect();
+        ServeSnapshot::with_detections(epoch, tpiin, detections)
     }
 
     /// Wraps already-computed per-miner detection results.
@@ -80,7 +107,7 @@ impl ServeSnapshot {
     }
 
     /// The primary detection result (the first configured miner's —
-    /// the Rule 1/Rule 2 detector in every built-in configuration).
+    /// the Rule 1/Rule 2 detector in the default configuration).
     pub fn detection(&self) -> &DetectionResult {
         &self.detections[0].1
     }
@@ -111,19 +138,6 @@ impl ServeSnapshot {
         }
         let index: usize = text.parse().ok()?;
         (index < self.tpiin.node_count()).then(|| NodeId::from_index(index))
-    }
-
-    /// The detection set for the next epoch after an ingest batch: the
-    /// delta engine's freshly maintained primary result replaces the
-    /// Rule 1/Rule 2 entry; other miners' results are carried over
-    /// unchanged and refresh on the next full snapshot reload.
-    pub fn detections_with_primary(
-        &self,
-        primary: DetectionResult,
-    ) -> Vec<(String, DetectionResult)> {
-        let mut next: Vec<(String, DetectionResult)> = self.detections.clone();
-        next[0].1 = primary;
-        next
     }
 }
 

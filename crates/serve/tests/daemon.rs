@@ -576,6 +576,69 @@ fn binary_snapshot_hot_swap_matches_text() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `MinerRegistry::from_specs` keeps request order, so after an ingest
+/// the engine's Rule 1/Rule 2 result must replace the entry *named*
+/// `rules` — not whichever miner happens to be served first.
+#[test]
+fn non_rules_primary_miner_keeps_its_groups_across_ingest() {
+    // The planted ring R0 -> R1 -> R2 -> R3 -> R0 plus X0 -> X1, with
+    // X0's and R2's legal persons made kin: X0 and R2 share an
+    // antecedent but do not trade yet, so `rules` starts with nothing.
+    let mut registry = tpiin_datagen::circular_case_registry();
+    let (lr2, lx0) = (tpiin_model::PersonId(2), tpiin_model::PersonId(4));
+    registry.add_interdependence(lx0, lr2, tpiin_model::InterdependenceKind::Kinship);
+    let trade = tpiin_model::TradingRecord {
+        seller: registry.company_by_name("X0").expect("X0 planted"),
+        buyer: registry.company_by_name("R2").expect("R2 planted"),
+        volume: 2.0,
+    };
+    let (tpiin, _) = fuse(&registry).expect("case fuses");
+    let config = ServeConfig {
+        miners: vec!["circular".to_string(), "rules".to_string()],
+        ..ServeConfig::default()
+    };
+    let handle = ServerHandle::bind(tpiin.clone(), config).expect("bind");
+    let addr = handle.addr();
+    let (_, ring_before) = get(addr, "/groups");
+    assert!(
+        ring_before.contains("\"miner\":\"circular\""),
+        "{ring_before}"
+    );
+    assert!(ring_before.contains("\"group_count\":1"), "{ring_before}");
+    let (_, body) = get(addr, "/groups?miner=rules");
+    assert!(body.contains("\"group_count\":0"), "{body}");
+
+    // X0 -> R2 closes no ring (nothing trades into X0) but puts a
+    // Rule 1 group behind the new arc; the offline engine says how many.
+    let mut engine = tpiin_delta::DeltaEngine::from_tpiin(tpiin);
+    engine.ingest(&[trade]).expect("offline ingest");
+    let rules_after = engine.detection().group_count();
+    assert!(rules_after > 0);
+    let (status, body) = post(
+        addr,
+        "/ingest",
+        &format!(
+            "{{\"records\": [{{\"seller\": {}, \"buyer\": {}, \"volume\": 2.0}}]}}",
+            trade.seller.0, trade.buyer.0
+        ),
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+
+    // The primary miner still answers with its own ring, untouched.
+    let (_, ring_after) = get(addr, "/groups");
+    assert_eq!(
+        ring_after.replace("\"epoch\":2", "\"epoch\":1"),
+        ring_before
+    );
+    let (_, body) = get(addr, "/groups?miner=rules");
+    assert!(body.contains("\"miner\":\"rules\""), "{body}");
+    assert!(
+        body.contains(&format!("\"group_count\":{rules_after}")),
+        "{body}"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn registry_backed_daemon_applies_mutation_batches() {
     // Case 2 without its trades, served with its source registry: the
@@ -584,16 +647,25 @@ fn registry_backed_daemon_applies_mutation_batches() {
     let mut registry = tpiin_datagen::case2_registry();
     registry.clear_trading();
     let next_person = registry.person_count();
+    // Every accepted body is replayed here, for the from-scratch oracle
+    // at the end.
+    let mut shadow = registry.clone();
+    let mut replay = |body: &str| {
+        let json = tpiin_io::json::Json::parse(body).expect("body is JSON");
+        tpiin_io::mutation_feed::batch_from_json(&json, "test", 1)
+            .expect("body is a mutation batch")
+            .apply_to_registry(&mut shadow)
+            .expect("batch applies");
+    };
     let handle = ServerHandle::bind_with_registry(registry, ServeConfig::default()).expect("bind");
     let addr = handle.addr();
 
     // A trading mutation takes the surgical append path and mines the
     // planted group, exactly like the legacy `records` body would.
-    let (status, body) = post(
-        addr,
-        "/ingest",
-        "{\"mutations\": [{\"op\":\"add_trading\",\"seller\":1,\"buyer\":2,\"volume\":7.5}]}",
-    );
+    let trade =
+        "{\"mutations\": [{\"op\":\"add_trading\",\"seller\":1,\"buyer\":2,\"volume\":7.5}]}";
+    let (status, body) = post(addr, "/ingest", trade);
+    replay(trade);
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     assert!(body.contains("\"epoch\":2"), "{body}");
     assert!(body.contains("\"path\":\"trading_append\""), "{body}");
@@ -607,6 +679,7 @@ fn registry_backed_daemon_applies_mutation_batches() {
          {{\"op\":\"add_company\",\"name\":\"CX\",\"legal_person\":{next_person},\"kind\":\"ceo\"}}]}}"
     );
     let (status, body) = post(addr, "/ingest", &batch);
+    replay(&batch);
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     assert!(body.contains("\"epoch\":3"), "{body}");
     assert!(body.contains("\"path\":\"incremental\""), "{body}");
@@ -616,14 +689,38 @@ fn registry_backed_daemon_applies_mutation_batches() {
     // Registering a company under an existing person (no new person)
     // is the id-stable class: the node is spliced in place and the
     // batch takes the surgical company-append path.
-    let (status, body) = post(
-        addr,
-        "/ingest",
-        "{\"mutations\": [{\"op\":\"add_company\",\"name\":\"CY\",\"legal_person\":0,\"kind\":\"ceo\"}]}",
-    );
+    let append =
+        "{\"mutations\": [{\"op\":\"add_company\",\"name\":\"CY\",\"legal_person\":0,\"kind\":\"ceo\"}]}";
+    let (status, body) = post(addr, "/ingest", append);
+    replay(append);
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     assert!(body.contains("\"epoch\":4"), "{body}");
     assert!(body.contains("\"path\":\"company_append\""), "{body}");
+
+    // Both registrations moved the source record of every
+    // investment-sourced arc.  Chains are assembled per request, so what
+    // the daemon serves equals the chain over a from-scratch fuse of the
+    // mutated registry, byte for byte.
+    let (fresh, _) = fuse(&shadow).expect("mutated registry fuses");
+    let oracle = tpiin_serve::ServeSnapshot::build(4, fresh);
+    let investment_sourced = Some(shadow.influences().len() as u32);
+    let mut shifted_arcs = 0;
+    for (i, group) in oracle.detection().groups.iter().enumerate() {
+        let chain = tpiin_core::Provenance::assemble(&oracle.tpiin, group);
+        shifted_arcs += chain
+            .influence_arcs
+            .iter()
+            .filter(|arc| arc.source_record >= investment_sourced)
+            .count();
+        let want = responses::provenance_json(&oracle, "rules", group, i, &chain);
+        let (status, body) = get(addr, &format!("/groups/{i}/provenance"));
+        assert_eq!(status, "HTTP/1.1 200 OK", "group {i}: {body}");
+        assert_eq!(body, want.to_string(), "group {i}");
+    }
+    assert!(
+        shifted_arcs > 0,
+        "no served chain cites an investment record"
+    );
 
     // A batch that breaks a registry invariant is rejected atomically:
     // same epoch, nothing changed.

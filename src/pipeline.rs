@@ -342,7 +342,7 @@ mod tests {
             .expect("fig7 is valid");
         assert_eq!(out.groups.group_count(), 3);
         let names: Vec<String> = trace.events().into_iter().map(|e| e.name).collect();
-        for expected in ["pipeline", "fusion", "detect", "detect/provenance"] {
+        for expected in ["pipeline", "fusion", "detect", "detect/build_tree"] {
             assert!(
                 names.iter().any(|n| n == expected),
                 "span {expected:?} missing from {names:?}"

@@ -2,20 +2,24 @@
 //! the serial detector, the work-stealing pool, the counting-only mode
 //! and the delta engine's cached re-mine — must agree field for field,
 //! and the group set must equal the global-traversal baseline's.
+//! Provenance is no field: it is assembled per group on demand, and must
+//! come out the same over every producer's network.
 
 use std::collections::BTreeSet;
 use tpiin::datagen::{add_random_trading, fig7_registry, generate_province, ProvinceConfig};
-use tpiin::delta::DeltaEngine;
+use tpiin::delta::{DeltaEngine, DeltaPath};
 use tpiin::detect::baseline::detect_baseline;
-use tpiin::detect::{detect, DetectionResult, Detector, DetectorConfig};
+use tpiin::detect::{detect, segment_tpiin, DetectionResult, Detector, DetectorConfig, Provenance};
 use tpiin::fusion::{fuse, Tpiin};
-use tpiin::model::{CompanyId, InvestmentRecord, TradingRecord};
+use tpiin::model::{
+    CompanyId, InvestmentRecord, Mutation, MutationBatch, SourceRegistry, TradingRecord,
+};
 
 /// fig7 plus three small provinces.  Each province also gets one
 /// mutually investing company pair that trades with itself, so the
 /// intra-syndicate arc seeding is exercised.
-fn networks() -> Vec<(String, Tpiin)> {
-    let mut out = vec![("fig7".to_string(), fuse(&fig7_registry()).unwrap().0)];
+fn registries() -> Vec<(String, SourceRegistry)> {
+    let mut out = vec![("fig7".to_string(), fig7_registry())];
     for (seed, scale) in [(7u64, 0.05), (11, 0.1), (13, 0.15)] {
         let mut registry = generate_province(&ProvinceConfig {
             seed,
@@ -35,19 +39,44 @@ fn networks() -> Vec<(String, Tpiin)> {
             buyer: b,
             volume: 1.0,
         });
-        let (tpiin, _) = fuse(&registry).unwrap();
-        assert!(!tpiin.intra_syndicate_trades.is_empty());
-        out.push((format!("province-{scale}-seed{seed}"), tpiin));
+        out.push((format!("province-{scale}-seed{seed}"), registry));
     }
     out
 }
 
-fn assert_identical(name: &str, what: &str, got: &DetectionResult, want: &DetectionResult) {
+fn networks() -> Vec<(String, Tpiin)> {
+    registries()
+        .into_iter()
+        .map(|(name, registry)| {
+            let (tpiin, _) = fuse(&registry).unwrap();
+            assert!(name == "fig7" || !tpiin.intra_syndicate_trades.is_empty());
+            (name, tpiin)
+        })
+        .collect()
+}
+
+/// `got` and `want` are each a detection with the network it was mined
+/// over; the two networks may be different objects (the engine's
+/// maintained one against a from-scratch fuse).
+fn assert_identical(
+    name: &str,
+    what: &str,
+    (got_tpiin, got): (&Tpiin, &DetectionResult),
+    (want_tpiin, want): (&Tpiin, &DetectionResult),
+) {
     assert_eq!(got.groups, want.groups, "{name}: {what}: group order");
-    assert_eq!(
-        got.provenances, want.provenances,
-        "{name}: {what}: provenances"
-    );
+    for (i, g) in got.groups.iter().enumerate() {
+        let chain = Provenance::assemble(got_tpiin, g);
+        assert_eq!(
+            chain,
+            Provenance::assemble(want_tpiin, g),
+            "{name}: {what}: provenance of group {i}"
+        );
+        assert!(
+            chain.audit(got_tpiin).is_ok() && chain.audit(want_tpiin).is_ok(),
+            "{name}: {what}: audit of group {i}"
+        );
+    }
     assert_eq!(
         got.per_subtpiin, want.per_subtpiin,
         "{name}: {what}: per_subtpiin"
@@ -88,7 +117,12 @@ fn every_producer_yields_the_same_detection() {
         assert_eq!(serial.groups.len(), serial.group_count(), "{name}");
 
         let engine = DeltaEngine::from_tpiin(tpiin.clone());
-        assert_identical(&name, "delta engine", engine.detection(), &serial);
+        assert_identical(
+            &name,
+            "delta engine",
+            (engine.tpiin(), engine.detection()),
+            (&tpiin, &serial),
+        );
 
         let pooled = Detector::new(DetectorConfig {
             serial_cutoff: 0,
@@ -98,17 +132,14 @@ fn every_producer_yields_the_same_detection() {
             ..DetectorConfig::default()
         })
         .detect(&tpiin);
-        assert_identical(&name, "forced pool", &pooled, &serial);
+        assert_identical(&name, "forced pool", (&tpiin, &pooled), (&tpiin, &serial));
 
         let counting = Detector::new(DetectorConfig {
             collect_groups: false,
             ..DetectorConfig::default()
         })
         .detect(&tpiin);
-        assert!(
-            counting.groups.is_empty() && counting.provenances.is_empty(),
-            "{name}"
-        );
+        assert!(counting.groups.is_empty(), "{name}");
         assert_eq!(
             counting.per_subtpiin, serial.per_subtpiin,
             "{name}: counting"
@@ -134,5 +165,70 @@ fn every_producer_yields_the_same_detection() {
     assert!(
         total_groups > 50,
         "inputs too sparse to prove anything: {total_groups}"
+    );
+}
+
+/// A company append takes the next influence-feed sequence, so the
+/// `source_record` of every investment-sourced arc moves up by one —
+/// including the arcs of groups in shards the batch never re-mines.
+/// The engine keeps `Tpiin::arc_sources` in step and nothing else, so
+/// every group's on-demand provenance must equal the one assembled over
+/// a from-scratch fuse of the mutated registry.
+#[test]
+fn company_append_keeps_on_demand_provenance_in_step() {
+    let mut shifted_in_untouched_shards = 0;
+    for (name, mut registry) in registries() {
+        let legal = *registry
+            .influences()
+            .iter()
+            .find(|r| r.is_legal_person)
+            .expect("every company has a legal person");
+        let mut engine = DeltaEngine::new(registry.clone()).unwrap();
+        let before: Vec<Provenance> = engine
+            .detection()
+            .groups
+            .iter()
+            .map(|g| Provenance::assemble(engine.tpiin(), g))
+            .collect();
+
+        let batch = MutationBatch::new(vec![Mutation::AddCompany {
+            name: "appended".to_string(),
+            legal_person: legal.person,
+            kind: legal.kind,
+        }]);
+        let outcome = engine.apply(&batch).unwrap();
+        assert_eq!(outcome.path, DeltaPath::CompanyAppend, "{name}");
+
+        batch.apply_to_registry(&mut registry).unwrap();
+        let (fresh, _) = fuse(&registry).unwrap();
+        let want = detect(&fresh);
+        assert_identical(
+            &name,
+            "company append",
+            (engine.tpiin(), engine.detection()),
+            (&fresh, &want),
+        );
+
+        // A company that trades with nobody adds no group, so the list
+        // still lines up with `before`.
+        assert_eq!(want.groups.len(), before.len(), "{name}");
+        let appended = *fresh.company_node.last().unwrap();
+        let touched = segment_tpiin(&fresh)
+            .iter()
+            .find(|sub| sub.global.contains(&appended))
+            .expect("every node is in one shard")
+            .index;
+        shifted_in_untouched_shards += want
+            .groups
+            .iter()
+            .zip(&before)
+            .filter(|(g, old)| {
+                g.subtpiin != touched && Provenance::assemble(engine.tpiin(), g) != **old
+            })
+            .count();
+    }
+    assert!(
+        shifted_in_untouched_shards > 0,
+        "no group outside the touched shard cites an investment record: shift unexercised"
     );
 }
