@@ -102,18 +102,12 @@ pub const BASELINE_MINER: &str = "baseline";
 /// Name of the circular-trading strategy.
 pub const CIRCULAR_MINER: &str = "circular";
 
-/// Builds a [`DetectionResult`] from an explicit group list: fills the
-/// complex/simple counters, the suspicious-arc set (including the
-/// intra-syndicate trades that are suspicious by construction, §4.3)
-/// and the Table 1 denominators.  Shared by every strategy that does
-/// not run through the detector's merge path, so the derived statistics
-/// stay consistent across miners.
-fn result_from_groups(
-    tpiin: &Tpiin,
-    groups: Vec<SuspiciousGroup>,
-    overflowed: bool,
-    collect_groups: bool,
-) -> DetectionResult {
+/// The part of a [`DetectionResult`] no strategy has to mine: the
+/// Table 1 denominators and the intra-syndicate trades that are
+/// suspicious by construction (§4.3).  Shared by every strategy that
+/// does not run through the detector's merge path, so the derived
+/// statistics stay consistent across miners.
+fn result_shell(tpiin: &Tpiin, overflowed: bool) -> DetectionResult {
     let mut result = DetectionResult {
         total_trading_arcs: tpiin.trading_arc_count + tpiin.intra_syndicate_trades.len(),
         intra_syndicate_trades: tpiin.intra_syndicate_trades.len(),
@@ -126,6 +120,19 @@ fn result_from_groups(
             tpiin.company_node[t.buyer.index()],
         ));
     }
+    result
+}
+
+/// Builds a [`DetectionResult`] from an explicit group list: fills the
+/// complex/simple counters and the suspicious-arc set over
+/// [`result_shell`].
+fn result_from_groups(
+    tpiin: &Tpiin,
+    groups: Vec<SuspiciousGroup>,
+    overflowed: bool,
+    collect_groups: bool,
+) -> DetectionResult {
+    let mut result = result_shell(tpiin, overflowed);
     for g in &groups {
         if g.simple {
             result.simple_group_count += 1;
@@ -196,7 +203,7 @@ impl GroupMiner for BaselineMiner {
     fn mine(&self, tpiin: &Tpiin, ctx: &MineContext) -> DetectionResult {
         let base = detect_baseline(tpiin, self.max_trails);
         let mut groups = base.groups;
-        groups.sort_by_key(|g| g.key());
+        groups.sort_by(SuspiciousGroup::cmp_key);
         result_from_groups(tpiin, groups, base.overflowed, ctx.config.collect_groups)
     }
 }
@@ -211,6 +218,19 @@ impl GroupMiner for BaselineMiner {
 /// enumerated canonically from their minimum node id (each directed
 /// cycle is reported exactly once) and sorted by descending
 /// [`CircularTradingMiner::score`], ties broken by the canonical key.
+///
+/// The walk from a start `s` enters a node only if `s` can still be
+/// reached from it within the arcs the ring has left: a reverse
+/// breadth-first search from `s`, `reach = max_cycle_len / 2` arcs deep,
+/// runs first and the walk consults it for its last `reach` arcs.  The
+/// work therefore follows the rings reported, not the
+/// `degree ^ max_cycle_len` paths of the lane, and the output is that of
+/// the unpruned walk bit for bit (`tests/circular_oracle.rs` keeps that
+/// walk as the oracle).  Strongly connected components are not used:
+/// the trading lane is one giant component on realistic inputs.
+///
+/// The `max_cycles` budget keeps the first rings in start-id order;
+/// ranking applies within that slice.
 #[derive(Clone, Copy, Debug)]
 pub struct CircularTradingMiner {
     /// Longest cycle reported, in nodes (the GST fraud patterns are
@@ -243,18 +263,174 @@ impl CircularTradingMiner {
     /// their member companies; person nodes and companies without a
     /// recorded rate use [`tpiin_model::DEFAULT_TAX_RATE`].
     pub fn score(&self, tpiin: &Tpiin, ctx: &MineContext, group: &SuspiciousGroup) -> f64 {
-        let cycle = &group.trail_with_trade;
-        if cycle.len() < 2 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for i in 0..cycle.len() {
-            let u = node_tax_rate(tpiin, ctx, cycle[i]);
-            let v = node_tax_rate(tpiin, ctx, cycle[(i + 1) % cycle.len()]);
-            total += (u - v).abs();
-        }
-        total
+        ring_score(tpiin, ctx, group.trail_with_trade.iter().copied())
     }
+
+    /// Every ring of at most `max_cycle_len` nodes, in start-id order
+    /// and, within a start, in successor order of the depth-first walk
+    /// — until the `max_cycles` budget is spent.
+    ///
+    /// Each ring is found exactly once, from its minimum node id `s`,
+    /// walking only through larger ids.  Before the walk, a reverse
+    /// breadth-first search from `s` over those larger ids stamps every
+    /// node within `reach = max_cycle_len / 2` arcs of `s` with its
+    /// distance; the walk then enters `w` only if the arcs the ring has
+    /// left are more than `reach` (the search cannot tell yet) or `w` is
+    /// stamped no farther from `s` than that.  Both halves cost
+    /// `O(degree ^ reach)` per start, and pruning never reorders what
+    /// survives, so the emission order is that of the unpruned walk.
+    fn enumerate(&self, tpiin: &Tpiin) -> RingArena {
+        let mut rings = RingArena::default();
+        if self.max_cycle_len < 2 {
+            return rings;
+        }
+        let csr = tpiin.csr();
+        let n = tpiin.node_count();
+        let offsets = csr.lane_out_offsets(TRADING_LANE);
+        let targets = csr.lane_out_targets(TRADING_LANE);
+        // Distances are bounded by the node count, which fits `u32`.
+        let reach = u32::try_from(self.max_cycle_len / 2).unwrap_or(u32::MAX);
+        // `back[w] == (s + 1, d)`: `w` reaches the current start `s` in
+        // `d <= reach` arcs through ids above `s`.  The start stamps its
+        // own entries, so no start has to clear the previous one's.
+        let mut back = vec![(0u32, 0u32); n];
+        let mut queue: Vec<u32> = Vec::new();
+        let mut on_path = vec![false; n];
+        let mut path: Vec<u32> = Vec::new();
+        // `cursors[i]` is the CSR position of the next arc to try out
+        // of `path[i]`; the arc last taken is the one before it.
+        let mut cursors: Vec<u32> = Vec::new();
+
+        'starts: for s in 0..n as u32 {
+            let stamp = s + 1;
+            queue.clear();
+            queue.push(s);
+            let mut head = 0;
+            for dist in 1..=reach {
+                let level_end = queue.len();
+                while head < level_end {
+                    for &u in csr.sources(TRADING_LANE, queue[head]) {
+                        if u > s && back[u as usize].0 != stamp {
+                            back[u as usize] = (stamp, dist);
+                            queue.push(u);
+                        }
+                    }
+                    head += 1;
+                }
+                if queue.len() == level_end {
+                    break;
+                }
+            }
+            if queue.len() == 1 {
+                // No arc enters `s` from a larger id: no ring has `s`
+                // as its minimum.
+                continue;
+            }
+
+            path.push(s);
+            cursors.push(offsets[s as usize]);
+            on_path[s as usize] = true;
+            while let Some(&v) = path.last() {
+                let top = cursors.len() - 1;
+                let cursor = cursors[top];
+                if cursor == offsets[v as usize + 1] {
+                    on_path[v as usize] = false;
+                    path.pop();
+                    cursors.pop();
+                    continue;
+                }
+                cursors[top] = cursor + 1;
+                let w = targets[cursor as usize];
+                if w == s {
+                    if path.len() >= 2 {
+                        if rings.len() >= self.max_cycles {
+                            rings.overflowed = true;
+                            break 'starts;
+                        }
+                        rings.push(&path, &cursors);
+                    }
+                } else if w > s && !on_path[w as usize] {
+                    // Arcs the ring may still spend getting from `w`
+                    // back to `s`.
+                    let left = self.max_cycle_len - path.len();
+                    let (stamped, dist) = back[w as usize];
+                    if left > reach as usize || (stamped == stamp && dist as usize <= left) {
+                        on_path[w as usize] = true;
+                        path.push(w);
+                        cursors.push(offsets[w as usize]);
+                    }
+                }
+            }
+        }
+        rings
+    }
+}
+
+/// The rings one enumeration found, in emission order, as flat columns
+/// (the `tpiin-graph` CSR idiom): ring `r` occupies
+/// `offsets[r]..offsets[r + 1]` of `nodes` and, parallel to it, of
+/// `arcs` — the trading-lane CSR position of the arc leaving each node.
+struct RingArena {
+    nodes: Vec<u32>,
+    arcs: Vec<u32>,
+    offsets: Vec<usize>,
+    /// Whether one more ring was found after the budget was spent.
+    overflowed: bool,
+}
+
+impl Default for RingArena {
+    fn default() -> Self {
+        RingArena {
+            nodes: Vec::new(),
+            arcs: Vec::new(),
+            offsets: vec![0],
+            overflowed: false,
+        }
+    }
+}
+
+impl RingArena {
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Appends the ring the walk just closed: `path` is its nodes and
+    /// each of `cursors` stands one past the arc taken out of its node.
+    fn push(&mut self, path: &[u32], cursors: &[u32]) {
+        self.nodes.extend_from_slice(path);
+        self.arcs.extend(cursors.iter().map(|c| c - 1));
+        self.offsets.push(self.nodes.len());
+    }
+
+    fn ring(&self, row: usize) -> &[u32] {
+        &self.nodes[self.offsets[row]..self.offsets[row + 1]]
+    }
+
+    fn ring_arcs(&self, row: usize) -> &[u32] {
+        &self.arcs[self.offsets[row]..self.offsets[row + 1]]
+    }
+}
+
+/// The rate differential around a ring given as its node sequence (see
+/// [`CircularTradingMiner::score`]); terms are added in ring order, so
+/// the sum is the same `f64` whichever representation the ring is in.
+fn ring_score(
+    tpiin: &Tpiin,
+    ctx: &MineContext,
+    mut ring: impl ExactSizeIterator<Item = NodeId>,
+) -> f64 {
+    if ring.len() < 2 {
+        return 0.0;
+    }
+    let first = node_tax_rate(tpiin, ctx, ring.next().expect("two nodes or more"));
+    let mut total = 0.0;
+    let mut prev = first;
+    for v in ring {
+        let rate = node_tax_rate(tpiin, ctx, v);
+        total += (prev - rate).abs();
+        prev = rate;
+    }
+    total + (prev - first).abs()
 }
 
 /// Mean statutory rate of a TPIIN node's member companies (see
@@ -282,78 +458,76 @@ impl GroupMiner for CircularTradingMiner {
         CIRCULAR_MINER
     }
 
+    /// Enumerates into a flat ring arena, scores every ring once, sorts
+    /// row ids by `(score desc, key)` — the key read straight from the
+    /// arena, in [`SuspiciousGroup::cmp_key`] order — flags every arc of
+    /// every surviving ring, and only then materialises the groups, once
+    /// and in final order.  A counting-only run
+    /// (`collect_groups: false`) allocates no group at all and fills the
+    /// same counters and arc set.
     fn mine(&self, tpiin: &Tpiin, ctx: &MineContext) -> DetectionResult {
-        let csr = tpiin.csr();
-        let n = tpiin.node_count();
-        let mut groups: Vec<SuspiciousGroup> = Vec::new();
-        let mut overflowed = false;
-        let mut on_path = vec![false; n];
+        let mut rings = self.enumerate(tpiin);
         let g = |v: u32| NodeId::from_index(v as usize);
 
-        // Canonical enumeration: every cycle is discovered exactly once,
-        // from its minimum node id, walking only through larger ids.
-        'starts: for s in 0..n as u32 {
-            if csr.out(TRADING_LANE, s).is_empty() {
-                continue;
-            }
-            let mut path: Vec<u32> = vec![s];
-            let mut frames: Vec<usize> = vec![0];
-            on_path[s as usize] = true;
-            loop {
-                let v = *path.last().expect("path never empty");
-                let cursor = *frames.last().expect("frames mirror path");
-                let succ = csr.out(TRADING_LANE, v);
-                if cursor < succ.len() {
-                    *frames.last_mut().expect("frames mirror path") += 1;
-                    let w = succ[cursor];
-                    if w == s && path.len() >= 2 {
-                        if groups.len() >= self.max_cycles {
-                            overflowed = true;
-                            break 'starts;
-                        }
-                        groups.push(SuspiciousGroup {
-                            subtpiin: 0,
-                            kind: GroupKind::Circle,
-                            antecedent: g(s),
-                            end: g(s),
-                            trading_arc: (g(v), g(s)),
-                            trail_with_trade: path.iter().map(|&x| g(x)).collect(),
-                            trail_plain: vec![g(s)],
-                            simple: true,
-                        });
-                    } else if w > s && !on_path[w as usize] && path.len() < self.max_cycle_len {
-                        on_path[w as usize] = true;
-                        path.push(w);
-                        frames.push(0);
-                    }
-                } else {
-                    on_path[v as usize] = false;
-                    path.pop();
-                    frames.pop();
-                    if frames.is_empty() {
-                        break;
-                    }
-                }
+        // A ring's key is ((last, first), ring, [first]).
+        let arc = |ring: &[u32]| (ring[ring.len() - 1], ring[0]);
+        let order = {
+            let scores: Vec<f64> = (0..rings.len())
+                .map(|row| ring_score(tpiin, ctx, rings.ring(row).iter().map(|&v| g(v))))
+                .collect();
+            let mut order: Vec<usize> = (0..rings.len())
+                .filter(|&row| scores[row] >= self.min_differential)
+                .collect();
+            order.sort_by(|&a, &b| {
+                let (ra, rb) = (rings.ring(a), rings.ring(b));
+                scores[b]
+                    .total_cmp(&scores[a])
+                    .then_with(|| arc(ra).cmp(&arc(rb)))
+                    .then_with(|| ra.cmp(rb))
+            });
+            order
+        };
+
+        let mut result = result_shell(tpiin, rings.overflowed);
+        result.simple_group_count = order.len();
+        // Unlike Rule 1/Rule 2 groups (one suspicious trading arc each),
+        // every arc of a ring is suspicious.  Rings share arcs heavily,
+        // so mark CSR positions and sweep the lane once.
+        let csr = tpiin.csr();
+        let mut flagged = vec![false; csr.edge_count(TRADING_LANE)];
+        for &row in &order {
+            for &position in rings.ring_arcs(row) {
+                flagged[position as usize] = true;
             }
         }
+        result.suspicious_trading_arcs.extend(
+            csr.lane_edges(TRADING_LANE)
+                .zip(flagged)
+                .filter(|&(_, hit)| hit)
+                .map(|((u, v), _)| (g(u), g(v))),
+        );
+        // Free the positions before the groups, the largest allocation
+        // of the run, are built: the two never coexist at the peak.
+        rings.arcs = Vec::new();
 
-        groups.retain(|c| self.score(tpiin, ctx, c) >= self.min_differential);
-        groups.sort_by(|a, b| {
-            let sa = self.score(tpiin, ctx, a);
-            let sb = self.score(tpiin, ctx, b);
-            sb.total_cmp(&sa).then_with(|| a.key().cmp(&b.key()))
-        });
-
-        let mut result = result_from_groups(tpiin, groups, overflowed, ctx.config.collect_groups);
-        // Unlike Rule 1/Rule 2 groups (one suspicious trading arc each),
-        // every arc of a ring is suspicious.
-        for grp in &result.groups {
-            let cycle = &grp.trail_with_trade;
-            for i in 0..cycle.len() {
-                result
-                    .suspicious_trading_arcs
-                    .insert((cycle[i], cycle[(i + 1) % cycle.len()]));
-            }
+        if ctx.config.collect_groups {
+            result.groups = order
+                .iter()
+                .map(|&row| {
+                    let ring = rings.ring(row);
+                    let (last, start) = arc(ring);
+                    SuspiciousGroup {
+                        subtpiin: 0,
+                        kind: GroupKind::Circle,
+                        antecedent: g(start),
+                        end: g(start),
+                        trading_arc: (g(last), g(start)),
+                        trail_with_trade: ring.iter().map(|&v| g(v)).collect(),
+                        trail_plain: vec![g(start)],
+                        simple: true,
+                    }
+                })
+                .collect();
         }
         result
     }
@@ -692,6 +866,50 @@ mod tests {
         let cycle = &result.groups[0];
         assert_eq!(miner.score(&tpiin, &flat, cycle), 0.0);
         assert!(miner.score(&tpiin, &spread, cycle) > 0.3);
+    }
+
+    #[test]
+    fn counting_mode_fills_the_same_counters_and_arcs() {
+        let planted = tpiin_datagen::circular_case_registry();
+        let mut dense =
+            tpiin_datagen::generate_province(&tpiin_datagen::ProvinceConfig::scaled(0.05));
+        tpiin_datagen::add_random_trading(&mut dense, 0.05, 7);
+        for (registry, budget, truncated) in [
+            (&planted, 100_000, false),
+            (&dense, 100_000, false),
+            (&dense, 50, true),
+        ] {
+            let (tpiin, _) = tpiin_fusion::fuse(registry).unwrap();
+            let miner = CircularTradingMiner {
+                max_cycles: budget,
+                ..CircularTradingMiner::default()
+            };
+            let collecting = MineContext {
+                tax_rates: registry.company_tax_rates(),
+                ..MineContext::default()
+            };
+            let counting = MineContext {
+                config: DetectorConfig {
+                    collect_groups: false,
+                    ..DetectorConfig::default()
+                },
+                ..collecting.clone()
+            };
+            let full = miner.mine(&tpiin, &collecting);
+            let counted = miner.mine(&tpiin, &counting);
+            assert!(counted.groups.is_empty(), "counting mode keeps no group");
+            assert_eq!(full.groups.len(), full.group_count());
+            assert!(full.group_count() > 0);
+            assert_eq!(full.overflowed, truncated);
+            assert_eq!(counted.group_count(), full.group_count());
+            assert_eq!(counted.simple_group_count, full.simple_group_count);
+            assert_eq!(counted.overflowed, full.overflowed);
+            assert_eq!(
+                counted.suspicious_trading_arcs,
+                full.suspicious_trading_arcs
+            );
+            assert!(full.suspicious_trading_arcs.len() >= 4, "every ring arc");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Detection result types: suspicious groups, statistics, explanations.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
@@ -62,6 +63,17 @@ impl SuspiciousGroup {
             self.trail_with_trade.clone(),
             self.trail_plain.clone(),
         )
+    }
+
+    /// Orders two groups exactly as their [`SuspiciousGroup::key`]s
+    /// compare — trading arc, then the trail carrying it, then the plain
+    /// trail — but by reference: a sort calls its comparator
+    /// `O(n log n)` times, and `key()` clones both trails every time.
+    pub fn cmp_key(&self, other: &Self) -> Ordering {
+        self.trading_arc
+            .cmp(&other.trading_arc)
+            .then_with(|| self.trail_with_trade.cmp(&other.trail_with_trade))
+            .then_with(|| self.trail_plain.cmp(&other.trail_plain))
     }
 
     /// Human-readable proof chain, labelled via `tpiin` — the explanation
@@ -169,7 +181,7 @@ impl DetectionResult {
         scored.sort_by(|a, b| {
             b.0.score
                 .total_cmp(&a.0.score)
-                .then_with(|| a.1.key().cmp(&b.1.key()))
+                .then_with(|| a.1.cmp_key(b.1))
         });
         scored.truncate(k);
         scored
@@ -253,6 +265,33 @@ mod tests {
         assert_eq!(g.key(), g2.key());
         g2.trail_plain.push(NodeId::from_index(9));
         assert_ne!(g.key(), g2.key());
+    }
+
+    #[test]
+    fn cmp_key_orders_like_the_owned_key() {
+        let n = NodeId::from_index;
+        let mut variants = vec![group()];
+        for edit in 0..5 {
+            let mut g = group();
+            match edit {
+                0 => g.trading_arc = (n(1), n(3)),
+                1 => g.trading_arc = (n(2), n(4)),
+                2 => g.trail_with_trade = vec![n(0), n(2)],
+                3 => g.trail_with_trade.push(n(7)),
+                _ => g.trail_plain = vec![n(0), n(1), n(3)],
+            }
+            variants.push(g);
+        }
+        // Fields outside the key never break a tie.
+        let mut same_key = group();
+        same_key.subtpiin = 9;
+        same_key.simple = false;
+        variants.push(same_key);
+        for a in &variants {
+            for b in &variants {
+                assert_eq!(a.cmp_key(b), a.key().cmp(&b.key()), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

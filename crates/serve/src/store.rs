@@ -56,7 +56,11 @@ impl ServeSnapshot {
     /// `rules` is taken from it, never mined again.  Every other miner
     /// in `miners` is carried over from `prev` when the caller has a
     /// previous epoch (ingest: those results refresh on the next reload)
-    /// and mined over the engine's network otherwise (bind, reload).
+    /// and mined over the engine's network otherwise (bind, reload) —
+    /// with the tax rates of the engine's registry when it has one, as
+    /// `Pipeline` and `tpiin detect` mine, so a registry-backed daemon
+    /// ranks rings by their rate differential.  A snapshot-backed engine
+    /// carries no registry and mines with every rate at the default.
     pub(crate) fn from_engine(
         epoch: u64,
         engine: &DeltaEngine,
@@ -64,7 +68,10 @@ impl ServeSnapshot {
         prev: Option<&ServeSnapshot>,
     ) -> ServeSnapshot {
         let tpiin = engine.tpiin().clone();
-        let ctx = MineContext::default();
+        let ctx = MineContext {
+            tax_rates: engine.registry().and_then(|r| r.company_tax_rates()),
+            ..MineContext::default()
+        };
         let detections = miners
             .iter()
             .map(|m| {

@@ -640,6 +640,64 @@ fn non_rules_primary_miner_keeps_its_groups_across_ingest() {
 }
 
 #[test]
+fn registry_backed_daemon_ranks_rings_by_tax_rate_differential() {
+    // A flat ring Z0 -> Z1 -> Z2 -> Z0 (no rates recorded: zero
+    // differential) on the low node ids, then the planted case's rated
+    // ring R0..R3 above it.  By key alone the flat ring sorts first; by
+    // score the rated ring does — as `Pipeline` and `tpiin detect` rank,
+    // which mine with the registry's tax rates.
+    let mut registry = tpiin_model::SourceRegistry::new();
+    let flat: Vec<_> = (0..3)
+        .map(|i| {
+            let p = registry.add_person(
+                format!("LZ{i}"),
+                tpiin_model::RoleSet::of(&[tpiin_model::Role::Ceo]),
+            );
+            let c = registry.add_company(format!("Z{i}"));
+            registry.add_influence(tpiin_model::InfluenceRecord {
+                person: p,
+                company: c,
+                kind: tpiin_model::InfluenceKind::CeoOf,
+                is_legal_person: true,
+            });
+            c
+        })
+        .collect();
+    tpiin_datagen::plant_trading_ring(&mut registry, &flat);
+    registry.absorb(&tpiin_datagen::circular_case_registry(), "");
+
+    let (tpiin, _) = fuse(&registry).expect("case fuses");
+    let miner = tpiin_core::CircularTradingMiner::default();
+    let ranked = tpiin_core::GroupMiner::mine(
+        &miner,
+        &tpiin,
+        &tpiin_core::MineContext {
+            tax_rates: registry.company_tax_rates(),
+            ..tpiin_core::MineContext::default()
+        },
+    );
+    assert_eq!(ranked.group_count(), 2);
+    let (first, second) = (&ranked.groups[0], &ranked.groups[1]);
+    assert_eq!(tpiin.label(first.antecedent), "R0", "rated ring leads");
+    assert_eq!(tpiin.label(second.antecedent), "Z0");
+    assert!(
+        second.antecedent < first.antecedent,
+        "flat ring has the lower ids"
+    );
+
+    let handle = ServerHandle::bind_with_registry(registry, ServeConfig::default()).expect("bind");
+    let (status, body) = get(handle.addr(), "/groups?miner=circular&limit=1");
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    assert!(body.contains("\"group_count\":2"), "{body}");
+    let expected = responses::group_json(&tpiin, first, "circular").to_string();
+    assert!(
+        body.contains(&expected),
+        "daemon's first ring is not the offline first ring {expected}: {body}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn registry_backed_daemon_applies_mutation_batches() {
     // Case 2 without its trades, served with its source registry: the
     // daemon then accepts the full mutation vocabulary, not just
