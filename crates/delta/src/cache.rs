@@ -9,14 +9,16 @@
 //! negligible; the differential test suite would surface a systematic
 //! one immediately.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use tpiin_core::{mine_shard, DetectorConfig, ShardOutcome, SubTpiin};
 
 /// Signature of a shard's local structure, independent of global node
 /// ids and of the shard's position in the segmentation.
-pub(crate) fn shard_signature(sub: &SubTpiin) -> (u64, u64) {
+pub(crate) type Signature = (u64, u64);
+
+pub(crate) fn shard_signature(sub: &SubTpiin) -> Signature {
     let mut a = DefaultHasher::new();
     let mut b = DefaultHasher::new();
     0x9e37_79b9_7f4a_7c15u64.hash(&mut a);
@@ -33,47 +35,55 @@ pub(crate) fn shard_signature(sub: &SubTpiin) -> (u64, u64) {
     (a.finish(), b.finish())
 }
 
-/// Bounded map from shard signature to mined outcome (local
-/// coordinates).  On overflow the whole map is cleared — a rare, cheap
-/// reset that keeps the memory bound hard without an eviction list.
+/// Map from shard signature to mined outcome (local coordinates): one
+/// entry per *distinct signature among live shards*.  A shard holds a
+/// reference on the entry it mined or replayed ([`ShardCache::acquire`])
+/// and gives it back when its structure changes
+/// ([`ShardCache::release`]); isomorphic shards share an entry, hence a
+/// count.  The live network is the bound: no capacity, no eviction.
+#[derive(Default)]
 pub(crate) struct ShardCache {
-    map: HashMap<(u64, u64), ShardOutcome>,
-    capacity: usize,
+    map: HashMap<Signature, (ShardOutcome, u32)>,
 }
 
 impl ShardCache {
-    pub(crate) fn new(capacity: usize) -> ShardCache {
-        ShardCache {
-            map: HashMap::new(),
-            capacity,
-        }
-    }
-
-    /// Returns the shard's outcome (local coordinates) and whether it
-    /// came from the cache.  Misses mine the shard and memoize it.
-    pub(crate) fn lookup(
+    /// Takes one reference on the entry for `sub`'s structure, looking
+    /// first in this cache, then in `carry` (a full re-mine passes the
+    /// cache of the network it replaces: a hit there moves the entry
+    /// over), and mining the shard when neither knows it.  Returns the
+    /// outcome (local coordinates), the signature to release later, and
+    /// whether it was a replay.
+    pub(crate) fn acquire(
         &mut self,
         sub: &SubTpiin,
         config: &DetectorConfig,
-    ) -> (ShardOutcome, bool) {
-        if self.capacity == 0 {
-            return (mine_shard(sub, config), false);
-        }
+        carry: Option<&mut ShardCache>,
+    ) -> (ShardOutcome, Signature, bool) {
         let key = shard_signature(sub);
-        if let Some(out) = self.map.get(&key) {
-            return (out.clone(), true);
+        match self.map.entry(key) {
+            Entry::Occupied(mut e) => {
+                e.get_mut().1 += 1;
+                (e.get().0.clone(), key, true)
+            }
+            Entry::Vacant(e) => {
+                let (out, hit) = match carry.and_then(|c| c.map.remove(&key)) {
+                    Some((out, _)) => (out, true),
+                    None => (mine_shard(sub, config), false),
+                };
+                e.insert((out.clone(), 1));
+                (out, key, hit)
+            }
         }
-        let out = mine_shard(sub, config);
-        if self.map.len() >= self.capacity {
-            self.map.clear();
-        }
-        self.map.insert(key, out.clone());
-        (out, false)
     }
 
-    /// Drops every memoized outcome (full-rebuild fallback).
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
+    /// Gives back one reference on `key`; the last one drops the entry.
+    pub(crate) fn release(&mut self, key: Signature) {
+        if let Entry::Occupied(mut e) = self.map.entry(key) {
+            e.get_mut().1 -= 1;
+            if e.get().1 == 0 {
+                e.remove();
+            }
+        }
     }
 
     /// Number of memoized shards.

@@ -1,12 +1,12 @@
 //! The delta-fusion engine: typed mutation batches in, a maintained
 //! TPIIN plus its mined groups out.
 
-use crate::cache::ShardCache;
+use crate::cache::{ShardCache, Signature};
 use crate::stats::DeltaStats;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use tpiin_core::{
-    assemble_detection, segment_one, segment_tpiin, DetectionResult, DetectorConfig, GroupKind,
-    ShardOutcome, SubTpiin, SuspiciousGroup,
+    assemble_detection, mine_shard, segment_one, segment_tpiin, DetectionResult, DetectorConfig,
+    GroupKind, ShardOutcome, SubTpiin, SuspiciousGroup,
 };
 use tpiin_fusion::compact::{Label, Members};
 use tpiin_fusion::incremental::{
@@ -19,7 +19,8 @@ use tpiin_model::{
     CompanyId, InfluenceRecord, ModelError, Mutation, MutationBatch, SourceRegistry, TradingRecord,
 };
 
-/// Engine configuration.
+/// Engine configuration.  The shard cache has no knob here: the live
+/// network bounds it (one entry per distinct shard shape).
 #[derive(Clone, Copy, Debug)]
 pub struct DeltaConfig {
     /// Fraction of all companies a single batch may mark dirty before
@@ -29,8 +30,6 @@ pub struct DeltaConfig {
     pub blast_radius: f64,
     /// Mining configuration used for shard re-mining.
     pub detector: DetectorConfig,
-    /// Maximum memoized shard outcomes; `0` disables the cache.
-    pub shard_cache_capacity: usize,
 }
 
 impl Default for DeltaConfig {
@@ -38,7 +37,6 @@ impl Default for DeltaConfig {
         DeltaConfig {
             blast_radius: 0.25,
             detector: DetectorConfig::default(),
-            shard_cache_capacity: 1 << 16,
         }
     }
 }
@@ -120,8 +118,17 @@ pub struct ApplyOutcome {
     pub path: DeltaPath,
     /// Mutations that changed the registry (no-op removals excluded).
     pub mutations_applied: usize,
-    /// Groups present after this batch that did not exist before it
-    /// (keyed by node labels, so stable across re-contraction).
+    /// Groups present after this batch that did not exist before it.
+    ///
+    /// On the paths that keep node ids (`TradingAppend`,
+    /// `CompanyAppend`) a group existed before iff the same kind,
+    /// trading arc and trails — as node ids — were in the previous
+    /// detection.  On the renumbering paths (`Incremental`,
+    /// `FullRebuild`) ids mean nothing across the batch, so groups are
+    /// matched by the labels of those nodes instead.  With unique node
+    /// labels (every generator and test in the tree) the two rules
+    /// coincide; on a registry with duplicate labels the id rule is the
+    /// definition — a group over different nodes is a different group.
     pub new_groups: Vec<SuspiciousGroup>,
     /// Suspicious trading arcs new with this batch, in current node ids.
     pub new_suspicious_arcs: Vec<(NodeId, NodeId)>,
@@ -153,10 +160,20 @@ impl ApplyOutcome {
     }
 }
 
+/// Identity of a group while node ids hold still (the splice paths):
+/// kind, trading arc and both trails, borrowed from the group.
+type GroupIdKey<'a> = (bool, (NodeId, NodeId), &'a [NodeId], &'a [NodeId]);
+
+fn group_id_key(g: &SuspiciousGroup) -> GroupIdKey<'_> {
+    let matched = g.kind == GroupKind::Matched;
+    (matched, g.trading_arc, &g.trail_with_trade, &g.trail_plain)
+}
+
 /// Stable identity of a group across node-id renumbering: kind plus the
 /// label sequences of both trails and the trading arc.  Labels name
 /// syndicate memberships, so the key survives re-contraction as long as
-/// the group's actual constituents are unchanged.
+/// the group's actual constituents are unchanged.  Only the renumbering
+/// paths pay for these strings ([`DeltaEngine::refresh_detection`]).
 fn group_label_key(tpiin: &Tpiin, g: &SuspiciousGroup) -> String {
     let mut s = String::with_capacity(64);
     s.push(match g.kind {
@@ -208,8 +225,6 @@ pub struct DeltaEngine {
     /// Min-member SCC representative per company, carried across batches
     /// so clean weak components skip Tarjan (registry mode only).
     company_reps: Vec<u32>,
-    /// Trading arcs currently present, for append dedup.
-    seen_arcs: BTreeSet<(NodeId, NodeId)>,
     /// Antecedent weak-component (shard) index per node, maintained
     /// across batches: full re-segmentations rebuild it, surgical
     /// appends extend it (a registered company joins its legal person's
@@ -219,29 +234,14 @@ pub struct DeltaEngine {
     /// hit the pattern-tree cap.  `DetectionResult::overflowed` is their
     /// disjunction, so splicing one shard can recompute it.
     shard_overflow: Vec<bool>,
-    /// Multiplicity of each group label key in the current detection.
-    group_keys: HashMap<String, u32>,
-    /// Multiplicity of each arc label key over the suspicious-arc set.
-    arc_keys: HashMap<(String, String), u32>,
+    /// The cache entry each shard holds a reference on (`None` for a
+    /// shard with no trading arc, and for every shard without a
+    /// registry), so a re-mined shard can give its old entry back.
+    shard_sig: Vec<Option<Signature>>,
+    /// One mined outcome per distinct signature in `shard_sig`.
     cache: ShardCache,
     config: DeltaConfig,
     stats: DeltaStats,
-}
-
-/// Decrements a multiplicity map entry, removing it at zero.
-fn key_dec<K: std::hash::Hash + Eq>(map: &mut HashMap<K, u32>, key: K) {
-    match map.entry(key) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            if *e.get() <= 1 {
-                e.remove();
-            } else {
-                *e.get_mut() -= 1;
-            }
-        }
-        std::collections::hash_map::Entry::Vacant(_) => {
-            debug_assert!(false, "key multiplicity underflow");
-        }
-    }
 }
 
 /// The surgical changes a batch made to the network, accumulated while
@@ -303,31 +303,15 @@ impl DeltaEngine {
             tpiin,
             detection: DetectionResult::default(),
             company_reps,
-            seen_arcs: BTreeSet::new(),
             shard_of: Vec::new(),
             shard_overflow: Vec::new(),
-            group_keys: HashMap::new(),
-            arc_keys: HashMap::new(),
-            cache: ShardCache::new(config.shard_cache_capacity),
+            shard_sig: Vec::new(),
+            cache: ShardCache::default(),
             config,
             stats: DeltaStats::default(),
         };
-        engine.reindex_arcs();
         // Construction-time mining is not a batch: its tallies are dropped.
-        let detection = engine.remine(&mut ApplyOutcome::empty(DeltaPath::FullRebuild));
-        for g in &detection.groups {
-            *engine
-                .group_keys
-                .entry(group_label_key(&engine.tpiin, g))
-                .or_insert(0) += 1;
-        }
-        for &arc in &detection.suspicious_trading_arcs {
-            *engine
-                .arc_keys
-                .entry(arc_label_key(&engine.tpiin, arc))
-                .or_insert(0) += 1;
-        }
-        engine.detection = detection;
+        engine.detection = engine.remine(&mut ApplyOutcome::empty(DeltaPath::FullRebuild));
         engine
     }
 
@@ -484,7 +468,10 @@ impl DeltaEngine {
             delta.new_intra.push((seller, buyer));
             return;
         }
-        if !self.seen_arcs.insert((seller, buyer)) {
+        // The graph already holds the arcs appended earlier in this batch.
+        let duplicate = (self.tpiin.graph.out_edges(seller))
+            .any(|e| e.target == buyer && e.weight.color == ArcColor::Trading);
+        if duplicate {
             outcome.duplicates += 1;
             self.stats.duplicates += 1;
             return;
@@ -659,11 +646,10 @@ impl DeltaEngine {
             &company_labels,
             company_nodes,
         )?;
-        self.install(next, tpiin, reps);
         self.stats.arcs_patched += applied as u64;
         let mut outcome = ApplyOutcome::empty(DeltaPath::Incremental);
         outcome.mutations_applied = applied;
-        self.refresh_detection(&mut outcome);
+        self.refresh_detection(next, tpiin, reps, &mut outcome);
         Ok(outcome)
     }
 
@@ -684,30 +670,12 @@ impl DeltaEngine {
         let _span = tpiin_obs::Span::at("delta/refuse");
         let (tpiin, _) = fuse(&next)?;
         let reps = company_scc_reps(&next);
-        self.cache.clear();
-        self.install(next, tpiin, reps);
+        self.cache = ShardCache::default();
         self.stats.full_rebuilds += 1;
         let mut outcome = ApplyOutcome::empty(DeltaPath::FullRebuild);
         outcome.mutations_applied = applied;
-        self.refresh_detection(&mut outcome);
+        self.refresh_detection(next, tpiin, reps, &mut outcome);
         Ok(outcome)
-    }
-
-    fn install(&mut self, registry: SourceRegistry, tpiin: Tpiin, reps: Vec<u32>) {
-        self.registry = Some(registry);
-        self.tpiin = tpiin;
-        self.company_reps = reps;
-        self.reindex_arcs();
-    }
-
-    fn reindex_arcs(&mut self) {
-        self.seen_arcs = self
-            .tpiin
-            .graph
-            .edges()
-            .filter(|e| e.weight.color == ArcColor::Trading)
-            .map(|e| (e.source, e.target))
-            .collect();
     }
 
     /// Splices a batch's surgical changes into the maintained detection:
@@ -722,29 +690,25 @@ impl DeltaEngine {
     /// segmentation and a registered company joins its legal person's
     /// component), so shard indices, group order, and per-shard stats
     /// all keep the layout `remine` would produce.
+    ///
+    /// No node id moves on these paths either, so what is *new* is
+    /// decided on ids, without a label string: a group is new iff the
+    /// shard's previous slice does not hold it, an arc iff it enters the
+    /// suspicious set and did not leave it earlier in this batch.
     fn splice_detection(&mut self, delta: &SpliceDelta, outcome: &mut ApplyOutcome) {
         let _span = tpiin_obs::Span::at("delta/splice");
         self.detection.total_trading_arcs += delta.arcs_added + delta.intra_added;
         self.detection.intra_syndicate_trades += delta.intra_added;
 
-        // Key-map updates are deferred: newness is judged against the
-        // maps as they stood before this batch (matching the full
-        // refresh, which diffs the new detection against the old maps).
-        let mut group_removed: Vec<String> = Vec::new();
-        let mut group_added: Vec<String> = Vec::new();
-        let mut arc_removed: Vec<(String, String)> = Vec::new();
-        let mut arc_added: Vec<(String, String)> = Vec::new();
-
-        for &(s, b) in &delta.new_intra {
-            if self.detection.suspicious_trading_arcs.insert((s, b)) {
-                let key = arc_label_key(&self.tpiin, (s, b));
-                if !self.arc_keys.contains_key(&key) {
-                    outcome.new_suspicious_arcs.push((s, b));
-                }
-                arc_added.push(key);
+        for &pair in &delta.new_intra {
+            if self.detection.suspicious_trading_arcs.insert(pair) {
+                outcome.new_suspicious_arcs.push(pair);
             }
         }
 
+        // Arcs the dirty shards' old slices took out of the suspicious
+        // set: one that comes back was there before the batch.
+        let mut removed_arcs: HashSet<(NodeId, NodeId)> = HashSet::new();
         for &idx in &delta.dirty {
             // Rebuild the shard from the maintained membership map; the
             // scan keeps ascending node-id order, which is the member
@@ -763,11 +727,8 @@ impl DeltaEngine {
                 .iter()
                 .map(|s| s.groups)
                 .sum();
-            let old_len = self.detection.per_subtpiin[idx].groups;
-            for i in start..start + old_len {
-                let g = &self.detection.groups[i];
-                let arc = g.trading_arc;
-                group_removed.push(group_label_key(&self.tpiin, g));
+            let old = start..start + self.detection.per_subtpiin[idx].groups;
+            for g in &self.detection.groups[old.clone()] {
                 if g.simple {
                     self.detection.simple_group_count -= 1;
                 } else {
@@ -775,12 +736,21 @@ impl DeltaEngine {
                 }
                 // Group trading arcs have distinct endpoints, so this
                 // never evicts an intra-syndicate self pair.
-                if self.detection.suspicious_trading_arcs.remove(&arc) {
-                    arc_removed.push(arc_label_key(&self.tpiin, arc));
+                if self
+                    .detection
+                    .suspicious_trading_arcs
+                    .remove(&g.trading_arc)
+                {
+                    removed_arcs.insert(g.trading_arc);
                 }
             }
 
-            let out = self.lookup_shard(&sub, outcome);
+            // The new outcome takes its cache reference before the old
+            // one is given back, so an unchanged shape keeps its entry.
+            let (out, sig) = self.lookup_shard(&sub, None, outcome);
+            if let Some(previous) = std::mem::replace(&mut self.shard_sig[idx], sig) {
+                self.cache.release(previous);
+            }
 
             // The shard's new contribution, assembled exactly as a full
             // re-mine would assemble it, replaces the old slice.  (The
@@ -792,70 +762,69 @@ impl DeltaEngine {
             self.detection.complex_group_count += part.complex_group_count;
             self.detection.simple_group_count += part.simple_group_count;
             for arc in part.suspicious_trading_arcs {
-                if self.detection.suspicious_trading_arcs.insert(arc) {
-                    let key = arc_label_key(&self.tpiin, arc);
-                    if !self.arc_keys.contains_key(&key) {
-                        outcome.new_suspicious_arcs.push(arc);
-                    }
-                    arc_added.push(key);
+                if self.detection.suspicious_trading_arcs.insert(arc)
+                    && !removed_arcs.contains(&arc)
+                {
+                    outcome.new_suspicious_arcs.push(arc);
                 }
             }
-            for g in &part.groups {
-                let gkey = group_label_key(&self.tpiin, g);
-                if !self.group_keys.contains_key(&gkey) {
-                    outcome.new_groups.push(g.clone());
-                }
-                group_added.push(gkey);
-            }
+            let previous: HashSet<GroupIdKey<'_>> = self.detection.groups[old.clone()]
+                .iter()
+                .map(group_id_key)
+                .collect();
+            let fresh = |g: &&SuspiciousGroup| !previous.contains(&group_id_key(g));
+            outcome
+                .new_groups
+                .extend(part.groups.iter().filter(fresh).cloned());
             // Every other shard's groups move (not clone) in place.
-            self.detection
-                .groups
-                .splice(start..start + old_len, part.groups);
+            self.detection.groups.splice(old, part.groups);
         }
         self.detection.overflowed = self.shard_overflow.iter().any(|&o| o);
         // The full refresh reports new arcs in suspicious-set order.
         outcome.new_suspicious_arcs.sort_unstable();
         self.stats.groups_found += outcome.new_groups.len() as u64;
-        for key in group_removed {
-            key_dec(&mut self.group_keys, key);
-        }
-        for key in group_added {
-            *self.group_keys.entry(key).or_insert(0) += 1;
-        }
-        for key in arc_removed {
-            key_dec(&mut self.arc_keys, key);
-        }
-        for key in arc_added {
-            *self.arc_keys.entry(key).or_insert(0) += 1;
-        }
     }
 
-    /// Re-mines the current network through the shard cache and swaps
-    /// the detection in, diffing groups and arcs by label key.
-    fn refresh_detection(&mut self, outcome: &mut ApplyOutcome) {
-        let detection = self.remine(outcome);
+    /// Installs a re-fused network (the renumbering paths), re-mines it
+    /// through the shard cache and swaps the detection in.  Node ids do
+    /// not survive re-contraction, so this is the one place that diffs
+    /// by label: the outgoing detection's label keys are built once,
+    /// just before the network they are read from is replaced, and each
+    /// group and arc of the new detection is looked up in them.
+    fn refresh_detection(
+        &mut self,
+        registry: SourceRegistry,
+        tpiin: Tpiin,
+        reps: Vec<u32>,
+        outcome: &mut ApplyOutcome,
+    ) {
+        let old = &self.detection;
+        let old_groups: HashSet<String> = old
+            .groups
+            .iter()
+            .map(|g| group_label_key(&self.tpiin, g))
+            .collect();
+        let old_arcs: HashSet<(String, String)> = old
+            .suspicious_trading_arcs
+            .iter()
+            .map(|&arc| arc_label_key(&self.tpiin, arc))
+            .collect();
+        self.registry = Some(registry);
+        self.tpiin = tpiin;
+        self.company_reps = reps;
 
-        let mut next_group_keys: HashMap<String, u32> =
-            HashMap::with_capacity(detection.groups.len());
-        for g in &detection.groups {
-            let key = group_label_key(&self.tpiin, g);
-            if !self.group_keys.contains_key(&key) {
-                outcome.new_groups.push(g.clone());
-            }
-            *next_group_keys.entry(key).or_insert(0) += 1;
-        }
-        let mut next_arc_keys: HashMap<(String, String), u32> =
-            HashMap::with_capacity(detection.suspicious_trading_arcs.len());
-        for &arc in &detection.suspicious_trading_arcs {
-            let key = arc_label_key(&self.tpiin, arc);
-            if !self.arc_keys.contains_key(&key) {
-                outcome.new_suspicious_arcs.push(arc);
-            }
-            *next_arc_keys.entry(key).or_insert(0) += 1;
-        }
+        let detection = self.remine(outcome);
+        let new_group =
+            |g: &&SuspiciousGroup| !old_groups.contains(&group_label_key(&self.tpiin, g));
+        outcome
+            .new_groups
+            .extend(detection.groups.iter().filter(new_group).cloned());
+        let new_arc =
+            |arc: &&(NodeId, NodeId)| !old_arcs.contains(&arc_label_key(&self.tpiin, **arc));
+        outcome
+            .new_suspicious_arcs
+            .extend(detection.suspicious_trading_arcs.iter().filter(new_arc));
         self.stats.groups_found += outcome.new_groups.len() as u64;
-        self.group_keys = next_group_keys;
-        self.arc_keys = next_arc_keys;
         self.detection = detection;
     }
 
@@ -863,7 +832,10 @@ impl DeltaEngine {
     /// network, obtains every shard's outcome through the cache and
     /// hands them to [`assemble_detection`] — the same assembler the
     /// detector uses, so the result is bit-identical to
-    /// [`tpiin_core::detect`] over the current network.
+    /// [`tpiin_core::detect`] over the current network.  The cache comes
+    /// out holding only the entries this pass touched: whatever the
+    /// previous network cached and the current one has no shard for is
+    /// dropped with it.
     fn remine(&mut self, outcome: &mut ApplyOutcome) -> DetectionResult {
         let subs = segment_tpiin(&self.tpiin);
         // Refresh the shard membership map the splice paths extend.
@@ -873,27 +845,39 @@ impl DeltaEngine {
                 self.shard_of[g.index()] = sub.index as u32;
             }
         }
-        let mined: Vec<ShardOutcome> = subs
+        let mut carry = std::mem::take(&mut self.cache);
+        let (mined, sigs): (Vec<ShardOutcome>, Vec<Option<Signature>>) = subs
             .iter()
-            .map(|sub| self.lookup_shard(sub, outcome))
-            .collect();
+            .map(|sub| self.lookup_shard(sub, Some(&mut carry), outcome))
+            .unzip();
+        self.shard_sig = sigs;
         self.shard_overflow = mined.iter().map(|out| out.overflowed).collect();
         assemble_detection(&self.tpiin, &subs, mined)
     }
 
-    /// One shard's outcome through the cache, tallied on `outcome` as
-    /// re-mined or replayed.  Shards without trading arcs mine to nothing
-    /// and are neither.
-    fn lookup_shard(&mut self, sub: &SubTpiin, outcome: &mut ApplyOutcome) -> ShardOutcome {
+    /// One shard's outcome, tallied on `outcome` as re-mined or replayed,
+    /// plus the cache reference it now holds.  Shards without trading
+    /// arcs mine to nothing and are neither.  Without a registry no full
+    /// re-mine ever comes to replay the network, so nothing is memoised.
+    fn lookup_shard(
+        &mut self,
+        sub: &SubTpiin,
+        carry: Option<&mut ShardCache>,
+        outcome: &mut ApplyOutcome,
+    ) -> (ShardOutcome, Option<Signature>) {
         if sub.trading_arc_count == 0 {
-            return ShardOutcome::default();
+            return (ShardOutcome::default(), None);
         }
-        let (out, hit) = self.cache.lookup(sub, &self.config.detector);
+        if self.registry.is_none() {
+            outcome.shards_remined += 1;
+            return (mine_shard(sub, &self.config.detector), None);
+        }
+        let (out, sig, hit) = self.cache.acquire(sub, &self.config.detector, carry);
         if hit {
             outcome.cache_hits += 1;
         } else {
             outcome.shards_remined += 1;
         }
-        out
+        (out, Some(sig))
     }
 }

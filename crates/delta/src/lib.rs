@@ -32,7 +32,10 @@
 //! Mining after a patch is shard-cached: subTPIINs are keyed by a
 //! 128-bit signature of their *local* structure, and shards untouched by
 //! a delta replay their cached groups instead of re-running Algorithm 2
-//! (see [`tpiin_core::mine_shard`]).  Cached or fresh, shard outcomes
+//! (see [`tpiin_core::mine_shard`]).  The cache holds one outcome per
+//! distinct shape among the *live* shards — a re-mined shard gives its
+//! previous entry back — so the engine's state tracks the network, not
+//! the number of batches it has absorbed.  Cached or fresh, shard outcomes
 //! become a result only through [`tpiin_core::assemble_detection`] — the
 //! detector's own assembler — so the engine carries no copy of it.
 

@@ -6,7 +6,8 @@
 //! the engine untouched.
 
 use proptest::prelude::*;
-use tpiin_core::{detect, Provenance};
+use std::collections::HashSet;
+use tpiin_core::{detect, DetectionResult, GroupKind, Provenance, SuspiciousGroup};
 use tpiin_delta::DeltaEngine;
 use tpiin_fusion::{fuse, Tpiin};
 use tpiin_model::{
@@ -237,6 +238,49 @@ fn assert_identical(a: &Tpiin, b: &Tpiin) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Label-space identity of a group: kind plus the labels of the trading
+/// arc and both trails.  Unlike node ids it survives re-contraction, so
+/// it can name "the same group" on either side of any batch.
+fn group_label_key(tpiin: &Tpiin, g: &SuspiciousGroup) -> (bool, Vec<String>) {
+    let labels = [g.trading_arc.0, g.trading_arc.1]
+        .iter()
+        .chain(&g.trail_with_trade)
+        .map(|&v| tpiin.label(v).to_string())
+        .chain(std::iter::once("#".to_string()))
+        .chain(g.trail_plain.iter().map(|&v| tpiin.label(v).to_string()))
+        .collect();
+    (g.kind == GroupKind::Matched, labels)
+}
+
+/// Sorted label keys of `detection`'s groups and suspicious arcs.
+type LabelKeys = (Vec<(bool, Vec<String>)>, Vec<(String, String)>);
+
+fn label_keys(tpiin: &Tpiin, detection: &DetectionResult) -> LabelKeys {
+    let mut groups: Vec<_> = detection
+        .groups
+        .iter()
+        .map(|g| group_label_key(tpiin, g))
+        .collect();
+    groups.sort();
+    let mut arcs: Vec<_> = detection
+        .suspicious_trading_arcs
+        .iter()
+        .map(|&(s, b)| (tpiin.label(s).to_string(), tpiin.label(b).to_string()))
+        .collect();
+    arcs.sort();
+    (groups, arcs)
+}
+
+/// The keys of `after` (in order) that `before` does not contain.
+fn fresh<K: Clone + Eq + std::hash::Hash>(after: &[K], before: &[K]) -> Vec<K> {
+    let before: HashSet<&K> = before.iter().collect();
+    after
+        .iter()
+        .filter(|k| !before.contains(k))
+        .cloned()
+        .collect()
+}
+
 /// Cases default to 48 (CI-friendly); `DELTA_DIFF_CASES` cranks the
 /// count up for deeper soak runs against the splice paths.
 fn case_count() -> u32 {
@@ -256,6 +300,7 @@ proptest! {
     ) {
         let mut shadow = build(&raw);
         let mut engine = DeltaEngine::new(shadow.clone()).expect("valid base registry");
+        let mut before = label_keys(engine.tpiin(), engine.detection());
         for specs in &script {
             let mutations: Vec<Mutation> =
                 specs.iter().filter_map(|s| realize(s, &shadow)).collect();
@@ -263,7 +308,8 @@ proptest! {
                 continue;
             }
             let batch = MutationBatch::new(mutations);
-            if engine.apply(&batch).is_ok() {
+            let applied = engine.apply(&batch).ok();
+            if applied.is_some() {
                 let mut next = shadow.clone();
                 batch
                     .apply_to_registry(&mut next)
@@ -291,6 +337,31 @@ proptest! {
             prop_assert_eq!(got.intra_syndicate_trades, expected.intra_syndicate_trades);
             prop_assert_eq!(&got.per_subtpiin, &expected.per_subtpiin);
             prop_assert_eq!(got.overflowed, expected.overflowed);
+
+            // What the batch reported as new is exactly what a
+            // from-scratch detection has now and did not have before,
+            // judged in label space (ids may have been renumbered).
+            let after = label_keys(&expected_tpiin, &expected);
+            if let Some(outcome) = applied {
+                let mut new_groups: Vec<_> = outcome
+                    .new_groups
+                    .iter()
+                    .map(|g| group_label_key(&expected_tpiin, g))
+                    .collect();
+                new_groups.sort();
+                prop_assert_eq!(new_groups, fresh(&after.0, &before.0));
+                let mut new_arcs: Vec<_> = outcome
+                    .new_suspicious_arcs
+                    .iter()
+                    .map(|&(s, b)| {
+                        let label = |v| expected_tpiin.label(v).to_string();
+                        (label(s), label(b))
+                    })
+                    .collect();
+                new_arcs.sort();
+                prop_assert_eq!(new_arcs, fresh(&after.1, &before.1));
+            }
+            before = after;
         }
     }
 }

@@ -562,7 +562,8 @@ fn ingest(state: &ServerState, req: &Request) -> Response {
     let stats = writer.stats();
     let prev = state.store.current();
     let epoch = state.next_epoch();
-    let snapshot = ServeSnapshot::from_engine(epoch, &writer, &state.miners, Some(&prev));
+    let prev = Some((&*prev, outcome.path));
+    let snapshot = ServeSnapshot::from_engine(epoch, &writer, &state.miners, prev);
     let body = responses::ingest_json(&snapshot.tpiin, epoch, &outcome, &stats);
     state.store.swap(snapshot);
     drop(span);

@@ -93,6 +93,12 @@ pub fn groups_json(
             "intra_syndicate_trades",
             num(detection.intra_syndicate_trades),
         ),
+        // After the counters: clients read `epoch` and `group_count`
+        // from the head of the body.
+        (
+            "mined_at_epoch",
+            num(snapshot.mined_at_epoch(miner).unwrap_or(snapshot.epoch) as usize),
+        ),
         ("offset", num(offset)),
         ("shown", num(shown)),
         (
@@ -391,6 +397,20 @@ pub fn status_json(snapshot: &ServeSnapshot, report: &StatusReport) -> Json {
         (
             "miners",
             Json::Array(snapshot.miner_names().into_iter().map(s).collect()),
+        ),
+        (
+            "detections",
+            Json::Array(
+                snapshot
+                    .mined_at_epochs()
+                    .map(|(miner, mined_at)| {
+                        obj(vec![
+                            ("miner", s(miner)),
+                            ("mined_at_epoch", num(mined_at as usize)),
+                        ])
+                    })
+                    .collect(),
+            ),
         ),
         ("uptime_secs", Json::Number(report.uptime_secs)),
         ("workers", num(report.workers)),

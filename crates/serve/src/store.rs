@@ -2,6 +2,9 @@
 //!
 //! A [`ServeSnapshot`] bundles everything one request needs — the fused
 //! TPIIN, a full detection result and a label index — behind an `Arc`.
+//! The parts an ingest did not change (every miner but `rules`, and the
+//! label index when no node was added or relabelled) are themselves
+//! `Arc`s shared with the previous epoch, not copies of it.
 //! The [`SnapshotStore`] holds the current snapshot under a `RwLock`
 //! taken only long enough to clone the `Arc`: readers never block each
 //! other, never block on detection, and in-flight requests keep serving
@@ -12,7 +15,7 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tpiin_core::{mine_with_obs, DetectionResult, MineContext, MinerRegistry, RULES_MINER};
-use tpiin_delta::DeltaEngine;
+use tpiin_delta::{DeltaEngine, DeltaPath};
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
 
@@ -26,9 +29,17 @@ pub struct ServeSnapshot {
     /// order.  The first is the primary strategy (the Rule 1/Rule 2
     /// detector unless `--miner` says otherwise);
     /// `/groups?miner=...` selects the others.
-    pub detections: Vec<(String, DetectionResult)>,
+    pub detections: Vec<(String, Arc<DetectionResult>)>,
+    /// The epoch each `detections` entry was mined at, in the same
+    /// order: older than `epoch` for a result carried across an ingest.
+    mined_at: Vec<u64>,
     /// Label -> node index for query-by-label endpoints.
-    labels: BTreeMap<String, NodeId>,
+    labels: Arc<BTreeMap<String, NodeId>>,
+}
+
+fn label_index(tpiin: &Tpiin) -> Arc<BTreeMap<String, NodeId>> {
+    let nodes = tpiin.graph.nodes();
+    Arc::new(nodes.map(|(id, n)| (n.label().to_string(), id)).collect())
 }
 
 impl ServeSnapshot {
@@ -55,37 +66,57 @@ impl ServeSnapshot {
     /// default [`tpiin_core::DetectorConfig`] a fresh mine would use), so
     /// `rules` is taken from it, never mined again.  Every other miner
     /// in `miners` is carried over from `prev` when the caller has a
-    /// previous epoch (ingest: those results refresh on the next reload)
-    /// and mined over the engine's network otherwise (bind, reload) —
+    /// previous epoch (ingest: those results refresh on the next reload,
+    /// are shared with `prev` rather than copied, and keep reporting the
+    /// epoch they were mined at) and mined over the engine's network
+    /// otherwise (bind, reload) —
     /// with the tax rates of the engine's registry when it has one, as
     /// `Pipeline` and `tpiin detect` mine, so a registry-backed daemon
     /// ranks rings by their rate differential.  A snapshot-backed engine
     /// carries no registry and mines with every rate at the default.
+    ///
+    /// `prev` comes with the path the batch took: a trading append adds
+    /// and relabels no node, so the label index is `prev`'s; any other
+    /// path rebuilds it.
     pub(crate) fn from_engine(
         epoch: u64,
         engine: &DeltaEngine,
         miners: &MinerRegistry,
-        prev: Option<&ServeSnapshot>,
+        prev: Option<(&ServeSnapshot, DeltaPath)>,
     ) -> ServeSnapshot {
         let tpiin = engine.tpiin().clone();
         let ctx = MineContext {
             tax_rates: engine.registry().and_then(|r| r.company_tax_rates()),
             ..MineContext::default()
         };
-        let detections = miners
+        let carried = |name: &str| {
+            let (p, _) = prev?;
+            let i = p.position(name)?;
+            Some((Arc::clone(&p.detections[i].1), p.mined_at[i]))
+        };
+        let (detections, mined_at) = miners
             .iter()
             .map(|m| {
-                let detection = if m.name() == RULES_MINER {
-                    engine.detection().clone()
-                } else if let Some(carried) = prev.and_then(|p| p.detection_for(m.name())) {
-                    carried.clone()
+                let (detection, mined_at) = if m.name() == RULES_MINER {
+                    (Arc::new(engine.detection().clone()), epoch)
                 } else {
-                    mine_with_obs(m, &tpiin, &ctx)
+                    carried(m.name())
+                        .unwrap_or_else(|| (Arc::new(mine_with_obs(m, &tpiin, &ctx)), epoch))
                 };
-                (m.name().to_string(), detection)
+                ((m.name().to_string(), detection), mined_at)
             })
-            .collect();
-        ServeSnapshot::with_detections(epoch, tpiin, detections)
+            .unzip();
+        let labels = match prev {
+            Some((p, DeltaPath::TradingAppend)) => Arc::clone(&p.labels),
+            _ => label_index(&tpiin),
+        };
+        ServeSnapshot {
+            epoch,
+            tpiin,
+            detections,
+            mined_at,
+            labels,
+        }
     }
 
     /// Wraps already-computed per-miner detection results.
@@ -100,16 +131,14 @@ impl ServeSnapshot {
         detections: Vec<(String, DetectionResult)>,
     ) -> ServeSnapshot {
         assert!(!detections.is_empty(), "a snapshot needs >= 1 detection");
-        let labels = tpiin
-            .graph
-            .nodes()
-            .map(|(id, node)| (node.label().to_string(), id))
-            .collect();
         ServeSnapshot {
             epoch,
+            labels: label_index(&tpiin),
             tpiin,
-            detections,
-            labels,
+            mined_at: vec![epoch; detections.len()],
+            detections: (detections.into_iter())
+                .map(|(name, detection)| (name, Arc::new(detection)))
+                .collect(),
         }
     }
 
@@ -126,10 +155,25 @@ impl ServeSnapshot {
 
     /// The detection result of the miner named `name`.
     pub fn detection_for(&self, name: &str) -> Option<&DetectionResult> {
-        self.detections
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| d)
+        Some(&self.detections[self.position(name)?].1)
+    }
+
+    /// The epoch the result of the miner named `name` was mined at.  An
+    /// ingest re-mines `rules` only, so any other miner keeps the epoch
+    /// of the last bind or reload until the next one.
+    pub fn mined_at_epoch(&self, name: &str) -> Option<u64> {
+        Some(self.mined_at[self.position(name)?])
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.detections.iter().position(|(n, _)| n == name)
+    }
+
+    /// Every served miner with the epoch its result was mined at, in
+    /// mining order.
+    pub fn mined_at_epochs(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        let names = self.detections.iter().map(|(n, _)| n.as_str());
+        names.zip(self.mined_at.iter().copied())
     }
 
     /// The served miner names, in mining order.
@@ -200,6 +244,37 @@ mod tests {
         assert_eq!(snap.resolve_node("0"), Some(NodeId::from_index(0)));
         assert_eq!(snap.resolve_node("no-such-label"), None);
         assert_eq!(snap.resolve_node("999999"), None);
+    }
+
+    #[test]
+    fn an_ingest_shares_what_it_did_not_change() {
+        let (tpiin, _) = tpiin_fusion::fuse(&tpiin_datagen::fig7_registry()).unwrap();
+        let mut engine = DeltaEngine::from_tpiin(tpiin);
+        let miners = MinerRegistry::with_defaults();
+        let bound = ServeSnapshot::from_engine(1, &engine, &miners, None);
+        let outcome = engine
+            .ingest(&[tpiin_model::TradingRecord {
+                seller: tpiin_model::CompanyId(0),
+                buyer: tpiin_model::CompanyId(4),
+                volume: 5.0,
+            }])
+            .unwrap();
+        assert_eq!(outcome.path, DeltaPath::TradingAppend);
+        let next = ServeSnapshot::from_engine(2, &engine, &miners, Some((&bound, outcome.path)));
+        // `rules` is the engine's fresh result; `circular` and the label
+        // index are the previous epoch's, by pointer.
+        assert!(!Arc::ptr_eq(&bound.detections[0].1, &next.detections[0].1));
+        assert!(Arc::ptr_eq(&bound.detections[1].1, &next.detections[1].1));
+        assert!(Arc::ptr_eq(&bound.labels, &next.labels));
+        assert_eq!(next.mined_at_epoch("rules"), Some(2));
+        assert_eq!(next.mined_at_epoch("circular"), Some(1));
+        assert_eq!(next.mined_at_epoch("no-such-miner"), None);
+        // Any other path may have added or relabelled nodes: re-indexed.
+        let prev = Some((&next, DeltaPath::CompanyAppend));
+        let other = ServeSnapshot::from_engine(3, &engine, &miners, prev);
+        assert!(!Arc::ptr_eq(&next.labels, &other.labels));
+        assert_eq!(next.labels, other.labels);
+        assert_eq!(other.mined_at_epoch("circular"), Some(1));
     }
 
     #[test]

@@ -564,14 +564,69 @@ fn binary_snapshot_hot_swap_matches_text() {
         "load time reported: {body}"
     );
 
-    // The binary epoch serves bit-identical groups (bar the epoch tag).
+    // The binary epoch serves bit-identical groups (bar the epoch tags:
+    // the served one and the one the result was mined at).
     let (status, bin_groups) = get(addr, "/groups");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(
-        bin_groups.replace("\"epoch\":2", "\"epoch\":1"),
+        bin_groups.replace("epoch\":2", "epoch\":1"),
         text_groups,
         "binary snapshot served different groups"
     );
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An ingest re-mines `rules` only; every other miner's result is
+/// carried, and says so: `/status` and `/groups?miner=` report the epoch
+/// each served result was mined at, and a reload brings them level.
+#[test]
+fn carried_miners_report_the_epoch_they_were_mined_at() {
+    let tpiin = fig7();
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "tpiin-serve-mined-at-{}-{:?}.tpiin",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, tpiin_io::snapshot::write_snapshot(&tpiin)).expect("write snapshot");
+    let config = ServeConfig {
+        snapshot_path: Some(path.clone()),
+        ..ServeConfig::default()
+    };
+    let handle = ServerHandle::bind(tpiin, config).expect("bind");
+    let addr = handle.addr();
+    let mined_at = |miner: &str| -> (f64, f64) {
+        let (_, body) = get(addr, &format!("/groups?miner={miner}&limit=0"));
+        assert!(
+            body.find("\"group_count\"") < body.find("\"mined_at_epoch\""),
+            "counters lead the body: {body}"
+        );
+        let groups = tpiin_io::json::Json::parse(&body).expect("groups is JSON");
+        let field = |key: &str| groups.get(key).and_then(|v| v.as_f64()).expect(key);
+        let (_, status) = get(addr, "/status");
+        let listed = format!(
+            "{{\"miner\":\"{miner}\",\"mined_at_epoch\":{}}}",
+            field("mined_at_epoch")
+        );
+        assert!(status.contains(&listed), "{listed} not in {status}");
+        (field("epoch"), field("mined_at_epoch"))
+    };
+    assert_eq!(mined_at("rules"), (1.0, 1.0));
+    assert_eq!(mined_at("circular"), (1.0, 1.0));
+
+    let (status, body) = post(
+        addr,
+        "/ingest",
+        r#"{"records": [{"seller": 0, "buyer": 4, "volume": 5.0}]}"#,
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    assert_eq!(mined_at("rules"), (2.0, 2.0));
+    assert_eq!(mined_at("circular"), (2.0, 1.0), "carried since bind");
+
+    let (status, body) = post(addr, "/reload", "");
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    assert_eq!(mined_at("rules"), (3.0, 3.0));
+    assert_eq!(mined_at("circular"), (3.0, 3.0));
     handle.shutdown();
     let _ = std::fs::remove_file(&path);
 }

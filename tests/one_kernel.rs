@@ -6,7 +6,10 @@
 //! come out the same over every producer's network.
 
 use std::collections::BTreeSet;
-use tpiin::datagen::{add_random_trading, fig7_registry, generate_province, ProvinceConfig};
+use tpiin::datagen::{
+    add_random_trading, fig7_registry, generate_mutation_stream, generate_province,
+    MutationStreamConfig, ProvinceConfig,
+};
 use tpiin::delta::{DeltaEngine, DeltaPath};
 use tpiin::detect::baseline::detect_baseline;
 use tpiin::detect::{detect, segment_tpiin, DetectionResult, Detector, DetectorConfig, Provenance};
@@ -230,5 +233,80 @@ fn company_append_keeps_on_demand_provenance_in_step() {
     assert!(
         shifted_in_untouched_shards > 0,
         "no group outside the touched shard cites an investment record: shift unexercised"
+    );
+}
+
+/// What the engine keeps is bounded by the network it maintains, not by
+/// how long it has been running: replaying a mutation feed never leaves
+/// more memoised shard outcomes than there are live shards with a
+/// trading arc to mine, and a snapshot-backed engine — which can only
+/// splice trading appends into shards it has already mined — memoises
+/// nothing at all.
+#[test]
+fn engine_state_is_bounded_by_the_live_network() {
+    let stream = generate_mutation_stream(&MutationStreamConfig {
+        scale: 0.05,
+        batches: 24,
+        records_per_batch: 16,
+        ..MutationStreamConfig::default()
+    });
+
+    let mut registry = stream.base.clone();
+    let mut engine = DeltaEngine::new(registry.clone()).unwrap();
+    let mut peak_cached = 0;
+    for (i, batch) in stream.batches.iter().enumerate() {
+        engine.apply(batch).unwrap();
+        batch.apply_to_registry(&mut registry).unwrap();
+        let (fresh, _) = fuse(&registry).unwrap();
+        let name = format!("batch {i}");
+        assert_identical(
+            &name,
+            "registry-backed replay",
+            (engine.tpiin(), engine.detection()),
+            (&fresh, &detect(&fresh)),
+        );
+        let minable = segment_tpiin(&fresh)
+            .iter()
+            .filter(|sub| sub.trading_arc_count > 0)
+            .count();
+        assert!(
+            engine.cached_shards() <= minable,
+            "{name}: {} cached outcomes for {minable} live shards with trading arcs",
+            engine.cached_shards()
+        );
+        peak_cached = peak_cached.max(engine.cached_shards());
+    }
+    assert!(peak_cached > 0, "the feed never gave the cache work");
+
+    // The snapshot has the base's companies only, so the trading-only
+    // batches keep just the records between those.
+    let known = stream.base.company_count() as u32;
+    let (base, _) = fuse(&stream.base).unwrap();
+    let mut engine = DeltaEngine::from_tpiin(base);
+    assert_eq!(engine.cached_shards(), 0);
+    let mut appended = 0;
+    for batch in stream.batches.iter().filter(|b| b.is_trading_only()) {
+        let records: Vec<TradingRecord> = (batch.mutations.iter())
+            .filter_map(|m| match m {
+                Mutation::AddTrading(r) if r.seller.0 < known && r.buyer.0 < known => Some(*r),
+                _ => None,
+            })
+            .collect();
+        let outcome = engine.ingest(&records).unwrap();
+        assert_eq!(outcome.path, DeltaPath::TradingAppend);
+        assert_eq!(outcome.cache_hits, 0);
+        assert_eq!(
+            engine.cached_shards(),
+            0,
+            "snapshot-backed: nothing memoised"
+        );
+        appended += outcome.arcs_patched;
+    }
+    assert!(appended > 0, "the feed appended no trading arc");
+    assert_counts_and_arcs(
+        "trading-only replay",
+        "snapshot-backed engine",
+        engine.detection(),
+        &detect(engine.tpiin()),
     );
 }
