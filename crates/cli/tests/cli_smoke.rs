@@ -272,8 +272,17 @@ fn trace_out_exports_one_trace_spanning_cli_pipeline_detector() {
         .get("traceId")
         .and_then(|v| v.as_str())
         .expect("traceId present");
-    assert_eq!(id.len(), 32, "trace id is 32 hex digits: {id}");
+    assert!(
+        id.len() == 32 && id.chars().all(|c| c.is_ascii_hexdigit()),
+        "trace id is 32 hex digits: {id}"
+    );
     assert!(stderr.contains(id), "stderr names the trace id: {stderr}");
+    assert!(
+        json.get("displayTimeUnit")
+            .and_then(|v| v.as_str())
+            .is_some(),
+        "displayTimeUnit missing: {text}"
+    );
     let Some(tpiin_io::json::Json::Array(events)) = json.get("traceEvents") else {
         panic!("traceEvents array missing: {text}");
     };
@@ -291,12 +300,33 @@ fn trace_out_exports_one_trace_spanning_cli_pipeline_detector() {
     ] {
         assert!(names.contains(&expected), "{expected} missing: {names:?}");
     }
-    // Chrome trace_event schema: complete events with ts/dur/pid/tid.
+    // Chrome trace_event schema: named complete events with a string
+    // `cat`, non-negative ts/dur and numeric pid/tid.
     for event in events {
-        assert_eq!(event.get("ph").and_then(|v| v.as_str()), Some("X"));
-        assert!(event.get("ts").and_then(|v| v.as_f64()).is_some());
-        assert!(event.get("dur").and_then(|v| v.as_f64()).is_some());
-        assert!(event.get("tid").and_then(|v| v.as_f64()).is_some());
+        let name = event.get("name").and_then(|n| n.as_str()).unwrap_or("");
+        assert!(!name.is_empty(), "unnamed event: {text}");
+        assert_eq!(
+            event.get("ph").and_then(|v| v.as_str()),
+            Some("X"),
+            "{name}"
+        );
+        assert!(
+            event.get("cat").and_then(|v| v.as_str()).is_some(),
+            "{name}"
+        );
+        for field in ["ts", "dur"] {
+            let value = event.get(field).and_then(|v| v.as_f64());
+            assert!(
+                value.is_some_and(|v| v >= 0.0),
+                "{name}: {field} = {value:?}"
+            );
+        }
+        for field in ["pid", "tid"] {
+            assert!(
+                event.get(field).and_then(|v| v.as_f64()).is_some(),
+                "{name}: {field}"
+            );
+        }
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -21,8 +21,8 @@
 //! the host's available parallelism (oversubscribing a smaller machine
 //! only adds queue traffic), the whole run drops to the serial path when
 //! the summed cost estimate is below [`DetectorConfig::serial_cutoff`]
-//! (thread spawn + steal overhead dwarfs tiny workloads — exactly the
-//! regression the first BENCH_detect.json run showed), and items from
+//! (thread spawn + steal overhead dwarfs tiny workloads — a measured
+//! regression on small inputs when every run was parallel), and items from
 //! cheap shards are glued into batches of at least
 //! [`DetectorConfig::batch_min_cost`] so one deque transaction covers
 //! many tiny roots.
@@ -278,8 +278,8 @@ impl Detector {
         self.detect_under(tpiin, &subs, parent.as_ref())
     }
 
-    /// Mines pre-segmented shards; exposed so benchmarks can separate
-    /// segmentation cost from mining cost.
+    /// Mines pre-segmented shards; exposed so callers can segment once
+    /// and time segmentation apart from mining.
     pub fn detect_segmented(&self, tpiin: &Tpiin, subs: &[SubTpiin]) -> DetectionResult {
         let span = Span::at("detect");
         let parent = span.handle();

@@ -65,7 +65,7 @@ pub use provenance::{ArcProvenance, MatchedRule, MemberLineage, Provenance, Scor
 pub use query::groups_behind_arc;
 pub use result::{DetectionResult, GroupKind, SubTpiinStats, SuspiciousGroup};
 pub use stats::{top_involved, Involvement};
-pub use subtpiin::{segment_one, segment_tpiin, subtpiin_from_arcs, whole_tpiin, SubTpiin};
+pub use subtpiin::{segment_one, segment_tpiin, subtpiin_from_arcs, SubTpiin};
 pub use tree::{PatternsTree, TreeNode};
 
 /// The global traversal baseline (Section 5.1).

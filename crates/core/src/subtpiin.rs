@@ -233,33 +233,6 @@ pub fn segment_one(tpiin: &Tpiin, index: usize, members: Vec<NodeId>) -> SubTpii
     SubTpiin::from_adjacency(index, members, &influence_out, &trading_out, is_person)
 }
 
-/// Builds one [`SubTpiin`] covering the *whole* TPIIN, skipping the
-/// divide-and-conquer segmentation of Algorithm 1.  Mining it produces the
-/// same groups (trails never cross antecedent components), but without
-/// the per-component independence — this is the "no segmentation" arm of
-/// the ablation benchmark.
-pub fn whole_tpiin(tpiin: &Tpiin) -> SubTpiin {
-    let csr = tpiin.csr();
-    let n = csr.node_count();
-    let mut influence_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut trading_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for v in 0..n as u32 {
-        influence_out[v as usize].extend_from_slice(csr.out(INFLUENCE_LANE, v));
-        trading_out[v as usize].extend_from_slice(csr.out(TRADING_LANE, v));
-    }
-    SubTpiin::from_adjacency(
-        0,
-        tpiin.graph.node_ids().collect(),
-        &influence_out,
-        &trading_out,
-        tpiin
-            .graph
-            .nodes()
-            .map(|(_, node)| node.color() == NodeColor::Person)
-            .collect(),
-    )
-}
-
 /// Builds a single [`SubTpiin`] directly from explicit arc lists — a
 /// convenience for unit tests and the worked examples, bypassing fusion.
 ///
@@ -373,23 +346,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn whole_tpiin_mines_the_same_groups_as_segmented() {
-        let (tpiin, _) = tpiin_fusion::fuse(&two_component_registry()).unwrap();
-        let whole = whole_tpiin(&tpiin);
-        assert_eq!(whole.node_count(), tpiin.node_count());
-        assert_eq!(whole.influence_arc_count(), tpiin.influence_arc_count);
-        // The whole view keeps cross-component trading arcs too.
-        assert_eq!(whole.trading_arc_count, tpiin.trading_arc_count);
-        let segmented = crate::detector::detect(&tpiin);
-        let unsegmented = crate::detector::Detector::default().detect_segmented(&tpiin, &[whole]);
-        assert_eq!(segmented.group_count(), unsegmented.group_count());
-        assert_eq!(
-            segmented.suspicious_trading_arcs,
-            unsegmented.suspicious_trading_arcs
-        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! The result has two node colors (*Person*, *Company*) and two arc colors
 //! (*Influence*, *Trading*).  [`fuse`] runs the whole pipeline and returns
 //! the [`Tpiin`] plus a [`FusionReport`] with per-stage statistics (the
-//! numbers behind Figs. 11–16).  The intermediate graphs are also exposed
-//! individually in [`stages`] for tests and reporting.
+//! numbers behind Figs. 11–16).  The contraction stages are also exposed
+//! individually in [`stages`] for tests.
 
 pub mod compact;
 pub mod incremental;

@@ -1,8 +1,7 @@
 //! Intermediate homogeneous graphs of the fusion chain.
 //!
-//! These builders expose each stage of Section 4.1 separately so that the
-//! Appendix A properties can be checked in isolation and so the network
-//! statistics behind Figs. 11–15 can be reported per stage.  The
+//! These builders expose the contraction stages of Section 4.1 separately
+//! so that the Appendix A properties can be checked in isolation.  The
 //! end-to-end pipeline in [`crate::fuse`] uses the same logic but fuses in
 //! one pass for efficiency.
 
@@ -13,50 +12,6 @@ use tpiin_model::{InterdependenceKind, SourceRegistry};
 /// for persons.  Persons occupy indices `0..person_count`, companies
 /// `person_count..`.
 pub type IsPerson = bool;
-
-/// Builds `G1`, the interdependence graph: one node per person, one
-/// (arbitrarily oriented) arc per kinship/interlocking edge.  `G1` is
-/// conceptually undirected; direction here is storage only.
-pub fn build_g1(registry: &SourceRegistry) -> DiGraph<(), InterdependenceKind> {
-    let mut g = DiGraph::with_capacity(registry.person_count(), registry.interdependencies().len());
-    for _ in 0..registry.person_count() {
-        g.add_node(());
-    }
-    for i in registry.interdependencies() {
-        g.add_edge(
-            tpiin_graph::NodeId::from_index(i.a.index()),
-            tpiin_graph::NodeId::from_index(i.b.index()),
-            i.kind,
-        );
-    }
-    g
-}
-
-/// Builds `G2`, the influence bipartite graph: persons then companies as
-/// nodes, one arc per influence record.  Arcs run Person→Company only —
-/// checked, mirroring the Appendix A property ("each *Person* node must
-/// have indegree of zero and each *Company* node must have outdegree of
-/// zero").
-pub fn build_g2(registry: &SourceRegistry) -> DiGraph<IsPerson, ()> {
-    let np = registry.person_count();
-    let mut g = DiGraph::with_capacity(np + registry.company_count(), registry.influences().len());
-    for _ in 0..np {
-        g.add_node(true);
-    }
-    for _ in 0..registry.company_count() {
-        g.add_node(false);
-    }
-    for inf in registry.influences() {
-        g.add_edge(
-            tpiin_graph::NodeId::from_index(inf.person.index()),
-            tpiin_graph::NodeId::from_index(np + inf.company.index()),
-            (),
-        );
-    }
-    check_bipartite(&g, |_, &is_person| is_person)
-        .expect("influence records always run person -> company by construction");
-    g
-}
 
 /// Builds the person-syndicate partition: connected components of `G1`.
 /// This is the fixed point of the paper's one-edge-at-a-time
@@ -92,26 +47,10 @@ pub fn build_investment_graph(registry: &SourceRegistry) -> DiGraph<(), f64> {
 /// Builds the company-syndicate partition: Tarjan SCCs of the investment
 /// graph (the paper's strongly-connected-subgraph contraction that turns
 /// `G_B` into the antecedent DAG `G123`).
-pub fn company_syndicates(registry: &SourceRegistry) -> Partition {
+fn company_syndicates(registry: &SourceRegistry) -> Partition {
     let gi = build_investment_graph(registry);
     let (labels, count) = tpiin_graph::condensation_partition(&gi);
     Partition::from_labels(labels, count)
-}
-
-/// Builds `G4`, the trading graph over companies.
-pub fn build_trading_graph(registry: &SourceRegistry) -> DiGraph<(), f64> {
-    let mut g = DiGraph::with_capacity(registry.company_count(), registry.tradings().len());
-    for _ in 0..registry.company_count() {
-        g.add_node(());
-    }
-    for tr in registry.tradings() {
-        g.add_edge(
-            tpiin_graph::NodeId::from_index(tr.seller.index()),
-            tpiin_graph::NodeId::from_index(tr.buyer.index()),
-            tr.volume,
-        );
-    }
-    g
 }
 
 /// Edge payload of the combined graph `G12`: an undirected
@@ -326,29 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn g1_has_person_nodes_and_interdependence_edges() {
-        let r = registry();
-        let g1 = build_g1(&r);
-        assert_eq!(g1.node_count(), 3);
-        assert_eq!(g1.edge_count(), 1);
-    }
-
-    #[test]
-    fn g2_is_bipartite_with_person_sources() {
-        let r = registry();
-        let g2 = build_g2(&r);
-        assert_eq!(g2.node_count(), 6);
-        assert_eq!(g2.edge_count(), 4);
-        for v in g2.node_ids() {
-            if *g2.node(v) {
-                assert_eq!(g2.in_degree(v), 0, "person {v:?} must have indegree 0");
-            } else {
-                assert_eq!(g2.out_degree(v), 0, "company {v:?} must have outdegree 0");
-            }
-        }
-    }
-
-    #[test]
     fn person_syndicates_merge_kin() {
         let r = registry();
         let p = person_syndicates(&r);
@@ -451,14 +367,5 @@ mod tests {
             report.person_syndicate_count + report.company_syndicate_count
         );
         assert!(staged.graph.edge_count() >= report.influence_arcs);
-    }
-
-    #[test]
-    fn trading_graph_carries_volume() {
-        let r = registry();
-        let g4 = build_trading_graph(&r);
-        assert_eq!(g4.edge_count(), 1);
-        let e = g4.edges().next().unwrap();
-        assert_eq!(*e.weight, 10.0);
     }
 }

@@ -310,7 +310,7 @@ struct Header {
 /// [`SnapshotView::materialize`] cannot read out of bounds or panic on
 /// malformed input.  The buffer is copied once into aligned storage at
 /// parse time; all section views borrow it in place.
-pub struct SnapshotView {
+struct SnapshotView {
     buf: AlignedBuf,
     sections: Vec<Range<usize>>,
     header: Header,
@@ -318,7 +318,7 @@ pub struct SnapshotView {
 
 impl SnapshotView {
     /// Parses and validates a binary snapshot image.
-    pub fn parse(bytes: &[u8]) -> Result<SnapshotView, IoError> {
+    fn parse(bytes: &[u8]) -> Result<SnapshotView, IoError> {
         if bytes.len() < MAGIC.len() + 8 {
             return Err(bin_err("file shorter than preamble"));
         }
@@ -405,21 +405,6 @@ impl SnapshotView {
         let view = SnapshotView { header: h, ..view };
         view.validate_shapes()?;
         Ok(view)
-    }
-
-    /// Total bytes of the backing buffer (the whole snapshot image).
-    pub fn buffer_len(&self) -> usize {
-        self.buf.bytes().len()
-    }
-
-    /// TPIIN node count recorded in the header.
-    pub fn node_count(&self) -> usize {
-        self.header.nodes
-    }
-
-    /// Arc count recorded in the header.
-    pub fn edge_count(&self) -> usize {
-        self.header.edges
     }
 
     fn section_bytes(&self, i: usize) -> &[u8] {
@@ -565,7 +550,7 @@ impl SnapshotView {
     /// unescaping), arcs come straight from the columnar arrays (no
     /// number parsing) and the CSR is adopted from the stored lanes (no
     /// freeze counting sort).
-    pub fn materialize(&self) -> Result<Tpiin, IoError> {
+    fn materialize(&self) -> Result<Tpiin, IoError> {
         let h = &self.header;
         let arena = std::str::from_utf8(self.section_bytes(1))
             .map_err(|_| bin_err("label arena is not valid UTF-8"))?;
@@ -820,13 +805,5 @@ mod tests {
                 "header field {field} = MAX should be rejected"
             );
         }
-    }
-
-    #[test]
-    fn view_reports_buffer_len() {
-        let bytes = write_snapshot_bin(&fig7());
-        let view = SnapshotView::parse(&bytes).unwrap();
-        assert_eq!(view.buffer_len(), bytes.len());
-        assert_eq!(view.node_count(), fig7().node_count());
     }
 }

@@ -1,8 +1,16 @@
 //! Province-scale integration tests: the synthetic network of Section 5.1
-//! fused end-to-end, detector vs baseline at scale, Table 1 invariants.
+//! fused end-to-end, detector vs baseline at scale, Table 1 invariants,
+//! and exact counts pinned on fixed fixtures.
 
-use tpiin::datagen::{add_random_trading, generate_province, ProvinceConfig};
-use tpiin::detect::{detect, segment_tpiin, Detector, DetectorConfig};
+use tpiin::datagen::{
+    add_random_trading, fig7_registry, generate_mutation_stream, generate_nation_with,
+    generate_province, MutationStreamConfig, NationConfig, ProvinceConfig,
+};
+use tpiin::delta::DeltaEngine;
+use tpiin::detect::{
+    detect, segment_tpiin, Detector, DetectorConfig, MineContext, MinerRegistry, CIRCULAR_MINER,
+    RULES_MINER,
+};
 use tpiin::fusion::fuse;
 
 #[test]
@@ -181,4 +189,76 @@ fn edge_list_export_round_trips_arc_counts() {
     let trading_rows = listing.lines().filter(|l| l.ends_with("\t0")).count();
     assert_eq!(influence_rows, tpiin.influence_arc_count);
     assert_eq!(trading_rows, tpiin.trading_arc_count);
+}
+
+/// Exact counts on three fixed fixtures and one replayed feed.  They are
+/// pure functions of the generators, the fusion and the miners, so any
+/// drift is a behaviour change, however fast the new code is.
+#[test]
+fn fixture_counts_are_pinned() {
+    const SEED: u64 = 20170417;
+    let base = ProvinceConfig {
+        seed: SEED,
+        ..ProvinceConfig::scaled(0.1)
+    };
+    let mut province = generate_province(&base);
+    add_random_trading(&mut province, 0.004, SEED ^ 0x7ead);
+    // The nation's provinces are scaled like the province above; planted
+    // rings and control chains are capped at half a province's companies.
+    let nation_scaled = NationConfig::scaled(0.1);
+    let nation = generate_nation_with(&NationConfig {
+        planted_rings: nation_scaled.planted_rings.min(base.companies / 2),
+        control_chains: nation_scaled.control_chains.min(base.companies / 2),
+        base,
+        seed: SEED,
+        ..nation_scaled
+    });
+
+    // (name, registry, [nodes, influence arcs, trading arcs],
+    //  subTPIINs, rules groups, circular groups)
+    let fixtures = [
+        ("fig7", fig7_registry(), [15, 14, 5], 1, 3, 0),
+        ("province-0.1", province, [431, 655, 252], 4, 863, 0),
+        ("nation-0.1", nation, [1724, 2577, 1485], 17, 1412, 10),
+    ];
+    let ctx = MineContext::with_config(DetectorConfig {
+        threads: 1,
+        ..DetectorConfig::default()
+    });
+    let miners = MinerRegistry::with_defaults();
+    for (name, registry, arcs, subtpiins, rules, circular) in fixtures {
+        let (tpiin, report) = fuse(&registry).unwrap();
+        assert_eq!(
+            [
+                report.tpiin_nodes,
+                report.influence_arcs,
+                report.trading_arcs
+            ],
+            arcs,
+            "{name}: fused shape"
+        );
+        assert_eq!(segment_tpiin(&tpiin).len(), subtpiins, "{name}: subTPIINs");
+        for (miner, want) in [(RULES_MINER, rules), (CIRCULAR_MINER, circular)] {
+            let got = miners.get(miner).unwrap().mine(&tpiin, &ctx).group_count();
+            assert_eq!(got, want, "{name}: {miner} groups");
+        }
+    }
+
+    let config = MutationStreamConfig {
+        scale: 0.1,
+        batches: 12,
+        ..MutationStreamConfig::default()
+    };
+    assert_eq!((config.records_per_batch, config.planted_groups), (64, 3));
+    let stream = generate_mutation_stream(&config);
+    assert_eq!(stream.planted_at.len(), 3, "planted rings");
+    let mut engine = DeltaEngine::new(stream.base.clone()).unwrap();
+    for batch in &stream.batches {
+        engine.apply(batch).unwrap();
+    }
+    assert_eq!(
+        engine.detection().group_count(),
+        954,
+        "feed groups after 12 batches"
+    );
 }
