@@ -100,11 +100,14 @@ struct RootOutcome {
     overflowed: bool,
 }
 
+/// Mines one root in `tree`, the calling thread's arena for this mining
+/// call (rebuilt here for `root`).
 fn mine_root(
     sub: &SubTpiin,
     root: u32,
     config: &DetectorConfig,
     parent: Option<&SpanHandle>,
+    tree: &mut PatternsTree,
 ) -> RootOutcome {
     let mut out = RootOutcome::default();
     // Workers record under the orchestrating `detect` span via its
@@ -115,16 +118,16 @@ fn mine_root(
         Some(p) => Span::enter_under(p, "build_tree"),
         None => Span::at("detect/build_tree"),
     };
-    let tree = PatternsTree::build(sub, root, config.max_tree_nodes);
+    let fits = tree.build(sub, root, config.max_tree_nodes);
     drop(build_span);
-    let Some(tree) = tree else {
+    if !fits {
         out.overflowed = true;
         return out;
-    };
-    out.tree_nodes = tree.nodes.len();
-    out.patterns = tree.a_leaves.len() + tree.b_leaves.len();
+    }
+    out.tree_nodes = tree.node_count();
+    out.patterns = tree.a_leaves().len() + tree.b_leaves().len();
     let local = |v: u32| NodeId::from_index(v as usize);
-    match_root(sub, &tree, |view| {
+    match_root(tree, |view| {
         if !view.circle {
             if view.simple {
                 out.simple += 1;
@@ -350,15 +353,19 @@ impl Detector {
         result
     }
 
-    /// Mines `work` on the calling thread, in work order.
+    /// Mines `work` on the calling thread, in work order, in one tree
+    /// arena.
     fn mine_serial(
         &self,
         subs: &[SubTpiin],
         work: &[(usize, u32)],
         parent: Option<&SpanHandle>,
     ) -> Vec<RootOutcome> {
+        let mut tree = PatternsTree::new();
         work.iter()
-            .map(|&(sub_idx, root)| mine_root(&subs[sub_idx], root, &self.config, parent))
+            .map(|&(sub_idx, root)| {
+                mine_root(&subs[sub_idx], root, &self.config, parent, &mut tree)
+            })
             .collect()
     }
 
@@ -371,8 +378,9 @@ impl Detector {
     /// cheap tail shares deque entries.  Batches are dealt round-robin
     /// onto per-worker deques, so the expensive shards start immediately
     /// and spread across workers; what gets stolen is whole batches.
-    /// Per-worker counters (items, batches, steals, busy time) flow into
-    /// the metrics registry when profiling is on.
+    /// Each worker mines in its own tree arena.  Per-worker counters
+    /// (items, batches, steals, busy time) flow into the metrics registry
+    /// when profiling is on.
     fn mine_stealing(
         &self,
         subs: &[SubTpiin],
@@ -412,6 +420,7 @@ impl Detector {
                 let (collected, stealers, batches) = (&collected, &stealers, &batches);
                 scope.spawn(move |_| {
                     let mut local: Vec<(usize, RootOutcome)> = Vec::new();
+                    let mut tree = PatternsTree::new();
                     let profiling = tpiin_obs::profiling_enabled();
                     let mut stats = ThreadStats {
                         thread: thread_index,
@@ -428,7 +437,8 @@ impl Detector {
                         for &item in &batches[batch] {
                             let (sub_idx, root) = work[item];
                             let started = profiling.then(std::time::Instant::now);
-                            let outcome = mine_root(&subs[sub_idx], root, config, parent);
+                            let outcome =
+                                mine_root(&subs[sub_idx], root, config, parent, &mut tree);
                             if let Some(started) = started {
                                 stats.busy_ns += started.elapsed().as_nanos() as u64;
                             }
@@ -545,7 +555,7 @@ pub struct ShardOutcome {
 /// local coordinates (see [`ShardOutcome`]).  Groups are always collected
 /// regardless of `config.collect_groups`, and `max_tree_nodes` applies
 /// per root exactly as in [`Detector::detect`]: this is the detector's
-/// serial path restricted to one shard.
+/// serial path restricted to one shard, one tree arena for all its roots.
 pub fn mine_shard(sub: &SubTpiin, config: &DetectorConfig) -> ShardOutcome {
     if sub.trading_arc_count == 0 {
         return ShardOutcome::default();
@@ -554,8 +564,10 @@ pub fn mine_shard(sub: &SubTpiin, config: &DetectorConfig) -> ShardOutcome {
         collect_groups: true,
         ..*config
     };
+    let mut tree = PatternsTree::new();
     fold_roots(
-        sub.roots().map(|root| mine_root(sub, root, &config, None)),
+        sub.roots()
+            .map(|root| mine_root(sub, root, &config, None, &mut tree)),
         config.collect_groups,
     )
 }

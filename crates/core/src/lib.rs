@@ -66,7 +66,7 @@ pub use query::groups_behind_arc;
 pub use result::{DetectionResult, GroupKind, SubTpiinStats, SuspiciousGroup};
 pub use stats::{top_involved, Involvement};
 pub use subtpiin::{segment_one, segment_tpiin, subtpiin_from_arcs, SubTpiin};
-pub use tree::{PatternsTree, TreeNode};
+pub use tree::{PatternsTree, TradingLeaf};
 
 /// The global traversal baseline (Section 5.1).
 pub mod baseline {

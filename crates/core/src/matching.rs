@@ -14,9 +14,16 @@
 //! when the trading target already lies on the walk's own prefix; the
 //! full walk is then not a simple trail, so the circle is the only group
 //! extracted from it.
+//!
+//! Matching reads the tree arena of [`crate::tree`] as built: a type-(b)
+//! leaf's partners are the `next` chain hanging off its target's `head`,
+//! walked in ascending tree-node order, and both trails are written in
+//! place into two buffers the arena keeps, so emission order is a pure
+//! function of the tree and a match costs no allocation.  The caller
+//! copies out only the groups it keeps.
 
-use crate::subtpiin::SubTpiin;
 use crate::tree::PatternsTree;
+use std::collections::HashSet;
 
 /// A borrowed view of one discovered group in subTPIIN-local node ids.
 /// Buffers are reused across emissions; clone what you keep.
@@ -37,23 +44,26 @@ pub struct LocalGroupView<'a> {
     pub simple: bool,
 }
 
-/// Matches all component patterns of one root's `tree`, invoking `emit`
-/// once per suspicious group.
+/// Matches all component patterns of the root `tree` was last built for,
+/// invoking `emit` once per suspicious group, in order: per type-(b) leaf
+/// in discovery order, its circle or its pairings with the influence
+/// trails to its target in ascending tree-node order.
 ///
 /// Circle groups are deduplicated within the tree (the same circle is
 /// reachable through every prefix leading into it); cross-root circle
 /// deduplication is the detector's job, since identical circles appear
 /// under every root that reaches them.
-pub fn match_root(sub: &SubTpiin, tree: &PatternsTree, mut emit: impl FnMut(LocalGroupView<'_>)) {
-    let _ = sub; // adjacency already baked into the tree; kept for symmetry
+///
+/// Both trails are written into the tree's two reused buffers, so a
+/// match allocates nothing; the only allocation here is the dedup key of
+/// a circle seen for the first time.
+pub fn match_root(tree: &mut PatternsTree, mut emit: impl FnMut(LocalGroupView<'_>)) {
     let _span = tpiin_obs::Span::at("detect/match_patterns");
-    let mut prefix: Vec<u32> = Vec::new();
-    let mut plain: Vec<u32> = Vec::new();
-    let mut seen_circles: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
+    let [mut prefix, mut plain] = std::mem::take(&mut tree.trails);
+    let mut seen_circles: HashSet<Vec<u32>> = HashSet::new();
 
-    for leaf in &tree.b_leaves {
-        prefix.clear();
-        prefix.extend(tree.trail(leaf.tree_node));
+    for leaf in tree.b_leaves() {
+        tree.trail_into(leaf.tree_node, &mut prefix);
         let target = leaf.target;
         let trade_source = *prefix.last().expect("trail always contains the root");
 
@@ -84,12 +94,8 @@ pub fn match_root(sub: &SubTpiin, tree: &PatternsTree, mut emit: impl FnMut(Loca
         }
 
         // Regular matching: every distinct influence trail root -> target.
-        let Some(endpoints) = tree.endpoints.get(&target) else {
-            continue;
-        };
-        for &u in endpoints {
-            plain.clear();
-            plain.extend(tree.trail(u));
+        for u in tree.endpoints(target) {
+            tree.trail_into(u, &mut plain);
             // Interiors: prefix[1..] vs plain[1..len-1].
             let p_int = &prefix[1..];
             let q_int = &plain[1..plain.len().saturating_sub(1)];
@@ -104,20 +110,21 @@ pub fn match_root(sub: &SubTpiin, tree: &PatternsTree, mut emit: impl FnMut(Loca
             });
         }
     }
+    tree.trails = [prefix, plain];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subtpiin::subtpiin_from_arcs;
-    use crate::tree::PatternsTree;
+    use crate::subtpiin::{subtpiin_from_arcs, SubTpiin};
 
     type Found = (Vec<u32>, u32, Vec<u32>, bool, bool);
 
     fn collect(sub: &SubTpiin, root: u32) -> Vec<Found> {
-        let tree = PatternsTree::build(sub, root, usize::MAX).unwrap();
+        let mut tree = PatternsTree::new();
+        assert!(tree.build(sub, root, usize::MAX));
         let mut out = Vec::new();
-        match_root(sub, &tree, |g| {
+        match_root(&mut tree, |g| {
             out.push((
                 g.prefix.to_vec(),
                 g.target,

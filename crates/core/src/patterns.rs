@@ -49,30 +49,30 @@ pub fn generate_pattern_base(
     max_tree_nodes: usize,
 ) -> Option<Vec<ComponentPattern>> {
     let mut base = Vec::new();
-    let order = listd_order(sub);
-    for &v in &order {
+    let mut tree = PatternsTree::new();
+    let mut trail = Vec::new();
+    for &v in &listd_order(sub) {
         if sub.influence_in_degree[v as usize] != 0 {
             continue;
         }
-        let tree = PatternsTree::build(sub, v, max_tree_nodes)?;
+        if !tree.build(sub, v, max_tree_nodes) {
+            return None;
+        }
         // Interleave a/b leaves in discovery order: reconstruct by walking
         // leaves in tree-node order (a-leaves keyed by their tree node,
         // b-leaves by theirs).
         let mut tagged: Vec<(u32, usize, Option<u32>)> = Vec::new();
-        for (i, &a) in tree.a_leaves.iter().enumerate() {
+        for (i, &a) in tree.a_leaves().iter().enumerate() {
             tagged.push((a, i, None));
         }
-        for (i, leaf) in tree.b_leaves.iter().enumerate() {
+        for (i, leaf) in tree.b_leaves().iter().enumerate() {
             tagged.push((leaf.tree_node, i, Some(leaf.target)));
         }
         tagged.sort_by_key(|&(t, i, ref target)| (t, target.is_some(), i));
         for (t, _, target) in tagged {
+            tree.trail_into(t, &mut trail);
             base.push(ComponentPattern {
-                nodes: tree
-                    .trail(t)
-                    .into_iter()
-                    .map(|l| sub.global[l as usize])
-                    .collect(),
+                nodes: trail.iter().map(|&l| sub.global[l as usize]).collect(),
                 trading_target: target.map(|c| sub.global[c as usize]),
             });
         }

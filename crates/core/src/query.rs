@@ -13,7 +13,7 @@ use crate::matching::match_root;
 use crate::result::{GroupKind, SuspiciousGroup};
 use crate::subtpiin::SubTpiin;
 use crate::tree::PatternsTree;
-use tpiin_fusion::{ArcColor, Tpiin};
+use tpiin_fusion::{ArcColor, Tpiin, INFLUENCE_LANE};
 use tpiin_graph::NodeId;
 
 /// Influence-ancestors of `start` (including `start`), via reverse BFS.
@@ -63,38 +63,36 @@ pub fn groups_behind_arc(tpiin: &Tpiin, seller: NodeId, buyer: NodeId) -> Vec<Su
     for (local, &g) in keep.iter().enumerate() {
         local_of[g.index()] = local as u32;
     }
-
+    let (seller_local, buyer_local) = (local_of[seller.index()], local_of[buyer.index()]);
+    let csr = tpiin.csr();
     let n = keep.len();
-    let mut influence_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (local, &g) in keep.iter().enumerate() {
-        for e in tpiin.graph.out_edges(g) {
-            if e.weight.color != ArcColor::Influence {
-                continue;
-            }
-            let t = local_of[e.target.index()];
-            if t != u32::MAX {
-                influence_out[local].push(t);
-            }
-        }
-    }
-    let mut trading_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    trading_out[local_of[seller.index()] as usize].push(local_of[buyer.index()]);
-    let sub = SubTpiin::from_adjacency(
+    let sub = SubTpiin::pack(
         0,
         keep,
-        &influence_out,
-        &trading_out,
         vec![false; n], // node colors are not needed for matching
+        |_, g| {
+            csr.out(INFLUENCE_LANE, g.index() as u32)
+                .iter()
+                .map(|&t| local_of[t as usize])
+                .filter(|&t| t != u32::MAX)
+        },
+        |l, _| {
+            (l as u32 == seller_local)
+                .then_some(buyer_local)
+                .into_iter()
+        },
     );
 
     let mut groups = Vec::new();
     let mut seen_circles: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
-    let roots: Vec<u32> = sub.roots().collect();
-    for root in roots {
-        let tree = PatternsTree::build(&sub, root, usize::MAX)
-            .expect("ancestor-restricted tree stays small");
-        let to_global = |v: u32| sub.global[v as usize];
-        match_root(&sub, &tree, |view| {
+    let mut tree = PatternsTree::new();
+    let to_global = |v: u32| sub.global[v as usize];
+    for root in sub.roots() {
+        assert!(
+            tree.build(&sub, root, usize::MAX),
+            "an unbounded tree cannot overflow"
+        );
+        match_root(&mut tree, |view| {
             if view.circle && !seen_circles.insert(view.prefix.to_vec()) {
                 return;
             }

@@ -8,8 +8,10 @@
 //!
 //! Segmentation reads the TPIIN's frozen CSR lanes ([`Tpiin::csr`])
 //! directly — the weak components come off the influence lane, and each
-//! shard's adjacency is re-packed into local CSR arrays so the tree DFS
-//! of Algorithm 2 walks contiguous slices.
+//! shard's adjacency is packed from the lanes straight into local CSR
+//! arrays (count, prefix-sum, fill) so the tree DFS of Algorithm 2 walks
+//! contiguous slices.  One packer serves [`segment_tpiin`],
+//! [`segment_one`] and the per-arc query ([`crate::groups_behind_arc`]).
 
 use tpiin_fusion::{NodeColor, Tpiin, INFLUENCE_LANE, TRADING_LANE};
 use tpiin_graph::NodeId;
@@ -43,7 +45,9 @@ pub struct SubTpiin {
 impl SubTpiin {
     /// Packs per-node adjacency lists into a [`SubTpiin`], computing
     /// influence in-degrees and the trading-arc count.  Neighbor order
-    /// within each node is preserved.
+    /// within each node is preserved.  The entry point for hand-built
+    /// shards ([`subtpiin_from_arcs`], tests); segmentation packs
+    /// straight from the network's CSR lanes.
     pub fn from_adjacency(
         index: usize,
         global: Vec<NodeId>,
@@ -51,22 +55,35 @@ impl SubTpiin {
         trading_out: &[Vec<u32>],
         is_person: Vec<bool>,
     ) -> SubTpiin {
-        let n = global.len();
-        assert_eq!(influence_out.len(), n);
-        assert_eq!(trading_out.len(), n);
-        let pack = |adj: &[Vec<u32>]| -> (Vec<u32>, Vec<u32>) {
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut targets = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-            offsets.push(0);
-            for list in adj {
-                targets.extend_from_slice(list);
-                offsets.push(targets.len() as u32);
-            }
-            (offsets, targets)
-        };
-        let (influence_offsets, influence_targets) = pack(influence_out);
-        let (trading_offsets, trading_targets) = pack(trading_out);
-        let mut influence_in_degree = vec![0u32; n];
+        assert_eq!(influence_out.len(), global.len());
+        assert_eq!(trading_out.len(), global.len());
+        SubTpiin::pack(
+            index,
+            global,
+            is_person,
+            |l, _| influence_out[l].iter().copied(),
+            |l, _| trading_out[l].iter().copied(),
+        )
+    }
+
+    /// The one shard packer.  `influence(l, g)` / `trading(l, g)` yield
+    /// the out-neighbours, in local ids, of local node `l` (global node
+    /// `g = global[l]`); each lane is laid out directly as CSR — count,
+    /// prefix-sum, fill — with no per-node list in between.
+    pub(crate) fn pack<I, T>(
+        index: usize,
+        global: Vec<NodeId>,
+        is_person: Vec<bool>,
+        influence: impl Fn(usize, NodeId) -> I,
+        trading: impl Fn(usize, NodeId) -> T,
+    ) -> SubTpiin
+    where
+        I: Iterator<Item = u32>,
+        T: Iterator<Item = u32>,
+    {
+        let (influence_offsets, influence_targets) = pack_lane(&global, influence);
+        let (trading_offsets, trading_targets) = pack_lane(&global, trading);
+        let mut influence_in_degree = vec![0u32; global.len()];
         for &t in &influence_targets {
             influence_in_degree[t as usize] += 1;
         }
@@ -130,6 +147,58 @@ impl SubTpiin {
     }
 }
 
+/// One CSR lane of [`SubTpiin::pack`]: a counting pass fixes the
+/// offsets (a running prefix sum) and the exact target capacity, a second
+/// pass fills the targets in node order.
+fn pack_lane<I: Iterator<Item = u32>>(
+    global: &[NodeId],
+    out: impl Fn(usize, NodeId) -> I,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = Vec::with_capacity(global.len() + 1);
+    offsets.push(0u32);
+    let mut total = 0u32;
+    for (l, &g) in global.iter().enumerate() {
+        total += out(l, g).count() as u32;
+        offsets.push(total);
+    }
+    let mut targets = Vec::with_capacity(total as usize);
+    for (l, &g) in global.iter().enumerate() {
+        targets.extend(out(l, g));
+    }
+    (offsets, targets)
+}
+
+/// Packs the antecedent component over `members` (ascending global ids)
+/// from the network's CSR lanes: every influence arc (none leaves a weak
+/// antecedent component) and the trading arcs whose target is `inside`.
+/// `local_of` maps each member to its position in `members`.
+fn pack_component(
+    tpiin: &Tpiin,
+    index: usize,
+    members: Vec<NodeId>,
+    local_of: &[u32],
+    inside: impl Fn(u32) -> bool,
+) -> SubTpiin {
+    let csr = tpiin.csr();
+    let local = |&t: &u32| local_of[t as usize];
+    let is_person = members
+        .iter()
+        .map(|&g| tpiin.color(g) == NodeColor::Person)
+        .collect();
+    SubTpiin::pack(
+        index,
+        members,
+        is_person,
+        |_, g| csr.out(INFLUENCE_LANE, g.index() as u32).iter().map(local),
+        |_, g| {
+            csr.out(TRADING_LANE, g.index() as u32)
+                .iter()
+                .filter(|&&t| inside(t))
+                .map(local)
+        },
+    )
+}
+
 /// Segments `tpiin` into its subTPIINs (Algorithm 1 steps 1–6), reading
 /// the frozen CSR lanes.
 ///
@@ -144,48 +213,27 @@ pub fn segment_tpiin(tpiin: &Tpiin) -> Vec<SubTpiin> {
     // Weak components of the *antecedent* network only: the influence lane.
     let (labels, count) = csr.weak_components(INFLUENCE_LANE);
 
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); count];
-    for v in 0..n {
-        members[labels[v] as usize].push(NodeId::from_index(v));
+    let mut sizes = vec![0usize; count];
+    for &c in &labels {
+        sizes[c as usize] += 1;
     }
-
-    // Map global node -> local id within its component.
-    let mut local_of = vec![u32::MAX; n];
-    for comp in &members {
-        for (local, &g) in comp.iter().enumerate() {
-            local_of[g.index()] = local as u32;
-        }
+    let mut members: Vec<Vec<NodeId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    // Global node -> local id within its component.
+    let mut local_of = vec![0u32; n];
+    for (v, &c) in labels.iter().enumerate() {
+        let comp = &mut members[c as usize];
+        local_of[v] = comp.len() as u32;
+        comp.push(NodeId::from_index(v));
     }
 
     members
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, comp)| {
-            let m = comp.len();
-            let mut influence_out: Vec<Vec<u32>> = vec![Vec::new(); m];
-            let mut trading_out: Vec<Vec<u32>> = vec![Vec::new(); m];
-            for (local, &g) in comp.iter().enumerate() {
-                let gv = g.index() as u32;
-                // Influence arcs never leave a weak antecedent component.
-                for &t in csr.out(INFLUENCE_LANE, gv) {
-                    influence_out[local].push(local_of[t as usize]);
-                }
-                // Trading arcs crossing components are unsuspicious: skip.
-                for &t in csr.out(TRADING_LANE, gv) {
-                    if labels[t as usize] == labels[g.index()] {
-                        trading_out[local].push(local_of[t as usize]);
-                    }
-                }
-            }
-            SubTpiin::from_adjacency(
-                i,
-                comp.clone(),
-                &influence_out,
-                &trading_out,
-                comp.iter()
-                    .map(|&g| tpiin.color(g) == NodeColor::Person)
-                    .collect(),
-            )
+            // Trading arcs crossing components are unsuspicious: skip.
+            pack_component(tpiin, i, comp, &local_of, |t| {
+                labels[t as usize] == i as u32
+            })
         })
         .collect()
 }
@@ -202,35 +250,13 @@ pub fn segment_tpiin(tpiin: &Tpiin) -> Vec<SubTpiin> {
 /// skipped, just as global segmentation skips them.  The result is the
 /// [`SubTpiin`] that `segment_tpiin(tpiin)[index]` would produce.
 pub fn segment_one(tpiin: &Tpiin, index: usize, members: Vec<NodeId>) -> SubTpiin {
-    let csr = tpiin.csr();
-    let mut local_of = vec![u32::MAX; csr.node_count()];
+    let mut local_of = vec![u32::MAX; tpiin.node_count()];
     for (local, &g) in members.iter().enumerate() {
         local_of[g.index()] = local as u32;
     }
-    let m = members.len();
-    let mut influence_out: Vec<Vec<u32>> = vec![Vec::new(); m];
-    let mut trading_out: Vec<Vec<u32>> = vec![Vec::new(); m];
-    for (local, &g) in members.iter().enumerate() {
-        let gv = g.index() as u32;
-        for &t in csr.out(INFLUENCE_LANE, gv) {
-            debug_assert_ne!(
-                local_of[t as usize],
-                u32::MAX,
-                "influence arcs never leave a weak antecedent component"
-            );
-            influence_out[local].push(local_of[t as usize]);
-        }
-        for &t in csr.out(TRADING_LANE, gv) {
-            if local_of[t as usize] != u32::MAX {
-                trading_out[local].push(local_of[t as usize]);
-            }
-        }
-    }
-    let is_person = members
-        .iter()
-        .map(|&g| tpiin.color(g) == NodeColor::Person)
-        .collect();
-    SubTpiin::from_adjacency(index, members, &influence_out, &trading_out, is_person)
+    pack_component(tpiin, index, members, &local_of, |t| {
+        local_of[t as usize] != u32::MAX
+    })
 }
 
 /// Builds a single [`SubTpiin`] directly from explicit arc lists — a

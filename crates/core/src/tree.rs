@@ -7,21 +7,23 @@
 //! producing a *type-(b)* leaf (`InOT-FTAOP` walk).  A trail whose tip has
 //! no outgoing arcs at all is a *type-(a)* leaf (Rule 1, `InOT-OutOSP`
 //! walk).
+//!
+//! [`PatternsTree`] is a reusable arena, not a per-root value: a mining
+//! call owns one and rebuilds it in place for every root it mines, so
+//! once the arena has grown to the call's largest tree, building a tree
+//! allocates nothing.  Tree nodes live in flat `node`/`parent`/`depth`
+//! columns.  The endpoint index the matcher probes — which tree nodes end
+//! at a given local node — is a `next` chain per tree node hanging off a
+//! `head` per local node: `head` is sized to the shard, and only the
+//! current tree's tips are ever set, so the next build resets it by
+//! walking the old tree's nodes instead of clearing the array.  A trail
+//! is written into the caller's buffer ([`PatternsTree::trail_into`]),
+//! never returned as a fresh `Vec`.
 
 use crate::subtpiin::SubTpiin;
-use std::collections::HashMap;
 
-/// One node of a patterns tree: a trail from the root ending at
-/// `local_node`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TreeNode {
-    /// Local subTPIIN node at the tip of the trail.
-    pub local_node: u32,
-    /// Parent tree node, or `u32::MAX` for the root.
-    pub parent: u32,
-    /// Trail length in arcs (root has depth 0).
-    pub depth: u32,
-}
+/// End of a chain, and the parent of the root.
+const NONE: u32 = u32::MAX;
 
 /// A type-(b) leaf: the trail of `tree_node` extended by one trading arc
 /// into `target`.
@@ -34,110 +36,146 @@ pub struct TradingLeaf {
 }
 
 /// The patterns tree of one root (Fig. 9), with its type-(a)/(b) leaves
-/// and an index of trail endpoints used by the matcher.
-#[derive(Clone, Debug)]
+/// and an index of trail endpoints used by the matcher — as an arena
+/// that [`PatternsTree::build`] refills for each root.
+///
+/// Tree nodes are numbered in DFS discovery order; node 0 is the root.
+#[derive(Debug, Default)]
 pub struct PatternsTree {
-    /// The root's local node id.
-    pub root: u32,
-    /// All tree nodes in DFS discovery order; index 0 is the root.
-    pub nodes: Vec<TreeNode>,
-    /// Rule-1 leaves (`InOT-OutOSP` walks), in discovery order.
-    pub a_leaves: Vec<u32>,
-    /// Rule-2 leaves (`InOT-FTAOP` walks), in discovery order.
-    pub b_leaves: Vec<TradingLeaf>,
-    /// For each local node, the tree nodes whose trail ends there.
-    pub endpoints: HashMap<u32, Vec<u32>>,
+    /// Local subTPIIN node at the tip of each tree node's trail.
+    node: Vec<u32>,
+    /// Parent tree node, or [`NONE`] for the root.
+    parent: Vec<u32>,
+    /// Trail length in arcs (the root has depth 0).
+    depth: Vec<u32>,
+    a_leaves: Vec<u32>,
+    b_leaves: Vec<TradingLeaf>,
+    /// Per tree node: the next tree node whose trail ends at the same
+    /// local node, in ascending order; [`NONE`] ends the chain.
+    next: Vec<u32>,
+    /// Per local node: the first tree node whose trail ends there.
+    /// Sized to the largest shard seen; [`NONE`] everywhere except at the
+    /// tips of the tree last built.
+    head: Vec<u32>,
+    /// DFS stack.
+    stack: Vec<u32>,
+    /// The two trail buffers [`crate::match_root`] writes into, kept here
+    /// so they are reused across roots as well as leaves.
+    pub(crate) trails: [Vec<u32>; 2],
 }
 
 impl PatternsTree {
-    /// Builds the patterns tree for `root` by iterative DFS over the
-    /// influence arcs of `sub` (Algorithm 2 steps 4–16).
+    /// An empty arena.
+    pub fn new() -> PatternsTree {
+        PatternsTree::default()
+    }
+
+    /// Builds the patterns tree for `root` of `sub` by iterative DFS over
+    /// the influence arcs (Algorithm 2 steps 4–16), replacing whatever
+    /// tree the arena held.
     ///
     /// `max_nodes` bounds the tree size as a safeguard against
     /// pathologically dense antecedent DAGs, whose trail count can grow
-    /// exponentially; `None` on overflow.  The paper's province-scale
-    /// networks stay far below any practical bound.
-    pub fn build(sub: &SubTpiin, root: u32, max_nodes: usize) -> Option<PatternsTree> {
-        let mut tree = PatternsTree {
-            root,
-            nodes: vec![TreeNode {
-                local_node: root,
-                parent: u32::MAX,
-                depth: 0,
-            }],
-            a_leaves: Vec::new(),
-            b_leaves: Vec::new(),
-            endpoints: HashMap::new(),
-        };
-        tree.endpoints.entry(root).or_default().push(0);
+    /// exponentially; returns `false` on overflow, after which the arena
+    /// holds no usable tree until the next build.  The paper's
+    /// province-scale networks stay far below any practical bound.
+    #[must_use]
+    pub fn build(&mut self, sub: &SubTpiin, root: u32, max_nodes: usize) -> bool {
+        for &v in &self.node {
+            self.head[v as usize] = NONE;
+        }
+        if self.head.len() < sub.node_count() {
+            self.head.resize(sub.node_count(), NONE);
+        }
+        self.node.clear();
+        self.parent.clear();
+        self.depth.clear();
+        self.a_leaves.clear();
+        self.b_leaves.clear();
+        self.node.push(root);
+        self.parent.push(NONE);
+        self.depth.push(0);
 
         // DFS over tree nodes; each expansion appends children.
-        let mut stack: Vec<u32> = vec![0];
-        while let Some(t) = stack.pop() {
-            let v = tree.nodes[t as usize].local_node;
+        self.stack.clear();
+        self.stack.push(0);
+        while let Some(t) = self.stack.pop() {
+            let v = self.node[t as usize];
             let influence = sub.influence(v);
             let trading = sub.trading(v);
             // Rule 2: every outgoing trading arc ends one walk here.
-            for &c in trading {
-                tree.b_leaves.push(TradingLeaf {
-                    tree_node: t,
-                    target: c,
-                });
-            }
+            self.b_leaves.extend(trading.iter().map(|&c| TradingLeaf {
+                tree_node: t,
+                target: c,
+            }));
             if influence.is_empty() {
                 if trading.is_empty() {
                     // Rule 1: outdegree-zero tip.
-                    tree.a_leaves.push(t);
+                    self.a_leaves.push(t);
                 }
                 continue;
             }
-            let depth = tree.nodes[t as usize].depth + 1;
+            let depth = self.depth[t as usize] + 1;
             for &w in influence {
-                if tree.nodes.len() >= max_nodes {
-                    return None;
+                if self.node.len() >= max_nodes {
+                    return false;
                 }
-                let child = tree.nodes.len() as u32;
-                tree.nodes.push(TreeNode {
-                    local_node: w,
-                    parent: t,
-                    depth,
-                });
-                tree.endpoints.entry(w).or_default().push(child);
-                stack.push(child);
+                self.stack.push(self.node.len() as u32);
+                self.node.push(w);
+                self.parent.push(t);
+                self.depth.push(depth);
             }
         }
-        Some(tree)
-    }
 
-    /// The trail of tree node `t`, as local node ids from the root to the
-    /// tip.
-    pub fn trail(&self, t: u32) -> Vec<u32> {
-        let mut nodes = Vec::with_capacity(self.nodes[t as usize].depth as usize + 1);
-        let mut cur = t;
-        loop {
-            let n = self.nodes[cur as usize];
-            nodes.push(n.local_node);
-            if n.parent == u32::MAX {
-                break;
-            }
-            cur = n.parent;
+        // Chain the endpoints back to front, so each chain ascends.
+        self.next.clear();
+        self.next.resize(self.node.len(), NONE);
+        for t in (0..self.node.len()).rev() {
+            let v = self.node[t] as usize;
+            self.next[t] = self.head[v];
+            self.head[v] = t as u32;
         }
-        nodes.reverse();
-        nodes
+        true
     }
 
-    /// Whether local node `node` lies on the trail of tree node `t`.
-    pub fn trail_contains(&self, t: u32, node: u32) -> bool {
+    /// Number of tree nodes, i.e. of trails from the root.
+    pub fn node_count(&self) -> usize {
+        self.node.len()
+    }
+
+    /// Local subTPIIN node at the tip of tree node `t`'s trail.
+    pub fn local_node(&self, t: u32) -> u32 {
+        self.node[t as usize]
+    }
+
+    /// Rule-1 leaves (`InOT-OutOSP` walks), in discovery order.
+    pub fn a_leaves(&self) -> &[u32] {
+        &self.a_leaves
+    }
+
+    /// Rule-2 leaves (`InOT-FTAOP` walks), in discovery order.
+    pub fn b_leaves(&self) -> &[TradingLeaf] {
+        &self.b_leaves
+    }
+
+    /// The tree nodes whose trail ends at local node `v`, ascending.
+    pub fn endpoints(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = self.head[v as usize];
+        std::iter::successors((first != NONE).then_some(first), |&t| {
+            let next = self.next[t as usize];
+            (next != NONE).then_some(next)
+        })
+    }
+
+    /// Writes the trail of tree node `t` into `trail`, as local node ids
+    /// from the root to the tip, replacing its contents.
+    pub fn trail_into(&self, t: u32, trail: &mut Vec<u32>) {
+        trail.clear();
+        trail.resize(self.depth[t as usize] as usize + 1, 0);
         let mut cur = t;
-        loop {
-            let n = self.nodes[cur as usize];
-            if n.local_node == node {
-                return true;
-            }
-            if n.parent == u32::MAX {
-                return false;
-            }
-            cur = n.parent;
+        for slot in trail.iter_mut().rev() {
+            *slot = self.node[cur as usize];
+            cur = self.parent[cur as usize];
         }
     }
 }
@@ -158,15 +196,30 @@ mod tests {
         )
     }
 
+    fn built(sub: &SubTpiin, root: u32) -> PatternsTree {
+        let mut tree = PatternsTree::new();
+        assert!(tree.build(sub, root, usize::MAX));
+        tree
+    }
+
+    fn trail(tree: &PatternsTree, t: u32) -> Vec<u32> {
+        let mut out = vec![99; 7]; // stale contents must be replaced
+        tree.trail_into(t, &mut out);
+        out
+    }
+
+    fn trails(tree: &PatternsTree) -> Vec<Vec<u32>> {
+        (0..tree.node_count() as u32)
+            .map(|t| trail(tree, t))
+            .collect()
+    }
+
     #[test]
     fn enumerates_all_trails_from_root() {
-        let sub = diamond_sub();
-        let tree = PatternsTree::build(&sub, 0, usize::MAX).unwrap();
+        let tree = built(&diamond_sub(), 0);
         // Trails: [0], [0,1], [0,1,2], [0,3].
-        assert_eq!(tree.nodes.len(), 4);
-        let trails: Vec<Vec<u32>> = (0..tree.nodes.len() as u32)
-            .map(|t| tree.trail(t))
-            .collect();
+        assert_eq!(tree.node_count(), 4);
+        let trails = trails(&tree);
         assert!(trails.contains(&vec![0]));
         assert!(trails.contains(&vec![0, 1, 2]));
         assert!(trails.contains(&vec![0, 3]));
@@ -174,28 +227,23 @@ mod tests {
 
     #[test]
     fn trading_arcs_terminate_walks_rule2() {
-        let sub = diamond_sub();
-        let tree = PatternsTree::build(&sub, 0, usize::MAX).unwrap();
-        assert_eq!(tree.b_leaves.len(), 1);
-        let leaf = tree.b_leaves[0];
-        assert_eq!(tree.nodes[leaf.tree_node as usize].local_node, 2);
+        let tree = built(&diamond_sub(), 0);
+        assert_eq!(tree.b_leaves().len(), 1);
+        let leaf = tree.b_leaves()[0];
+        assert_eq!(tree.local_node(leaf.tree_node), 2);
         assert_eq!(leaf.target, 3);
         // The walk does not continue past the trading arc: no tree node's
         // trail passes "through" node 3 onto further arcs (3 has none here,
         // but the trail [0,1,2,3] must not exist either).
-        let trails: Vec<Vec<u32>> = (0..tree.nodes.len() as u32)
-            .map(|t| tree.trail(t))
-            .collect();
-        assert!(!trails.contains(&vec![0, 1, 2, 3]));
+        assert!(!trails(&tree).contains(&vec![0, 1, 2, 3]));
     }
 
     #[test]
     fn outdegree_zero_tips_are_a_leaves_rule1() {
-        let sub = diamond_sub();
-        let tree = PatternsTree::build(&sub, 0, usize::MAX).unwrap();
+        let tree = built(&diamond_sub(), 0);
         // [0,3] ends at node 3 (no outgoing arcs): type (a).
-        assert_eq!(tree.a_leaves.len(), 1);
-        assert_eq!(tree.trail(tree.a_leaves[0]), vec![0, 3]);
+        assert_eq!(tree.a_leaves().len(), 1);
+        assert_eq!(trail(&tree, tree.a_leaves()[0]), vec![0, 3]);
     }
 
     #[test]
@@ -207,47 +255,35 @@ mod tests {
             &[(1, 3)],
             vec![true, false, false, false],
         );
-        let tree = PatternsTree::build(&sub, 0, usize::MAX).unwrap();
+        let tree = built(&sub, 0);
         // b-leaf at trail [0,1] -> 3, and influence continues to [0,1,2].
-        assert_eq!(tree.b_leaves.len(), 1);
-        assert_eq!(tree.trail(tree.b_leaves[0].tree_node), vec![0, 1]);
-        let trails: Vec<Vec<u32>> = (0..tree.nodes.len() as u32)
-            .map(|t| tree.trail(t))
-            .collect();
-        assert!(trails.contains(&vec![0, 1, 2]));
+        assert_eq!(tree.b_leaves().len(), 1);
+        assert_eq!(trail(&tree, tree.b_leaves()[0].tree_node), vec![0, 1]);
+        assert!(trails(&tree).contains(&vec![0, 1, 2]));
         // [0,1,2] is an a-leaf (2 has no out-arcs).
-        assert_eq!(tree.a_leaves.len(), 1);
+        assert_eq!(tree.a_leaves().len(), 1);
     }
 
     #[test]
     fn endpoints_index_tracks_every_trail_tip() {
-        let sub = diamond_sub();
-        let tree = PatternsTree::build(&sub, 0, usize::MAX).unwrap();
-        assert_eq!(tree.endpoints[&0], vec![0]);
-        assert_eq!(tree.endpoints[&3].len(), 1);
-        assert_eq!(tree.trail(tree.endpoints[&3][0]), vec![0, 3]);
-    }
-
-    #[test]
-    fn trail_contains_walks_ancestors() {
-        let sub = diamond_sub();
-        let tree = PatternsTree::build(&sub, 0, usize::MAX).unwrap();
-        let tip = tree.endpoints[&2][0];
-        assert!(tree.trail_contains(tip, 0));
-        assert!(tree.trail_contains(tip, 1));
-        assert!(tree.trail_contains(tip, 2));
-        assert!(!tree.trail_contains(tip, 3));
+        let tree = built(&diamond_sub(), 0);
+        assert_eq!(tree.endpoints(0).collect::<Vec<_>>(), vec![0]);
+        let tips: Vec<u32> = tree.endpoints(3).collect();
+        assert_eq!(tips.len(), 1);
+        assert_eq!(trail(&tree, tips[0]), vec![0, 3]);
     }
 
     #[test]
     fn max_nodes_bound_aborts_cleanly() {
         let sub = diamond_sub();
-        assert!(PatternsTree::build(&sub, 0, 2).is_none());
-        assert!(PatternsTree::build(&sub, 0, 4).is_some());
+        let mut tree = PatternsTree::new();
+        assert!(!tree.build(&sub, 0, 2));
+        assert!(tree.build(&sub, 0, 4));
+        assert_eq!(tree.node_count(), 4);
     }
 
     #[test]
-    fn multiple_distinct_trails_to_one_node_are_kept_separately() {
+    fn multiple_distinct_trails_to_one_node_chain_in_ascending_order() {
         // 0->1->3, 0->2->3: two trails end at 3.
         let sub = subtpiin_from_arcs(
             4,
@@ -255,10 +291,48 @@ mod tests {
             &[],
             vec![true, false, false, false],
         );
-        let tree = PatternsTree::build(&sub, 0, usize::MAX).unwrap();
-        assert_eq!(tree.endpoints[&3].len(), 2);
-        let mut trails: Vec<Vec<u32>> = tree.endpoints[&3].iter().map(|&t| tree.trail(t)).collect();
+        let tree = built(&sub, 0);
+        let tips: Vec<u32> = tree.endpoints(3).collect();
+        assert_eq!(tips.len(), 2);
+        assert!(tips[0] < tips[1], "chains ascend: {tips:?}");
+        let mut trails: Vec<Vec<u32>> = tips.iter().map(|&t| trail(&tree, t)).collect();
         trails.sort();
         assert_eq!(trails, vec![vec![0, 1, 3], vec![0, 2, 3]]);
+    }
+
+    #[test]
+    fn rebuilding_the_arena_forgets_the_previous_tree() {
+        // Two roots over one shard, then a smaller shard: every rebuild
+        // must equal a build in a fresh arena, endpoint chains included.
+        let big = subtpiin_from_arcs(
+            6,
+            &[(0, 2), (0, 3), (2, 4), (3, 4), (1, 3), (1, 5)],
+            &[(2, 3)],
+            vec![true, true, false, false, false, false],
+        );
+        let small = diamond_sub();
+        let mut reused = PatternsTree::new();
+        for (sub, root, overflow_first) in [
+            (&big, 0, false),
+            (&big, 1, true),
+            (&small, 0, false),
+            (&big, 0, true),
+        ] {
+            if overflow_first {
+                assert!(!reused.build(sub, root, 2));
+            }
+            assert!(reused.build(sub, root, usize::MAX));
+            let fresh = built(sub, root);
+            assert_eq!(trails(&reused), trails(&fresh));
+            assert_eq!(reused.a_leaves(), fresh.a_leaves());
+            assert_eq!(reused.b_leaves(), fresh.b_leaves());
+            for v in 0..sub.node_count() as u32 {
+                assert_eq!(
+                    reused.endpoints(v).collect::<Vec<_>>(),
+                    fresh.endpoints(v).collect::<Vec<_>>(),
+                    "endpoints of {v}"
+                );
+            }
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Property test of the pattern matcher alone: on random antecedent DAGs
 //! with random trading arcs, `match_root` must produce exactly the trail
 //! pairs a brute-force enumerator finds (per root), and the patterns tree
-//! must enumerate exactly the DAG's trails.
+//! must enumerate exactly the DAG's trails — with one tree arena rebuilt
+//! for every root, as the detector uses it.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -99,10 +100,11 @@ proptest! {
     #[test]
     fn matcher_equals_brute_force_per_root(raw in arb_sub()) {
         let sub = build(&raw);
+        let mut tree = PatternsTree::new();
         for root in sub.roots().collect::<Vec<_>>() {
-            let tree = PatternsTree::build(&sub, root, usize::MAX).unwrap();
+            prop_assert!(tree.build(&sub, root, usize::MAX));
             let mut found: BTreeSet<GroupSig> = BTreeSet::new();
-            match_root(&sub, &tree, |g| {
+            match_root(&mut tree, |g| {
                 found.insert((g.prefix.to_vec(), g.target, g.plain.to_vec(), g.circle));
             });
             let expected = brute_force_root(&raw, root);
@@ -113,10 +115,16 @@ proptest! {
     #[test]
     fn tree_enumerates_exactly_the_dag_trails(raw in arb_sub()) {
         let sub = build(&raw);
+        let mut tree = PatternsTree::new();
         for root in sub.roots().collect::<Vec<_>>() {
-            let tree = PatternsTree::build(&sub, root, usize::MAX).unwrap();
-            let mut from_tree: Vec<Vec<u32>> =
-                (0..tree.nodes.len() as u32).map(|t| tree.trail(t)).collect();
+            prop_assert!(tree.build(&sub, root, usize::MAX));
+            let mut from_tree: Vec<Vec<u32>> = (0..tree.node_count() as u32)
+                .map(|t| {
+                    let mut trail = Vec::new();
+                    tree.trail_into(t, &mut trail);
+                    trail
+                })
+                .collect();
             let mut brute = all_trails(&raw, root);
             from_tree.sort();
             brute.sort();
@@ -129,8 +137,9 @@ proptest! {
         // Each trail ending at x contributes one type-(b) leaf per trading
         // arc out of x.
         let sub = build(&raw);
+        let mut tree = PatternsTree::new();
         for root in sub.roots().collect::<Vec<_>>() {
-            let tree = PatternsTree::build(&sub, root, usize::MAX).unwrap();
+            prop_assert!(tree.build(&sub, root, usize::MAX));
             let expected: usize = all_trails(&raw, root)
                 .iter()
                 .map(|t| {
@@ -138,7 +147,7 @@ proptest! {
                     raw.trading.iter().filter(|&&(a, _)| a == tip).count()
                 })
                 .sum();
-            prop_assert_eq!(tree.b_leaves.len(), expected);
+            prop_assert_eq!(tree.b_leaves().len(), expected);
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::cache::{ShardCache, Signature};
 use crate::stats::DeltaStats;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use tpiin_core::{
     assemble_detection, mine_shard, segment_one, segment_tpiin, DetectionResult, DetectorConfig,
     GroupKind, ShardOutcome, SubTpiin, SuspiciousGroup,
@@ -123,12 +123,14 @@ pub struct ApplyOutcome {
     /// On the paths that keep node ids (`TradingAppend`,
     /// `CompanyAppend`) a group existed before iff the same kind,
     /// trading arc and trails — as node ids — were in the previous
-    /// detection.  On the renumbering paths (`Incremental`,
+    /// detection, which there holds exactly when its trading arc is not
+    /// one this batch appended.  On the renumbering paths (`Incremental`,
     /// `FullRebuild`) ids mean nothing across the batch, so groups are
-    /// matched by the labels of those nodes instead.  With unique node
-    /// labels (every generator and test in the tree) the two rules
-    /// coincide; on a registry with duplicate labels the id rule is the
-    /// definition — a group over different nodes is a different group.
+    /// matched by the label sequences of those nodes instead.  With
+    /// unique node labels (every generator and test in the tree) the two
+    /// rules coincide; on a registry with duplicate labels the id rule is
+    /// the definition — a group over different nodes is a different
+    /// group.
     pub new_groups: Vec<SuspiciousGroup>,
     /// Suspicious trading arcs new with this batch, in current node ids.
     pub new_suspicious_arcs: Vec<(NodeId, NodeId)>,
@@ -160,48 +162,44 @@ impl ApplyOutcome {
     }
 }
 
-/// Identity of a group while node ids hold still (the splice paths):
-/// kind, trading arc and both trails, borrowed from the group.
-type GroupIdKey<'a> = (bool, (NodeId, NodeId), &'a [NodeId], &'a [NodeId]);
+/// The label class of a node whose label the outgoing network lacks; no
+/// outgoing key holds it, so whatever it appears in is new.
+const NO_CLASS: u32 = u32::MAX;
 
-fn group_id_key(g: &SuspiciousGroup) -> GroupIdKey<'_> {
-    let matched = g.kind == GroupKind::Matched;
-    (matched, g.trading_arc, &g.trail_with_trade, &g.trail_plain)
+/// Label classes for diffing across a renumbering batch: each node of
+/// `old` gets a dense id per distinct label, and each node of `new` the
+/// id of its label in `old` ([`NO_CLASS`] if it has none).  Labels name
+/// syndicate memberships, so two nodes share a class iff they are the
+/// same constituents on either side of the batch.
+fn label_classes(old: &Tpiin, new: &Tpiin) -> (Vec<u32>, Vec<u32>) {
+    let mut ids: HashMap<&str, u32> = HashMap::with_capacity(old.node_count());
+    let old_class = (0..old.node_count())
+        .map(|v| {
+            let next = ids.len() as u32;
+            *ids.entry(old.label(NodeId::from_index(v))).or_insert(next)
+        })
+        .collect();
+    let new_class = (0..new.node_count())
+        .map(|v| {
+            let label = new.label(NodeId::from_index(v));
+            ids.get(label).copied().unwrap_or(NO_CLASS)
+        })
+        .collect();
+    (old_class, new_class)
 }
 
-/// Stable identity of a group across node-id renumbering: kind plus the
-/// label sequences of both trails and the trading arc.  Labels name
-/// syndicate memberships, so the key survives re-contraction as long as
-/// the group's actual constituents are unchanged.  Only the renumbering
-/// paths pay for these strings ([`DeltaEngine::refresh_detection`]).
-fn group_label_key(tpiin: &Tpiin, g: &SuspiciousGroup) -> String {
-    let mut s = String::with_capacity(64);
-    s.push(match g.kind {
-        GroupKind::Matched => 'M',
-        GroupKind::Circle => 'O',
-    });
-    for v in [g.trading_arc.0, g.trading_arc.1] {
-        s.push('|');
-        s.push_str(tpiin.label(v));
-    }
-    s.push('#');
-    for v in &g.trail_with_trade {
-        s.push('|');
-        s.push_str(tpiin.label(*v));
-    }
-    s.push('#');
-    for v in &g.trail_plain {
-        s.push('|');
-        s.push_str(tpiin.label(*v));
-    }
-    s
-}
-
-fn arc_label_key(tpiin: &Tpiin, arc: (NodeId, NodeId)) -> (String, String) {
-    (
-        tpiin.label(arc.0).to_string(),
-        tpiin.label(arc.1).to_string(),
-    )
+/// Writes the identity of `g` across renumbering into `key`: its kind,
+/// then the label classes of the trading arc, the trail carrying it
+/// (length first, so the two trails cannot run together) and the plain
+/// trail.  Two groups share a key iff their label sequences are equal.
+fn group_class_key(class: &[u32], g: &SuspiciousGroup, key: &mut Vec<u32>) {
+    let of = |v: &NodeId| class[v.index()];
+    key.clear();
+    key.push(u32::from(g.kind == GroupKind::Matched));
+    key.extend([&g.trading_arc.0, &g.trading_arc.1].map(of));
+    key.push(g.trail_with_trade.len() as u32);
+    key.extend(g.trail_with_trade.iter().map(of));
+    key.extend(g.trail_plain.iter().map(of));
 }
 
 /// Maintains a fused TPIIN and its detection result under a stream of
@@ -250,6 +248,9 @@ pub struct DeltaEngine {
 struct SpliceDelta {
     /// Shards whose local structure changed (new nodes, arcs).
     dirty: BTreeSet<usize>,
+    /// Trading arcs appended inside a shard: a re-mined group is new iff
+    /// its trading arc is one of these.
+    appended: BTreeSet<(NodeId, NodeId)>,
     /// Intra-syndicate self pairs newly diverted by this batch.
     new_intra: Vec<(NodeId, NodeId)>,
     /// Trading arcs physically appended to the graph.
@@ -493,6 +494,7 @@ impl DeltaEngine {
         let (s, b) = (self.shard_of[seller.index()], self.shard_of[buyer.index()]);
         if s == b {
             delta.dirty.insert(s as usize);
+            delta.appended.insert((seller, buyer));
         }
     }
 
@@ -691,10 +693,12 @@ impl DeltaEngine {
     /// component), so shard indices, group order, and per-shard stats
     /// all keep the layout `remine` would produce.
     ///
-    /// No node id moves on these paths either, so what is *new* is
-    /// decided on ids, without a label string: a group is new iff the
-    /// shard's previous slice does not hold it, an arc iff it enters the
-    /// suspicious set and did not leave it earlier in this batch.
+    /// No node id moves on these paths either, and neither adds a root or
+    /// changes an influence trail to an existing node (a registered
+    /// company has no out-arcs), so a re-mined group whose trading arc
+    /// predates the batch was mined before: a group is new iff its
+    /// trading arc is in [`SpliceDelta::appended`], an arc iff it enters
+    /// the suspicious set and did not leave it earlier in this batch.
     fn splice_detection(&mut self, delta: &SpliceDelta, outcome: &mut ApplyOutcome) {
         let _span = tpiin_obs::Span::at("delta/splice");
         self.detection.total_trading_arcs += delta.arcs_added + delta.intra_added;
@@ -768,14 +772,12 @@ impl DeltaEngine {
                     outcome.new_suspicious_arcs.push(arc);
                 }
             }
-            let previous: HashSet<GroupIdKey<'_>> = self.detection.groups[old.clone()]
-                .iter()
-                .map(group_id_key)
-                .collect();
-            let fresh = |g: &&SuspiciousGroup| !previous.contains(&group_id_key(g));
-            outcome
-                .new_groups
-                .extend(part.groups.iter().filter(fresh).cloned());
+            outcome.new_groups.extend(
+                part.groups
+                    .iter()
+                    .filter(|g| delta.appended.contains(&g.trading_arc))
+                    .cloned(),
+            );
             // Every other shard's groups move (not clone) in place.
             self.detection.groups.splice(old, part.groups);
         }
@@ -788,9 +790,10 @@ impl DeltaEngine {
     /// Installs a re-fused network (the renumbering paths), re-mines it
     /// through the shard cache and swaps the detection in.  Node ids do
     /// not survive re-contraction, so this is the one place that diffs
-    /// by label: the outgoing detection's label keys are built once,
-    /// just before the network they are read from is replaced, and each
-    /// group and arc of the new detection is looked up in them.
+    /// by label: both networks' labels are interned into classes once
+    /// ([`label_classes`]), the outgoing detection's class keys are built
+    /// just before its network is replaced, and each group and arc of
+    /// the new detection is looked up in them.
     fn refresh_detection(
         &mut self,
         registry: SourceRegistry,
@@ -798,32 +801,46 @@ impl DeltaEngine {
         reps: Vec<u32>,
         outcome: &mut ApplyOutcome,
     ) {
-        let old = &self.detection;
-        let old_groups: HashSet<String> = old
+        let (old_class, new_class) = label_classes(&self.tpiin, &tpiin);
+        let mut key = Vec::new();
+        let old_groups: HashSet<Vec<u32>> = self
+            .detection
             .groups
             .iter()
-            .map(|g| group_label_key(&self.tpiin, g))
+            .map(|g| {
+                group_class_key(&old_class, g, &mut key);
+                key.clone()
+            })
             .collect();
-        let old_arcs: HashSet<(String, String)> = old
+        let arc_key =
+            |class: &[u32], (s, b): (NodeId, NodeId)| (class[s.index()], class[b.index()]);
+        let old_arcs: HashSet<(u32, u32)> = self
+            .detection
             .suspicious_trading_arcs
             .iter()
-            .map(|&arc| arc_label_key(&self.tpiin, arc))
+            .map(|&arc| arc_key(&old_class, arc))
             .collect();
         self.registry = Some(registry);
         self.tpiin = tpiin;
         self.company_reps = reps;
 
         let detection = self.remine(outcome);
-        let new_group =
-            |g: &&SuspiciousGroup| !old_groups.contains(&group_label_key(&self.tpiin, g));
-        outcome
-            .new_groups
-            .extend(detection.groups.iter().filter(new_group).cloned());
-        let new_arc =
-            |arc: &&(NodeId, NodeId)| !old_arcs.contains(&arc_label_key(&self.tpiin, **arc));
-        outcome
-            .new_suspicious_arcs
-            .extend(detection.suspicious_trading_arcs.iter().filter(new_arc));
+        outcome.new_groups.extend(
+            detection
+                .groups
+                .iter()
+                .filter(|g| {
+                    group_class_key(&new_class, g, &mut key);
+                    !old_groups.contains(key.as_slice())
+                })
+                .cloned(),
+        );
+        outcome.new_suspicious_arcs.extend(
+            detection
+                .suspicious_trading_arcs
+                .iter()
+                .filter(|&&arc| !old_arcs.contains(&arc_key(&new_class, arc))),
+        );
         self.stats.groups_found += outcome.new_groups.len() as u64;
         self.detection = detection;
     }

@@ -8,8 +8,8 @@ use tpiin::datagen::{
 };
 use tpiin::delta::DeltaEngine;
 use tpiin::detect::{
-    detect, segment_tpiin, Detector, DetectorConfig, MineContext, MinerRegistry, CIRCULAR_MINER,
-    RULES_MINER,
+    detect, segment_tpiin, Detector, DetectorConfig, MineContext, MinerRegistry, SuspiciousGroup,
+    CIRCULAR_MINER, RULES_MINER,
 };
 use tpiin::fusion::fuse;
 
@@ -191,9 +191,34 @@ fn edge_list_export_round_trips_arc_counts() {
     assert_eq!(trading_rows, tpiin.trading_arc_count);
 }
 
-/// Exact counts on three fixed fixtures and one replayed feed.  They are
-/// pure functions of the generators, the fusion and the miners, so any
-/// drift is a behaviour change, however fast the new code is.
+/// Order-sensitive FNV-1a over every group's key and `simple` flag, in
+/// result order: unlike a sum of per-group hashes it sees a reorder,
+/// which `/groups` pagination and group ids would expose.
+fn groups_order_hash(groups: &[SuspiciousGroup]) -> u64 {
+    fn eat(h: &mut u64, x: usize) {
+        for b in (x as u64).to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for g in groups {
+        eat(&mut h, g.trading_arc.0.index());
+        eat(&mut h, g.trading_arc.1.index());
+        for trail in [&g.trail_with_trade, &g.trail_plain] {
+            eat(&mut h, trail.len());
+            for v in trail {
+                eat(&mut h, v.index());
+            }
+        }
+        eat(&mut h, usize::from(g.simple));
+    }
+    h
+}
+
+/// Exact counts on three fixed fixtures and one replayed feed, and the
+/// order of each fixture's rules groups.  They are pure functions of the
+/// generators, the fusion and the miners, so any drift is a behaviour
+/// change, however fast the new code is.
 #[test]
 fn fixture_counts_are_pinned() {
     const SEED: u64 = 20170417;
@@ -215,18 +240,42 @@ fn fixture_counts_are_pinned() {
     });
 
     // (name, registry, [nodes, influence arcs, trading arcs],
-    //  subTPIINs, rules groups, circular groups)
+    //  subTPIINs, rules groups, circular groups, rules group order hash)
     let fixtures = [
-        ("fig7", fig7_registry(), [15, 14, 5], 1, 3, 0),
-        ("province-0.1", province, [431, 655, 252], 4, 863, 0),
-        ("nation-0.1", nation, [1724, 2577, 1485], 17, 1412, 10),
+        (
+            "fig7",
+            fig7_registry(),
+            [15, 14, 5],
+            1,
+            3,
+            0,
+            0x1e58_49cf_fe55_61eb,
+        ),
+        (
+            "province-0.1",
+            province,
+            [431, 655, 252],
+            4,
+            863,
+            0,
+            0x7563_1c81_7df6_270f,
+        ),
+        (
+            "nation-0.1",
+            nation,
+            [1724, 2577, 1485],
+            17,
+            1412,
+            10,
+            0xcce0_d243_bda8_412a,
+        ),
     ];
     let ctx = MineContext::with_config(DetectorConfig {
         threads: 1,
         ..DetectorConfig::default()
     });
     let miners = MinerRegistry::with_defaults();
-    for (name, registry, arcs, subtpiins, rules, circular) in fixtures {
+    for (name, registry, arcs, subtpiins, rules, circular, order) in fixtures {
         let (tpiin, report) = fuse(&registry).unwrap();
         assert_eq!(
             [
@@ -242,6 +291,8 @@ fn fixture_counts_are_pinned() {
             let got = miners.get(miner).unwrap().mine(&tpiin, &ctx).group_count();
             assert_eq!(got, want, "{name}: {miner} groups");
         }
+        let hash = groups_order_hash(&detect(&tpiin).groups);
+        assert_eq!(hash, order, "{name}: rules group order");
     }
 
     let config = MutationStreamConfig {
