@@ -22,6 +22,7 @@
 
 use crate::csv;
 use crate::error::IoError;
+use std::borrow::Cow;
 use tpiin_model::{
     InfluenceKind, InfluenceRecord, InterdependenceKind, Interner, InvestmentRecord, Role, RoleSet,
     SourceRegistry, TradingRecord,
@@ -69,12 +70,7 @@ impl RegistryBuilder {
     /// Ingests a board roster CSV (`name,company,position,legal_person`,
     /// header row required).
     pub fn load_board_roster(&mut self, text: &str, context: &str) -> Result<usize, IoError> {
-        let mut loaded = 0;
-        for (i, record) in csv::parse(text, context)?.into_iter().enumerate().skip(1) {
-            let line = i + 1;
-            if record.len() != 4 {
-                return Err(IoError::parse(context, line, "expected 4 columns"));
-            }
+        for_each_row(text, context, 4, |record, line| {
             let person = self.person(record[0].trim());
             let company = self.company(record[1].trim());
             let (kind, roles) = parse_position(record[2].trim(), context, line)?;
@@ -101,19 +97,13 @@ impl RegistryBuilder {
                 kind,
                 is_legal_person,
             });
-            loaded += 1;
-        }
-        Ok(loaded)
+            Ok(())
+        })
     }
 
     /// Ingests a shareholding table CSV (`investor,investee,share`).
     pub fn load_shareholdings(&mut self, text: &str, context: &str) -> Result<usize, IoError> {
-        let mut loaded = 0;
-        for (i, record) in csv::parse(text, context)?.into_iter().enumerate().skip(1) {
-            let line = i + 1;
-            if record.len() != 3 {
-                return Err(IoError::parse(context, line, "expected 3 columns"));
-            }
+        for_each_row(text, context, 3, |record, line| {
             let investor = self.company(record[0].trim());
             let investee = self.company(record[1].trim());
             let share = parse_share(record[2].trim(), context, line)?;
@@ -122,50 +112,31 @@ impl RegistryBuilder {
                 investee,
                 share,
             });
-            loaded += 1;
-        }
-        Ok(loaded)
+            Ok(())
+        })
     }
 
     /// Ingests a household/agreement registry CSV (`a,b,relation`).
     pub fn load_relationships(&mut self, text: &str, context: &str) -> Result<usize, IoError> {
-        let mut loaded = 0;
-        for (i, record) in csv::parse(text, context)?.into_iter().enumerate().skip(1) {
-            let line = i + 1;
-            if record.len() != 3 {
-                return Err(IoError::parse(context, line, "expected 3 columns"));
-            }
+        for_each_row(text, context, 3, |record, line| {
             let a = self.person(record[0].trim());
             let b = self.person(record[1].trim());
-            let kind = match record[2].trim().to_ascii_lowercase().as_str() {
-                "sibling" | "parent" | "child" | "spouse" | "kin" | "kinship" => {
-                    InterdependenceKind::Kinship
-                }
-                "acting-in-concert" | "interlocking" | "agreement" => {
-                    InterdependenceKind::Interlocking
-                }
-                other => {
-                    return Err(IoError::parse(
-                        context,
-                        line,
-                        format!("unknown relation `{other}`"),
-                    ))
-                }
+            let relation = record[2].trim();
+            let Some(kind) = lookup(RELATIONS, relation) else {
+                return Err(IoError::parse(
+                    context,
+                    line,
+                    format!("unknown relation `{}`", relation.to_ascii_lowercase()),
+                ));
             };
             self.registry.add_interdependence(a, b, kind);
-            loaded += 1;
-        }
-        Ok(loaded)
+            Ok(())
+        })
     }
 
     /// Ingests trading relationships (`seller,buyer,volume`).
     pub fn load_trades(&mut self, text: &str, context: &str) -> Result<usize, IoError> {
-        let mut loaded = 0;
-        for (i, record) in csv::parse(text, context)?.into_iter().enumerate().skip(1) {
-            let line = i + 1;
-            if record.len() != 3 {
-                return Err(IoError::parse(context, line, "expected 3 columns"));
-            }
+        for_each_row(text, context, 3, |record, line| {
             let seller = self.company(record[0].trim());
             let buyer = self.company(record[1].trim());
             let volume: f64 = record[2]
@@ -177,9 +148,8 @@ impl RegistryBuilder {
                 buyer,
                 volume,
             });
-            loaded += 1;
-        }
-        Ok(loaded)
+            Ok(())
+        })
     }
 
     /// Finishes, validating the assembled registry.
@@ -189,28 +159,97 @@ impl RegistryBuilder {
     }
 }
 
+/// Streams the data records of `text` (the header, record 1, is skipped)
+/// into `each` with their 1-based record number, once each is known to
+/// have `columns` fields.  Returns how many records `each` accepted.
+fn for_each_row(
+    text: &str,
+    context: &str,
+    columns: usize,
+    mut each: impl FnMut(&[Cow<str>], usize) -> Result<(), IoError>,
+) -> Result<usize, IoError> {
+    let mut loaded = 0;
+    csv::for_each_record(text, context, |index, record| {
+        if index == 0 {
+            return Ok(());
+        }
+        if record.len() != columns {
+            return Err(IoError::parse(
+                context,
+                index + 1,
+                format!("expected {columns} columns"),
+            ));
+        }
+        each(record, index + 1)?;
+        loaded += 1;
+        Ok(())
+    })?;
+    Ok(loaded)
+}
+
+/// The value `raw` names in `table`, ignoring ASCII case.
+fn lookup<T: Copy>(table: &[(&str, T)], raw: &str) -> Option<T> {
+    table
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(raw))
+        .map(|&(_, value)| value)
+}
+
+/// Household and agreement relations.
+const RELATIONS: &[(&str, InterdependenceKind)] = &[
+    ("sibling", InterdependenceKind::Kinship),
+    ("parent", InterdependenceKind::Kinship),
+    ("child", InterdependenceKind::Kinship),
+    ("spouse", InterdependenceKind::Kinship),
+    ("kin", InterdependenceKind::Kinship),
+    ("kinship", InterdependenceKind::Kinship),
+    ("acting-in-concert", InterdependenceKind::Interlocking),
+    ("interlocking", InterdependenceKind::Interlocking),
+    ("agreement", InterdependenceKind::Interlocking),
+];
+
+const CEO: &[Role] = &[Role::Ceo];
+const CB: &[Role] = &[Role::Chairman];
+const D: &[Role] = &[Role::Director];
+const CEO_D: &[Role] = &[Role::Ceo, Role::Director];
+
+/// Board position titles: the influence each implies and the roles it
+/// adds to its holder.
+const POSITIONS: &[(&str, (InfluenceKind, &[Role]))] = &[
+    ("ceo", (InfluenceKind::CeoOf, CEO)),
+    ("general manager", (InfluenceKind::CeoOf, CEO)),
+    ("chairman", (InfluenceKind::ChairmanOf, CB)),
+    ("cb", (InfluenceKind::ChairmanOf, CB)),
+    ("chairman of the board", (InfluenceKind::ChairmanOf, CB)),
+    ("director", (InfluenceKind::DirectorOf, D)),
+    ("board member", (InfluenceKind::DirectorOf, D)),
+    (
+        "executive director",
+        (InfluenceKind::CeoAndDirectorOf, CEO_D),
+    ),
+    (
+        "managing director",
+        (InfluenceKind::CeoAndDirectorOf, CEO_D),
+    ),
+    ("ceo and director", (InfluenceKind::CeoAndDirectorOf, CEO_D)),
+    (
+        "shareholder",
+        (InfluenceKind::DirectorOf, &[Role::Shareholder]),
+    ),
+];
+
 fn parse_position(
     raw: &str,
     context: &str,
     line: usize,
-) -> Result<(InfluenceKind, Vec<Role>), IoError> {
-    match raw.to_ascii_lowercase().as_str() {
-        "ceo" | "general manager" => Ok((InfluenceKind::CeoOf, vec![Role::Ceo])),
-        "chairman" | "cb" | "chairman of the board" => {
-            Ok((InfluenceKind::ChairmanOf, vec![Role::Chairman]))
-        }
-        "director" | "board member" => Ok((InfluenceKind::DirectorOf, vec![Role::Director])),
-        "executive director" | "managing director" | "ceo and director" => Ok((
-            InfluenceKind::CeoAndDirectorOf,
-            vec![Role::Ceo, Role::Director],
-        )),
-        "shareholder" => Ok((InfluenceKind::DirectorOf, vec![Role::Shareholder])),
-        other => Err(IoError::parse(
+) -> Result<(InfluenceKind, &'static [Role]), IoError> {
+    lookup(POSITIONS, raw).ok_or_else(|| {
+        IoError::parse(
             context,
             line,
-            format!("unknown position `{other}`"),
-        )),
-    }
+            format!("unknown position `{}`", raw.to_ascii_lowercase()),
+        )
+    })
 }
 
 fn parse_share(raw: &str, context: &str, line: usize) -> Result<f64, IoError> {
@@ -333,6 +372,22 @@ Beta,Gamma,100000
             .load_shareholdings("investor,investee,share\nA,B,150%\n", "s.csv")
             .unwrap_err();
         assert!(err.to_string().contains("outside"), "{err}");
+    }
+
+    #[test]
+    fn quoted_names_resolve_and_later_records_keep_their_numbers() {
+        let mut b = RegistryBuilder::new();
+        let roster = "name,company,position,legal_person\n\
+                      \"Li\nWei\",\"Acme, Inc.\",CEO,yes\n\
+                      Zhang San,Beta,emperor,yes\n";
+        let err = b.load_board_roster(roster, "b.csv").unwrap_err();
+        assert_eq!(err.to_string(), "b.csv:3: unknown position `emperor`");
+        let mut b = RegistryBuilder::new();
+        b.load_board_roster(&roster.replace("emperor", "Chairman"), "b.csv")
+            .unwrap();
+        let r = b.finish().unwrap();
+        assert!(r.person_by_name("Li\nWei").is_some());
+        assert!(r.company_by_name("Acme, Inc.").is_some());
     }
 
     #[test]

@@ -15,6 +15,8 @@
 
 use crate::csv;
 use crate::error::IoError;
+use std::borrow::Cow;
+use std::fmt::Write;
 use std::path::Path;
 use tpiin_model::{
     CompanyId, InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, PersonId,
@@ -22,8 +24,19 @@ use tpiin_model::{
 };
 
 pub(crate) fn roles_to_string(roles: RoleSet) -> String {
-    let names: Vec<String> = roles.iter().map(|r| r.to_string()).collect();
-    names.join("+")
+    let mut text = String::new();
+    push_roles(&mut text, roles);
+    text
+}
+
+/// Appends `roles` `+`-joined (`CB+D`); the tokens never need quoting.
+fn push_roles(out: &mut String, roles: RoleSet) {
+    for (i, role) in roles.iter().enumerate() {
+        if i > 0 {
+            out.push('+');
+        }
+        let _ = write!(out, "{role}");
+    }
 }
 
 pub(crate) fn roles_from_string(
@@ -83,85 +96,84 @@ pub(crate) fn influence_kind_from_string(
     })
 }
 
-fn write(path: &Path, content: &str) -> Result<(), IoError> {
-    std::fs::write(path, content).map_err(|e| IoError::fs(path, e))
-}
-
 fn read(path: &Path) -> Result<String, IoError> {
     std::fs::read_to_string(path).map_err(|e| IoError::fs(path, e))
 }
 
+/// Writes `out` to `dir/file` and empties it for the next file.
+fn flush(dir: &Path, file: &str, out: &mut String) -> Result<(), IoError> {
+    let path = dir.join(file);
+    std::fs::write(&path, out.as_bytes()).map_err(|e| IoError::fs(&path, e))?;
+    out.clear();
+    Ok(())
+}
+
 /// Saves `registry` into `dir` (created if missing), one CSV per record
 /// type, each with a header row.
+///
+/// Every file is written into one reused buffer: ids and numbers are
+/// formatted straight into it, and only a name that needs quotes is
+/// escaped through a copy.
 pub fn save_registry(registry: &SourceRegistry, dir: &Path) -> Result<(), IoError> {
     std::fs::create_dir_all(dir).map_err(|e| IoError::fs(dir, e))?;
+    let mut out = String::new();
 
-    let mut rows = vec![vec!["name".to_string(), "roles".to_string()]];
-    rows.extend(
-        registry
-            .persons()
-            .map(|(_, p)| vec![p.name.clone(), roles_to_string(p.roles)]),
-    );
-    write(&dir.join("persons.csv"), &csv::render(&rows))?;
+    out.push_str("name,roles\n");
+    for (_, p) in registry.persons() {
+        csv::push_field(&mut out, &p.name);
+        out.push(',');
+        push_roles(&mut out, p.roles);
+        out.push('\n');
+    }
+    flush(dir, "persons.csv", &mut out)?;
 
-    let mut rows = vec![vec!["name".to_string()]];
-    rows.extend(registry.companies().map(|(_, c)| vec![c.name.clone()]));
-    write(&dir.join("companies.csv"), &csv::render(&rows))?;
+    out.push_str("name\n");
+    for (_, c) in registry.companies() {
+        csv::push_field(&mut out, &c.name);
+        out.push('\n');
+    }
+    flush(dir, "companies.csv", &mut out)?;
 
-    let mut rows = vec![vec!["a".into(), "b".into(), "kind".into()]];
-    rows.extend(registry.interdependencies().iter().map(|i| {
-        vec![
-            i.a.index().to_string(),
-            i.b.index().to_string(),
-            match i.kind {
-                InterdependenceKind::Kinship => "kinship".to_string(),
-                InterdependenceKind::Interlocking => "interlocking".to_string(),
-            },
-        ]
-    }));
-    write(&dir.join("interdependence.csv"), &csv::render(&rows))?;
+    out.push_str("a,b,kind\n");
+    for i in registry.interdependencies() {
+        let kind = match i.kind {
+            InterdependenceKind::Kinship => "kinship",
+            InterdependenceKind::Interlocking => "interlocking",
+        };
+        let _ = writeln!(out, "{},{},{kind}", i.a.index(), i.b.index());
+    }
+    flush(dir, "interdependence.csv", &mut out)?;
 
-    let mut rows = vec![vec![
-        "person".into(),
-        "company".into(),
-        "kind".into(),
-        "legal_person".into(),
-    ]];
-    rows.extend(registry.influences().iter().map(|r| {
-        vec![
-            r.person.index().to_string(),
-            r.company.index().to_string(),
-            influence_kind_to_string(r.kind).to_string(),
-            if r.is_legal_person {
-                "1".to_string()
-            } else {
-                "0".to_string()
-            },
-        ]
-    }));
-    write(&dir.join("influence.csv"), &csv::render(&rows))?;
+    out.push_str("person,company,kind,legal_person\n");
+    for r in registry.influences() {
+        let _ = writeln!(
+            out,
+            "{},{},{},{}",
+            r.person.index(),
+            r.company.index(),
+            influence_kind_to_string(r.kind),
+            u8::from(r.is_legal_person)
+        );
+    }
+    flush(dir, "influence.csv", &mut out)?;
 
-    let mut rows = vec![vec!["investor".into(), "investee".into(), "share".into()]];
-    rows.extend(registry.investments().iter().map(|r| {
-        vec![
-            r.investor.index().to_string(),
-            r.investee.index().to_string(),
-            r.share.to_string(),
-        ]
-    }));
-    write(&dir.join("investment.csv"), &csv::render(&rows))?;
+    out.push_str("investor,investee,share\n");
+    for r in registry.investments() {
+        let _ = writeln!(
+            out,
+            "{},{},{}",
+            r.investor.index(),
+            r.investee.index(),
+            r.share
+        );
+    }
+    flush(dir, "investment.csv", &mut out)?;
 
-    let mut rows = vec![vec!["seller".into(), "buyer".into(), "volume".into()]];
-    rows.extend(registry.tradings().iter().map(|r| {
-        vec![
-            r.seller.index().to_string(),
-            r.buyer.index().to_string(),
-            r.volume.to_string(),
-        ]
-    }));
-    write(&dir.join("trading.csv"), &csv::render(&rows))?;
-
-    Ok(())
+    out.push_str("seller,buyer,volume\n");
+    for r in registry.tradings() {
+        let _ = writeln!(out, "{},{},{}", r.seller.index(), r.buyer.index(), r.volume);
+    }
+    flush(dir, "trading.csv", &mut out)
 }
 
 fn parse_u32(field: &str, context: &str, line: usize) -> Result<u32, IoError> {
@@ -176,108 +188,117 @@ fn parse_f64(field: &str, context: &str, line: usize) -> Result<f64, IoError> {
         .map_err(|e| IoError::parse(context, line, format!("bad number `{field}`: {e}")))
 }
 
-fn check_columns(
-    record: &[String],
-    expected: usize,
+/// Streams the data records of `dir/context` into `each`, with the
+/// record's 1-based number (the header, record 1, is skipped) once it is
+/// known to have `columns` fields.
+fn for_each_row(
+    dir: &Path,
     context: &str,
-    line: usize,
+    columns: usize,
+    mut each: impl FnMut(&[Cow<str>], usize) -> Result<(), IoError>,
 ) -> Result<(), IoError> {
-    if record.len() != expected {
-        return Err(IoError::parse(
-            context,
-            line,
-            format!("expected {expected} columns, found {}", record.len()),
-        ));
-    }
-    Ok(())
+    let text = read(&dir.join(context))?;
+    csv::for_each_record(&text, context, |index, record| {
+        if index == 0 {
+            return Ok(());
+        }
+        if record.len() != columns {
+            return Err(IoError::parse(
+                context,
+                index + 1,
+                format!("expected {columns} columns, found {}", record.len()),
+            ));
+        }
+        each(record, index + 1)
+    })
 }
 
 /// Loads a registry saved by [`save_registry`] and validates it.
+///
+/// Each file is parsed as it streams, straight into the registry: an
+/// unquoted field is read in place, and a name is copied once, into the
+/// registry.  Files load in the order of the module table, and within a
+/// file the **first defect in file order** is reported, whether a CSV
+/// syntax error (cited by physical line) or a bad value (cited by record
+/// number, the header being record 1): a bad value in record 2 is the
+/// error even when a later record is malformed CSV.  Validation runs
+/// last, over the whole registry.
 pub fn load_registry(dir: &Path) -> Result<SourceRegistry, IoError> {
     let mut registry = SourceRegistry::new();
 
     let context = "persons.csv";
-    let text = read(&dir.join(context))?;
-    for (i, record) in csv::parse(&text, context)?.into_iter().enumerate().skip(1) {
-        check_columns(&record, 2, context, i + 1)?;
-        let roles = roles_from_string(&record[1], context, i + 1)?;
-        let name = record.into_iter().next().expect("two columns checked");
-        registry.add_person(name, roles);
-    }
+    for_each_row(dir, context, 2, |record, line| {
+        let roles = roles_from_string(&record[1], context, line)?;
+        registry.add_person(&*record[0], roles);
+        Ok(())
+    })?;
 
-    let context = "companies.csv";
-    let text = read(&dir.join(context))?;
-    for (i, record) in csv::parse(&text, context)?.into_iter().enumerate().skip(1) {
-        check_columns(&record, 1, context, i + 1)?;
-        let name = record.into_iter().next().expect("one column checked");
-        registry.add_company(name);
-    }
+    for_each_row(dir, "companies.csv", 1, |record, _| {
+        registry.add_company(&*record[0]);
+        Ok(())
+    })?;
 
     let context = "interdependence.csv";
-    let text = read(&dir.join(context))?;
-    for (i, record) in csv::parse(&text, context)?.into_iter().enumerate().skip(1) {
-        check_columns(&record, 3, context, i + 1)?;
-        let kind = match record[2].as_str() {
+    for_each_row(dir, context, 3, |record, line| {
+        let kind = match &*record[2] {
             "kinship" => InterdependenceKind::Kinship,
             "interlocking" => InterdependenceKind::Interlocking,
             other => {
                 return Err(IoError::parse(
                     context,
-                    i + 1,
+                    line,
                     format!("unknown interdependence kind `{other}`"),
                 ))
             }
         };
         registry.add_interdependence(
-            PersonId(parse_u32(&record[0], context, i + 1)?),
-            PersonId(parse_u32(&record[1], context, i + 1)?),
+            PersonId(parse_u32(&record[0], context, line)?),
+            PersonId(parse_u32(&record[1], context, line)?),
             kind,
         );
-    }
+        Ok(())
+    })?;
 
     let context = "influence.csv";
-    let text = read(&dir.join(context))?;
-    for (i, record) in csv::parse(&text, context)?.into_iter().enumerate().skip(1) {
-        check_columns(&record, 4, context, i + 1)?;
+    for_each_row(dir, context, 4, |record, line| {
         registry.add_influence(InfluenceRecord {
-            person: PersonId(parse_u32(&record[0], context, i + 1)?),
-            company: CompanyId(parse_u32(&record[1], context, i + 1)?),
-            kind: influence_kind_from_string(&record[2], context, i + 1)?,
-            is_legal_person: match record[3].as_str() {
+            person: PersonId(parse_u32(&record[0], context, line)?),
+            company: CompanyId(parse_u32(&record[1], context, line)?),
+            kind: influence_kind_from_string(&record[2], context, line)?,
+            is_legal_person: match &*record[3] {
                 "1" => true,
                 "0" => false,
                 other => {
                     return Err(IoError::parse(
                         context,
-                        i + 1,
+                        line,
                         format!("legal_person must be 0 or 1, found `{other}`"),
                     ))
                 }
             },
         });
-    }
+        Ok(())
+    })?;
 
     let context = "investment.csv";
-    let text = read(&dir.join(context))?;
-    for (i, record) in csv::parse(&text, context)?.into_iter().enumerate().skip(1) {
-        check_columns(&record, 3, context, i + 1)?;
+    for_each_row(dir, context, 3, |record, line| {
         registry.add_investment(InvestmentRecord {
-            investor: CompanyId(parse_u32(&record[0], context, i + 1)?),
-            investee: CompanyId(parse_u32(&record[1], context, i + 1)?),
-            share: parse_f64(&record[2], context, i + 1)?,
+            investor: CompanyId(parse_u32(&record[0], context, line)?),
+            investee: CompanyId(parse_u32(&record[1], context, line)?),
+            share: parse_f64(&record[2], context, line)?,
         });
-    }
+        Ok(())
+    })?;
 
     let context = "trading.csv";
-    let text = read(&dir.join(context))?;
-    for (i, record) in csv::parse(&text, context)?.into_iter().enumerate().skip(1) {
-        check_columns(&record, 3, context, i + 1)?;
+    for_each_row(dir, context, 3, |record, line| {
         registry.add_trading(TradingRecord {
-            seller: CompanyId(parse_u32(&record[0], context, i + 1)?),
-            buyer: CompanyId(parse_u32(&record[1], context, i + 1)?),
-            volume: parse_f64(&record[2], context, i + 1)?,
+            seller: CompanyId(parse_u32(&record[0], context, line)?),
+            buyer: CompanyId(parse_u32(&record[1], context, line)?),
+            volume: parse_f64(&record[2], context, line)?,
         });
-    }
+        Ok(())
+    })?;
 
     registry.validate().map_err(IoError::Invalid)?;
     Ok(registry)
@@ -360,5 +381,46 @@ mod tests {
         let err = load_registry(&dir).unwrap_err();
         assert!(err.to_string().contains("persons.csv"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Saves fig7, replaces `file` with `content`, and returns the error.
+    fn load_error_with(name: &str, file: &str, content: &str) -> String {
+        let dir = tmpdir(name);
+        save_registry(&tpiin_datagen::fig7_registry(), &dir).unwrap();
+        std::fs::write(dir.join(file), content).unwrap();
+        let err = load_registry(&dir).unwrap_err().to_string();
+        std::fs::remove_dir_all(&dir).unwrap();
+        err
+    }
+
+    #[test]
+    fn errors_cite_records_not_lines_after_a_multi_line_name() {
+        // The name spans lines 2-3; the bad role is on line 4 but is
+        // record 3.
+        let err = load_error_with(
+            "multiline",
+            "persons.csv",
+            "name,roles\n\"two\nlines\",CEO\nBob,XX\n",
+        );
+        assert_eq!(err, "persons.csv:3: unknown role `XX`");
+    }
+
+    #[test]
+    fn the_first_defect_in_file_order_is_reported() {
+        // A bad value in record 2 wins over the unterminated quote after
+        // it: the file is read as a stream.
+        let err = load_error_with(
+            "first-defect",
+            "trading.csv",
+            "seller,buyer,volume\n0,1,abc\n0,1,\"open\n",
+        );
+        assert!(err.starts_with("trading.csv:2: bad number `abc`"), "{err}");
+        // A syntax error before any bad value still cites its line.
+        let err = load_error_with(
+            "syntax-first",
+            "trading.csv",
+            "seller,buyer,volume\n0,1,\"2\"x\"\n0,1,abc\n",
+        );
+        assert_eq!(err, "trading.csv:2: unexpected quote inside field");
     }
 }

@@ -31,6 +31,16 @@ pub struct SourceRegistry {
     /// Absent from older serialized registries, hence the default.
     #[serde(default)]
     tax_rates: Vec<f64>,
+    /// The unordered `(min, max)` person pair of every interdependence
+    /// edge, so [`SourceRegistry::add_interdependence`] finds a duplicate
+    /// in O(1).  Derived from `interdependencies`, hence not serialized.
+    #[serde(skip)]
+    interdependent_pairs: HashSet<(PersonId, PersonId)>,
+}
+
+/// The key of the unordered pair `{a, b}`.
+fn pair(a: PersonId, b: PersonId) -> (PersonId, PersonId) {
+    (a.min(b), a.max(b))
 }
 
 impl SourceRegistry {
@@ -119,12 +129,7 @@ impl SourceRegistry {
         b: PersonId,
         kind: InterdependenceKind,
     ) -> bool {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let exists = self.interdependencies.iter().any(|i| {
-            let k = if i.a <= i.b { (i.a, i.b) } else { (i.b, i.a) };
-            k == key
-        });
-        if exists {
+        if !self.interdependent_pairs.insert(pair(a, b)) {
             return false;
         }
         self.interdependencies.push(Interdependence { a, b, kind });
@@ -188,12 +193,13 @@ impl SourceRegistry {
         }
         let rp = |p: PersonId| PersonId(p.0 + person_offset);
         let rc = |c: CompanyId| CompanyId(c.0 + company_offset);
+        self.interdependent_pairs
+            .reserve(other.interdependencies.len());
         for i in &other.interdependencies {
-            self.interdependencies.push(Interdependence {
-                a: rp(i.a),
-                b: rp(i.b),
-                kind: i.kind,
-            });
+            let (a, b) = (rp(i.a), rp(i.b));
+            self.interdependent_pairs.insert(pair(a, b));
+            self.interdependencies
+                .push(Interdependence { a, b, kind: i.kind });
         }
         for r in &other.influences {
             self.influences.push(InfluenceRecord {
@@ -338,6 +344,11 @@ impl SourceRegistry {
             e.b = shift(e.b);
             true
         });
+        self.interdependent_pairs = self
+            .interdependencies
+            .iter()
+            .map(|e| pair(e.a, e.b))
+            .collect();
         self.influences.retain_mut(|r| {
             if r.person == id {
                 return false;
@@ -688,6 +699,32 @@ mod tests {
         assert!(!r.add_interdependence(b, a, InterdependenceKind::Interlocking));
         assert_eq!(r.interdependencies().len(), 1);
         assert_eq!(r.interdependencies()[0].kind, InterdependenceKind::Kinship);
+    }
+
+    #[test]
+    fn duplicate_check_follows_removals_and_renumbering() {
+        let mut r = SourceRegistry::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| r.add_person(n, RoleSet::of(&[Role::Director])));
+        assert!(r.add_interdependence(b, c, InterdependenceKind::Kinship));
+        assert!(!r.add_interdependence(c, b, InterdependenceKind::Interlocking));
+        // Removing `a` renumbers b, c to 0, 1: the stored edge is {0, 1}.
+        assert!(r.remove_person(a));
+        let (b, c) = (PersonId(0), PersonId(1));
+        assert!(!r.add_interdependence(b, c, InterdependenceKind::Interlocking));
+        // Removing `c` drops the edge, so the pair is free again.
+        assert!(r.remove_person(c));
+        let c = r.add_person("c", RoleSet::of(&[Role::Director]));
+        assert!(r.add_interdependence(c, b, InterdependenceKind::Interlocking));
+        assert_eq!(r.interdependencies().len(), 1);
+        assert_eq!(
+            r.interdependencies()[0].kind,
+            InterdependenceKind::Interlocking
+        );
+        // Absorbed edges count as stored ones.
+        let other = r.clone();
+        r.absorb(&other, "X:");
+        assert!(!r.add_interdependence(PersonId(3), PersonId(2), InterdependenceKind::Kinship));
+        assert!(r.add_interdependence(PersonId(0), PersonId(2), InterdependenceKind::Kinship));
     }
 
     #[test]
