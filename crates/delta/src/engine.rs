@@ -9,12 +9,11 @@ use tpiin_core::{
     GroupKind, ShardOutcome, SubTpiin, SuspiciousGroup,
 };
 use tpiin_fusion::compact::{Label, Members};
-use tpiin_fusion::incremental::{
-    assemble_from_labels, canonical_company_labels, company_scc_reps, company_scc_reps_delta,
-    dirty_companies, investment_wcc, person_syndicates,
+use tpiin_fusion::{
+    company_scc_reps, fuse_carrying, ArcColor, FusionError, IntraSyndicateTrade, Tpiin, TpiinArc,
+    TpiinNode,
 };
-use tpiin_fusion::{fuse, ArcColor, FusionError, IntraSyndicateTrade, Tpiin, TpiinArc, TpiinNode};
-use tpiin_graph::NodeId;
+use tpiin_graph::{NodeId, UnionFind};
 use tpiin_model::{
     CompanyId, InfluenceRecord, ModelError, Mutation, MutationBatch, SourceRegistry, TradingRecord,
 };
@@ -202,6 +201,48 @@ fn group_class_key(class: &[u32], g: &SuspiciousGroup, key: &mut Vec<u32>) {
     key.extend(g.trail_plain.iter().map(of));
 }
 
+/// Every company of `registry`: the dirty set of a from-scratch fusion.
+fn every_company(registry: &SourceRegistry) -> Vec<u32> {
+    (0..registry.company_count() as u32).collect()
+}
+
+/// Weak-component labels of the investment graph.  Returns
+/// `(labels, component_count)`.
+fn investment_wcc(registry: &SourceRegistry) -> (Vec<u32>, usize) {
+    let mut uf = UnionFind::new(registry.company_count());
+    for inv in registry.investments() {
+        uf.union(inv.investor.index(), inv.investee.index());
+    }
+    uf.into_labels()
+}
+
+/// The companies whose SCC membership an investment delta may have
+/// changed: every member of a *new* weak component containing a delta
+/// endpoint.  `endpoints` lists both companies of every added or removed
+/// investment record; out-of-range ids are ignored.  The result is
+/// ascending and closed under investment arcs, as
+/// [`company_scc_reps`] requires.
+///
+/// Every present investment record has both endpoints in one new weak
+/// component, and a removed record's endpoints land in (up to two) new
+/// components that are both marked dirty, so a clean new component has
+/// exactly the membership and internal arcs it had before the delta.
+fn dirty_companies(
+    wcc_labels: &[u32],
+    wcc_count: usize,
+    endpoints: impl IntoIterator<Item = CompanyId>,
+) -> Vec<u32> {
+    let mut dirty_wcc = vec![false; wcc_count];
+    for c in endpoints {
+        if let Some(&label) = wcc_labels.get(c.index()) {
+            dirty_wcc[label as usize] = true;
+        }
+    }
+    (0..wcc_labels.len() as u32)
+        .filter(|&c| dirty_wcc[wcc_labels[c as usize] as usize])
+        .collect()
+}
+
 /// Maintains a fused TPIIN and its detection result under a stream of
 /// [`MutationBatch`]es.
 ///
@@ -270,15 +311,15 @@ impl DeltaEngine {
         registry: SourceRegistry,
         config: DeltaConfig,
     ) -> Result<DeltaEngine, DeltaError> {
-        let (tpiin, _) = fuse(&registry)?;
-        Ok(DeltaEngine::from_fused(registry, tpiin, config))
+        let (tpiin, _, reps) = fuse_carrying(&registry, &[], &every_company(&registry))?;
+        Ok(DeltaEngine::assemble(Some(registry), tpiin, reps, config))
     }
 
     /// Wraps an already-fused pair.  `tpiin` must be the fusion of
     /// `registry` (the caller typically just ran the pipeline); the
     /// engine trusts it without re-fusing.
     pub fn from_fused(registry: SourceRegistry, tpiin: Tpiin, config: DeltaConfig) -> DeltaEngine {
-        let reps = company_scc_reps(&registry);
+        let reps = company_scc_reps(&registry, &[], &every_company(&registry));
         DeltaEngine::assemble(Some(registry), tpiin, reps, config)
     }
 
@@ -613,13 +654,13 @@ impl DeltaEngine {
     }
 
     /// Incremental path for antecedent mutations that keep entity ids:
-    /// patch syndicate labels, re-Tarjan only dirty weak components,
-    /// reassemble the network from labels.
+    /// re-fuse carrying the SCC representatives of every weak component
+    /// the batch left clean, so Tarjan re-runs only over the dirty ones.
+    /// (The fusion validates; the weak components need only the ids in
+    /// range, which applying the batch guarantees.)
     fn apply_incremental(&mut self, batch: &MutationBatch) -> Result<ApplyOutcome, DeltaError> {
         let mut next = self.registry.clone().expect("registry mode");
         let applied = batch.apply_to_registry(&mut next)?;
-        next.validate()
-            .map_err(|errs| DeltaError::Fusion(FusionError::InvalidRegistry(errs)))?;
 
         let endpoints: Vec<CompanyId> = batch
             .mutations
@@ -636,18 +677,9 @@ impl DeltaEngine {
         if nc > 0 && dirty.len() as f64 > self.config.blast_radius * nc as f64 {
             return self.rebuild_from(next, applied);
         }
-        let reps = company_scc_reps_delta(&next, &self.company_reps, &dirty);
+        let (tpiin, _, reps) = fuse_carrying(&next, &self.company_reps, &dirty)?;
         let rerun: HashSet<u32> = dirty.iter().map(|&c| reps[c as usize]).collect();
         self.stats.sccs_rerun += rerun.len() as u64;
-        let (person_labels, person_nodes) = person_syndicates(&next);
-        let (company_labels, company_nodes) = canonical_company_labels(&reps);
-        let (tpiin, _) = assemble_from_labels(
-            &next,
-            &person_labels,
-            person_nodes,
-            &company_labels,
-            company_nodes,
-        )?;
         self.stats.arcs_patched += applied as u64;
         let mut outcome = ApplyOutcome::empty(DeltaPath::Incremental);
         outcome.mutations_applied = applied;
@@ -670,8 +702,7 @@ impl DeltaEngine {
         applied: usize,
     ) -> Result<ApplyOutcome, DeltaError> {
         let _span = tpiin_obs::Span::at("delta/refuse");
-        let (tpiin, _) = fuse(&next)?;
-        let reps = company_scc_reps(&next);
+        let (tpiin, _, reps) = fuse_carrying(&next, &[], &every_company(&next))?;
         self.cache = ShardCache::default();
         self.stats.full_rebuilds += 1;
         let mut outcome = ApplyOutcome::empty(DeltaPath::FullRebuild);
@@ -896,5 +927,136 @@ impl DeltaEngine {
             outcome.shards_remined += 1;
         }
         (out, Some(sig))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpiin_model::{
+        InfluenceKind, InterdependenceKind, InvestmentRecord, PersonId, Role, RoleSet,
+    };
+
+    /// Kin legal persons, a C3<->C4 investment cycle fed by C1,
+    /// external + intra-syndicate trading.
+    fn registry() -> SourceRegistry {
+        let mut r = SourceRegistry::new();
+        let l6 = r.add_person("L6", RoleSet::of(&[Role::Ceo]));
+        let lb = r.add_person("LB", RoleSet::of(&[Role::Ceo]));
+        let l9 = r.add_person("L9", RoleSet::of(&[Role::Chairman]));
+        let c1 = r.add_company("C1");
+        let c2 = r.add_company("C2");
+        let c3 = r.add_company("C3");
+        let c4 = r.add_company("C4");
+        for (p, c) in [(l6, c1), (lb, c2), (l9, c3), (l9, c4)] {
+            r.add_influence(InfluenceRecord {
+                person: p,
+                company: c,
+                kind: InfluenceKind::CeoOf,
+                is_legal_person: true,
+            });
+        }
+        r.add_interdependence(l6, lb, InterdependenceKind::Kinship);
+        for (s, t) in [(c3, c4), (c4, c3), (c1, c3)] {
+            r.add_investment(InvestmentRecord {
+                investor: s,
+                investee: t,
+                share: 0.7,
+            });
+        }
+        r.add_trading(TradingRecord {
+            seller: c1,
+            buyer: c2,
+            volume: 5.0,
+        });
+        r.add_trading(TradingRecord {
+            seller: c3,
+            buyer: c4,
+            volume: 7.0,
+        });
+        r
+    }
+
+    fn from_scratch(r: &SourceRegistry) -> Vec<u32> {
+        company_scc_reps(r, &[], &every_company(r))
+    }
+
+    #[test]
+    fn delta_reps_match_full_recompute_after_investment_changes() {
+        let mut r = registry();
+        let old_reps = from_scratch(&r);
+        // Grow the cycle: C2 joins via C4 -> C2 -> C3.
+        r.add_investment(InvestmentRecord {
+            investor: CompanyId(3),
+            investee: CompanyId(1),
+            share: 0.5,
+        });
+        r.add_investment(InvestmentRecord {
+            investor: CompanyId(1),
+            investee: CompanyId(2),
+            share: 0.5,
+        });
+        let (wcc, n_wcc) = investment_wcc(&r);
+        let dirty = dirty_companies(
+            &wcc,
+            n_wcc,
+            [CompanyId(3), CompanyId(1), CompanyId(1), CompanyId(2)],
+        );
+        let delta = company_scc_reps(&r, &old_reps, &dirty);
+        assert_eq!(delta, from_scratch(&r));
+        assert_eq!(delta[1], delta[2], "C2 merged into the syndicate");
+    }
+
+    #[test]
+    fn delta_reps_handle_scc_splits_on_removal() {
+        let mut r = registry();
+        let old_reps = from_scratch(&r);
+        assert_eq!(old_reps[2], old_reps[3]);
+        // Break the C3 <-> C4 cycle: the syndicate must split.
+        assert!(r.remove_investment(CompanyId(3), CompanyId(2)));
+        let (wcc, n_wcc) = investment_wcc(&r);
+        let dirty = dirty_companies(&wcc, n_wcc, [CompanyId(3), CompanyId(2)]);
+        let delta = company_scc_reps(&r, &old_reps, &dirty);
+        assert_eq!(delta, from_scratch(&r));
+        assert_ne!(delta[2], delta[3], "syndicate split");
+    }
+
+    #[test]
+    fn clean_components_are_not_re_traversed() {
+        let r = registry();
+        let old_reps = from_scratch(&r);
+        // A delta touching nothing: no dirty companies, reps carry over.
+        let (wcc, n_wcc) = investment_wcc(&r);
+        let dirty = dirty_companies(&wcc, n_wcc, std::iter::empty());
+        assert!(dirty.is_empty());
+        assert_eq!(company_scc_reps(&r, &old_reps, &dirty), old_reps);
+    }
+
+    #[test]
+    fn new_companies_default_to_singletons() {
+        let mut r = registry();
+        let old_reps = from_scratch(&r);
+        r.add_person("L5", RoleSet::of(&[Role::Ceo]));
+        let c5 = r.add_company("C5");
+        r.add_influence(InfluenceRecord {
+            person: PersonId(3),
+            company: c5,
+            kind: InfluenceKind::CeoOf,
+            is_legal_person: true,
+        });
+        let (wcc, n_wcc) = investment_wcc(&r);
+        let dirty = dirty_companies(&wcc, n_wcc, std::iter::empty());
+        let delta = company_scc_reps(&r, &old_reps, &dirty);
+        assert_eq!(delta, from_scratch(&r));
+        assert_eq!(delta[4], 4);
+    }
+
+    #[test]
+    fn dirty_set_is_closed_under_investment_arcs() {
+        let r = registry();
+        let (wcc, n_wcc) = investment_wcc(&r);
+        // Touching C3 pulls in its whole weak component {C1, C3, C4}.
+        let dirty = dirty_companies(&wcc, n_wcc, [CompanyId(2)]);
+        assert_eq!(dirty, vec![0, 2, 3]);
     }
 }

@@ -12,21 +12,25 @@
 //! **bit-identical** to a from-scratch `fuse` + `detect` over the
 //! equivalent registry.
 //!
-//! [`DeltaEngine`] routes each batch down one of three paths:
+//! [`DeltaEngine`] routes each batch down one of four paths
+//! ([`DeltaPath`]):
 //!
 //! * **Trading append** — batches of `AddTrading` mutations patch arcs
 //!   surgically into the frozen network (appended records carry the
 //!   highest dedup sequence numbers, so a surgical append is exactly
 //!   what the full pipeline would produce);
-//! * **Incremental** — antecedent mutations rebuild person syndicates
-//!   (`O(P + I)` union–find), re-run Tarjan only over the weak
-//!   components touched by investment deltas
-//!   ([`tpiin_fusion::incremental::company_scc_reps_delta`]), and
-//!   reassemble the network from the patched labels
-//!   ([`tpiin_fusion::incremental::assemble_from_labels`]);
+//! * **Company append** — batches that only register companies (plus
+//!   trading) splice each new company node and its legal-person arc
+//!   into the frozen network: a new company is a singleton SCC with the
+//!   highest id, so no existing node id moves;
+//! * **Incremental** — other id-stable antecedent mutations re-fuse
+//!   through [`tpiin_fusion::fuse_carrying`], the assembler `fuse`
+//!   itself runs, carrying the SCC representatives of every weak
+//!   component of the investment graph the batch left clean, so Tarjan
+//!   re-runs only over the touched ones;
 //! * **Full rebuild** — the escape hatch for id-renumbering mutations
 //!   (entity removals) and for deltas whose blast radius exceeds
-//!   [`DeltaConfig::blast_radius`]: a from-scratch `fuse`, timed and
+//!   [`DeltaConfig::blast_radius`]: a from-scratch fusion, timed and
 //!   counted so the fallback stays honest.
 //!
 //! Mining after a patch is shard-cached: subTPIINs are keyed by a

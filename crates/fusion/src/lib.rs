@@ -16,20 +16,21 @@
 //! The result has two node colors (*Person*, *Company*) and two arc colors
 //! (*Influence*, *Trading*).  [`fuse`] runs the whole pipeline and returns
 //! the [`Tpiin`] plus a [`FusionReport`] with per-stage statistics (the
-//! numbers behind Figs. 11–16).  The contraction stages are also exposed
-//! individually in [`stages`] for tests.
+//! numbers behind Figs. 11–16).  [`fuse_carrying`] is the same pipeline
+//! with the SCC representatives of untouched companies carried over from
+//! an earlier run, which is how the delta engine re-fuses.  The
+//! contraction stages are also built one graph at a time in [`stages`],
+//! the reference the tests hold the pipeline to.
 
 pub mod compact;
-pub mod incremental;
 pub mod stages;
 
-mod par;
 mod pipeline;
 mod report;
 mod tpiin;
 mod verify;
 
-pub use pipeline::{fuse, fuse_with, FuseOptions, FusionError};
+pub use pipeline::{company_scc_reps, fuse, fuse_carrying, fuse_with, FuseOptions, FusionError};
 pub use report::{FusionReport, StageTiming};
 pub use tpiin::{
     ArcColor, IntraSyndicateTrade, NodeColor, Tpiin, TpiinArc, TpiinNode, INFLUENCE_LANE,

@@ -1,9 +1,9 @@
-//! The end-to-end fusion pipeline: `SourceRegistry -> TPIIN`.
+//! The fusion pipeline: `SourceRegistry -> TPIIN`, one serial pass per
+//! stage.
 
 use crate::compact::{Label, Members};
-use crate::par;
 use crate::report::{FusionReport, StageTiming};
-use crate::tpiin::{ArcColor, IntraSyndicateTrade, Tpiin, TpiinArc, TpiinNode};
+use crate::tpiin::{ArcColor, IntraSyndicateTrade, Tpiin, TpiinArc, TpiinNode, INFLUENCE_LANE};
 use tpiin_graph::{DiGraph, NodeId, SccScratch, UnionFind};
 use tpiin_model::{CompanyId, ModelError, PersonId, SourceRegistry};
 use tpiin_obs::TimedScope;
@@ -39,13 +39,12 @@ impl std::fmt::Display for FusionError {
 
 impl std::error::Error for FusionError {}
 
-/// Tuning knobs for [`fuse_with`].
+/// Ignored: fusion is one serial pass and has no knob.  Kept, with
+/// [`fuse_with`], only because the frozen benchmark names both; its next
+/// revision deletes them.
 #[derive(Clone, Copy, Debug)]
 pub struct FuseOptions {
-    /// Worker threads for the parallel stages.  `1` (the default) runs
-    /// the pipeline fully serial; `0` means one worker per available
-    /// core; any other value is taken literally, so tests can force the
-    /// parallel code path even on a single-core host.
+    /// Ignored.
     pub threads: usize,
 }
 
@@ -56,50 +55,15 @@ impl Default for FuseOptions {
 }
 
 impl FuseOptions {
-    /// Options from the environment: `TPIIN_THREADS` picks the worker
-    /// count (`0` = one per core); unset or unparsable falls back to one
-    /// worker per core.
+    /// The default options; reads nothing from the environment.
     pub fn from_env() -> Self {
-        let threads = std::env::var("TPIIN_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        FuseOptions { threads }
+        FuseOptions::default()
     }
 }
 
-/// One candidate TPIIN arc before deduplication: the packed `(src <<
-/// 32) | dst` endpoint key, the record sequence number, and the source
-/// weight.  Color is implicit — influence and trading candidates live in
-/// separate partitions throughout.
-#[derive(Clone, Copy)]
-struct ArcItem {
-    key: u64,
-    seq: u32,
-    weight: f64,
-}
-
-#[inline]
-fn pack_key(s: NodeId, t: NodeId) -> u64 {
-    ((s.index() as u64) << 32) | t.index() as u64
-}
-
-/// Sort-based first-occurrence-wins deduplication of one color
-/// partition: sort by `(key, seq)`, keep the lowest-sequence item per
-/// key, then restore sequence order so the surviving arcs enter the
-/// graph exactly where a scan with a hash-set membership test would have
-/// placed them.  Returns the number of duplicates dropped.
-fn dedup_first_wins(workers: usize, items: &mut Vec<ArcItem>) -> usize {
-    let before = items.len();
-    par::par_sort_unstable_by_key(workers, items, |it| (it.key, it.seq));
-    items.dedup_by_key(|it| it.key);
-    par::par_sort_unstable_by_key(workers, items, |it| it.seq);
-    before - items.len()
-}
-
-/// Fuses the source records of `registry` into a [`Tpiin`], fully
-/// serially.  Equivalent to [`fuse_with`] at the default options; see
-/// there for the stage-by-stage description.
+/// Fuses the source records of `registry` into a [`Tpiin`]: the
+/// from-scratch [`fuse_carrying`], with nothing carried and every
+/// company dirty.
 ///
 /// # Example
 ///
@@ -126,41 +90,52 @@ fn dedup_first_wins(workers: usize, items: &mut Vec<ArcItem>) -> usize {
 /// assert_eq!(report.trading_arcs, 1);
 /// ```
 pub fn fuse(registry: &SourceRegistry) -> Result<(Tpiin, FusionReport), FusionError> {
-    fuse_with(registry, FuseOptions::default())
+    let every: Vec<u32> = (0..registry.company_count() as u32).collect();
+    let (tpiin, report, _) = fuse_carrying(registry, &[], &every)?;
+    Ok((tpiin, report))
 }
 
-/// Fuses the source records of `registry` into a [`Tpiin`].
+/// [`fuse`]; `options` is ignored (see [`FuseOptions`]).
+pub fn fuse_with(
+    registry: &SourceRegistry,
+    _options: FuseOptions,
+) -> Result<(Tpiin, FusionReport), FusionError> {
+    fuse(registry)
+}
+
+/// Fuses the source records of `registry` into a [`Tpiin`], taking the
+/// SCC representatives of the companies outside `dirty` from
+/// `carried_reps` (see [`company_scc_reps`]).  Returns the
+/// representatives with the network, so the next call can carry them.
 ///
-/// Pipeline (Section 4.1):
-/// 1. validate the registry (per-record-type sweeps, one worker each);
-/// 2. contract interdependence-connected persons into person syndicates
-///    via union–find (`G12 -> G12'`);
-/// 3. contract strongly connected investment subgraphs into company
-///    syndicates (`G_B -> G123`), folding investment arcs into influence
-///    — Tarjan runs independently per weak component of the investment
-///    graph, spread over the workers;
-/// 4. attach trading arcs (`G4`), diverting trades internal to a company
-///    syndicate into [`Tpiin::intra_syndicate_trades`];
-/// 5. freeze the finished topology into the two-lane CSR snapshot the
-///    mining phase iterates ([`Tpiin::csr`]);
-/// 6. verify the antecedent network is a DAG (read off the frozen
-///    influence lane).
+/// Pipeline (Section 4.1), each stage timed into
+/// [`FusionReport::stage_timings`]:
+/// 1. `validate` the registry;
+/// 2. `contract_persons`: union–find over the interdependence edges
+///    (`G12 -> G12'`);
+/// 3. `contract_sccs`: company SCC representatives, syndicates numbered
+///    by first appearance of their representative over `CompanyId`
+///    order (`G_B -> G123`), then the influence partition — influence
+///    records, then investment records offset past them, investments
+///    internal to a syndicate dropped;
+/// 4. `attach_trading`: the trading partition (`G4`); a trade internal
+///    to a company syndicate is diverted into
+///    [`Tpiin::intra_syndicate_trades`] before dedup, so it never
+///    shadows an external arc;
+/// 5. `freeze`: the two-lane CSR the mining phase iterates
+///    ([`Tpiin::csr`]);
+/// 6. `verify_dag`: the antecedent network is a DAG (Appendix A), read
+///    off the frozen influence lane.
 ///
 /// Influence arcs occupy edge ids `0..influence_arc_count` and trading
 /// arcs the remainder, matching the edge-list layout of Algorithm 1.
-/// Parallel arcs of equal color are deduplicated (first occurrence wins)
-/// by sorting packed `(src, dst)` keys instead of probing a hash set.
-///
-/// The result is **identical at every thread count**: company syndicates
-/// are numbered by their minimum source-company member (in first-
-/// appearance order over `CompanyId`), which depends only on component
-/// membership, and arc deduplication keys on record sequence numbers —
-/// so no stage's output depends on traversal or completion order.
-pub fn fuse_with(
+/// Parallel arcs of one colour keep their first record: its weight, its
+/// sequence number in [`Tpiin::arc_sources`], and its position.
+pub fn fuse_carrying(
     registry: &SourceRegistry,
-    options: FuseOptions,
-) -> Result<(Tpiin, FusionReport), FusionError> {
-    let workers = par::resolve_threads(options.threads);
+    carried_reps: &[u32],
+    dirty: &[u32],
+) -> Result<(Tpiin, FusionReport, Vec<u32>), FusionError> {
     let whole = TimedScope::start();
     let mut stage_timings = Vec::with_capacity(6);
     let mut time_stage = |stage: &str, scope: TimedScope| {
@@ -171,28 +146,8 @@ pub fn fuse_with(
         });
     };
 
-    // --- Validate: four independent per-record-type sweeps. ---
     let scope = TimedScope::start();
-    let validation = if workers > 1 {
-        type Sweep<'a> = Box<dyn FnOnce() -> Vec<ModelError> + Send + 'a>;
-        let sweeps: Vec<Sweep> = vec![
-            Box::new(|| registry.validate_interdependencies()),
-            Box::new(|| registry.validate_influences()),
-            Box::new(|| registry.validate_investments()),
-            Box::new(|| registry.validate_tradings()),
-        ];
-        let errors: Vec<ModelError> = par::run_jobs(workers, sweeps)
-            .into_iter()
-            .flatten()
-            .collect();
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(errors)
-        }
-    } else {
-        registry.validate()
-    };
+    let validation = registry.validate();
     time_stage("validate", scope);
     validation.map_err(FusionError::InvalidRegistry)?;
 
@@ -219,128 +174,78 @@ pub fn fuse_with(
     // network (nodes + influence/investment arcs). ---
     let scope = TimedScope::start();
     let nc = registry.company_count();
-    let (company_labels, n_company_nodes) = company_scc_labels(registry, workers);
-    let mut company_members: Vec<Vec<CompanyId>> = vec![Vec::new(); n_company_nodes];
-    for (c, &label) in company_labels.iter().enumerate() {
-        company_members[label as usize].push(CompanyId(c as u32));
-    }
-
-    // Node payloads: the `+`-joined label strings dominate this phase,
-    // so format them in parallel chunks; nodes are appended serially in
-    // group order afterwards.
-    let mut person_syndicates_merged = 0;
-    let mut company_syndicates_merged = 0;
-    for members in &person_members {
-        if members.len() > 1 {
-            person_syndicates_merged += 1;
+    let reps = company_scc_reps(registry, carried_reps, dirty);
+    let mut rank = vec![u32::MAX; nc];
+    let mut company_node: Vec<NodeId> = Vec::with_capacity(nc);
+    let mut company_members: Vec<Vec<CompanyId>> = Vec::new();
+    for (c, &rep) in reps.iter().enumerate() {
+        if rank[rep as usize] == u32::MAX {
+            rank[rep as usize] = company_members.len() as u32;
+            company_members.push(Vec::new());
         }
+        let label = rank[rep as usize] as usize;
+        company_members[label].push(CompanyId(c as u32));
+        company_node.push(NodeId::from_index(n_person_nodes + label));
     }
-    for members in &company_members {
-        if members.len() > 1 {
-            company_syndicates_merged += 1;
-        }
-    }
-    let person_payloads: Vec<TpiinNode> = par::map_chunks(workers, &person_members, |_, chunk| {
-        chunk
-            .iter()
-            .map(|members| TpiinNode::Person {
-                label: join_labels(members.iter().map(|&p| registry.person(p).name.as_str())),
-                members: Members::from_slice(members),
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let company_payloads: Vec<TpiinNode> =
-        par::map_chunks(workers, &company_members, |_, chunk| {
-            chunk
-                .iter()
-                .map(|members| TpiinNode::Company {
-                    label: join_labels(members.iter().map(|&c| registry.company(c).name.as_str())),
-                    members: Members::from_slice(members),
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-    let mut graph: DiGraph<TpiinNode, TpiinArc> = DiGraph::with_capacity(
-        n_person_nodes + n_company_nodes,
-        registry.influences().len() + registry.investments().len() + registry.tradings().len(),
-    );
-    for payload in person_payloads {
-        graph.add_node(payload);
-    }
-    for payload in company_payloads {
-        graph.add_node(payload);
-    }
-
-    // Node lookup tables back from source ids.
+    let n_company_nodes = company_members.len();
+    let n_nodes = n_person_nodes + n_company_nodes;
     let person_node: Vec<NodeId> = person_labels
         .iter()
         .map(|&l| NodeId::from_index(l as usize))
         .collect();
-    let company_node: Vec<NodeId> = company_labels
-        .iter()
-        .map(|&l| NodeId::from_index(n_person_nodes + l as usize))
-        .collect();
 
-    // --- Arcs: influence (G2 + investment), then trading.  Candidates
-    // are gathered per color partition with their record sequence
-    // numbers, then deduplicated by sort. ---
+    let mut graph: DiGraph<TpiinNode, TpiinArc> = DiGraph::with_capacity(
+        n_nodes,
+        registry.influences().len() + registry.investments().len() + registry.tradings().len(),
+    );
+    for members in &person_members {
+        graph.add_node(TpiinNode::Person {
+            label: join_labels(members.iter().map(|&p| registry.person(p).name.as_str())),
+            members: Members::from_slice(members),
+        });
+    }
+    for members in &company_members {
+        graph.add_node(TpiinNode::Company {
+            label: join_labels(members.iter().map(|&c| registry.company(c).name.as_str())),
+            members: Members::from_slice(members),
+        });
+    }
+
     let influences = registry.influences();
-    let influence_candidates: Vec<Vec<ArcItem>> =
-        par::map_chunks(workers, influences, |start, chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, inf)| ArcItem {
-                    key: pack_key(
-                        person_node[inf.person.index()],
-                        company_node[inf.company.index()],
-                    ),
-                    seq: (start + i) as u32,
-                    weight: 1.0,
-                })
-                .collect::<Vec<_>>()
+    let mut internal_investment_arcs_dropped = 0;
+    let mut influence_items: Vec<Cand> =
+        Vec::with_capacity(influences.len() + registry.investments().len());
+    for (i, inf) in influences.iter().enumerate() {
+        influence_items.push(Cand {
+            src: person_node[inf.person.index()].index() as u32,
+            dst: company_node[inf.company.index()].index() as u32,
+            seq: i as u32,
+            weight: 1.0,
         });
-    let investment_candidates: Vec<(Vec<ArcItem>, usize)> =
-        par::map_chunks(workers, registry.investments(), |start, chunk| {
-            let mut items = Vec::with_capacity(chunk.len());
-            let mut internal = 0usize;
-            for (i, inv) in chunk.iter().enumerate() {
-                let s = company_node[inv.investor.index()];
-                let t = company_node[inv.investee.index()];
-                if s == t {
-                    internal += 1;
-                    continue;
-                }
-                items.push(ArcItem {
-                    key: pack_key(s, t),
-                    seq: (influences.len() + start + i) as u32,
-                    weight: inv.share,
-                });
-            }
-            (items, internal)
+    }
+    for (i, inv) in registry.investments().iter().enumerate() {
+        let s = company_node[inv.investor.index()];
+        let t = company_node[inv.investee.index()];
+        if s == t {
+            internal_investment_arcs_dropped += 1;
+            continue;
+        }
+        influence_items.push(Cand {
+            src: s.index() as u32,
+            dst: t.index() as u32,
+            seq: (influences.len() + i) as u32,
+            weight: inv.share,
         });
-    let internal_investment_arcs_dropped: usize =
-        investment_candidates.iter().map(|(_, n)| n).sum();
-    let mut influence_items: Vec<ArcItem> = influence_candidates
-        .into_iter()
-        .chain(investment_candidates.into_iter().map(|(items, _)| items))
-        .flatten()
-        .collect();
-    let mut duplicate_arcs_dropped = dedup_first_wins(workers, &mut influence_items);
+    }
+    let (influence_items, mut duplicate_arcs_dropped) = dedup_first_wins(n_nodes, influence_items);
     // Per-edge provenance: the winning record sequence of each surviving
-    // arc, aligned with the edge ids `add_edge` hands out below.
+    // arc, aligned with the edge ids `add_edge` hands out.
     let mut arc_sources: Vec<u32> =
         Vec::with_capacity(influence_items.len() + registry.tradings().len());
     for it in &influence_items {
         graph.add_edge(
-            NodeId::from_index((it.key >> 32) as usize),
-            NodeId::from_index((it.key & u32::MAX as u64) as usize),
+            NodeId::from_index(it.src as usize),
+            NodeId::from_index(it.dst as usize),
             TpiinArc {
                 color: ArcColor::Influence,
                 weight: it.weight,
@@ -360,7 +265,7 @@ pub fn fuse_with(
     // --- G123 + G4 -> TPIIN: attach trading arcs. ---
     let scope = TimedScope::start();
     let mut intra_syndicate_trades = Vec::new();
-    let mut trading_items: Vec<ArcItem> = Vec::with_capacity(registry.tradings().len());
+    let mut trading_items: Vec<Cand> = Vec::with_capacity(registry.tradings().len());
     for (seq, tr) in registry.tradings().iter().enumerate() {
         let s = company_node[tr.seller.index()];
         let t = company_node[tr.buyer.index()];
@@ -373,17 +278,19 @@ pub fn fuse_with(
             });
             continue;
         }
-        trading_items.push(ArcItem {
-            key: pack_key(s, t),
+        trading_items.push(Cand {
+            src: s.index() as u32,
+            dst: t.index() as u32,
             seq: seq as u32,
             weight: tr.volume,
         });
     }
-    duplicate_arcs_dropped += dedup_first_wins(workers, &mut trading_items);
+    let (trading_items, dropped) = dedup_first_wins(n_nodes, trading_items);
+    duplicate_arcs_dropped += dropped;
     for it in &trading_items {
         graph.add_edge(
-            NodeId::from_index((it.key >> 32) as usize),
-            NodeId::from_index((it.key & u32::MAX as u64) as usize),
+            NodeId::from_index(it.src as usize),
+            NodeId::from_index(it.dst as usize),
             TpiinArc {
                 color: ArcColor::Trading,
                 weight: it.weight,
@@ -411,7 +318,7 @@ pub fn fuse_with(
     // --- Verify the antecedent network is a DAG (Appendix A), straight
     // off the frozen influence lane. ---
     let scope = TimedScope::start();
-    let acyclic = tpiin.csr().is_acyclic(crate::tpiin::INFLUENCE_LANE);
+    let acyclic = tpiin.csr().is_acyclic(INFLUENCE_LANE);
     time_stage("verify_dag", scope);
     if !acyclic {
         return Err(FusionError::AntecedentNotAcyclic);
@@ -424,9 +331,9 @@ pub fn fuse_with(
         investment_records: registry.investments().len(),
         trading_records: registry.tradings().len(),
         person_syndicate_count: n_person_nodes,
-        person_syndicates_merged,
+        person_syndicates_merged: person_members.iter().filter(|m| m.len() > 1).count(),
         company_syndicate_count: n_company_nodes,
-        company_syndicates_merged,
+        company_syndicates_merged: company_members.iter().filter(|m| m.len() > 1).count(),
         internal_investment_arcs_dropped,
         duplicate_arcs_dropped,
         influence_arcs: tpiin.influence_arc_count,
@@ -438,16 +345,58 @@ pub fn fuse_with(
     };
     let total = whole.finish("fusion");
     tpiin_obs::info!(
-        "fused {} nodes / {} arcs in {:?} ({} workers)",
+        "fused {} nodes / {} arcs in {:?}",
         report.tpiin_nodes,
         report.influence_arcs + report.trading_arcs,
-        total,
-        workers
+        total
     );
-    Ok((tpiin, report))
+    Ok((tpiin, report, reps))
 }
 
-pub(crate) fn join_labels<'a>(mut names: impl Iterator<Item = &'a str>) -> Label {
+/// Min-member SCC representative of every company of the investment
+/// graph: `carried_reps` for companies outside `dirty` (a company past
+/// its end is a singleton), one Tarjan pass ([`SccScratch`]) over
+/// `dirty`.  A from-scratch call carries nothing and passes every
+/// company.
+///
+/// `dirty` must be closed under investment arcs — a union of weak
+/// components of the investment graph, such as every company of each
+/// component an edit touched.  A clean component then has the
+/// membership and internal arcs it had when `carried_reps` was
+/// computed, so its representatives carry over unchanged.
+pub fn company_scc_reps(
+    registry: &SourceRegistry,
+    carried_reps: &[u32],
+    dirty: &[u32],
+) -> Vec<u32> {
+    let nc = registry.company_count();
+    let mut reps: Vec<u32> = (0..nc as u32)
+        .map(|c| carried_reps.get(c as usize).copied().unwrap_or(c))
+        .collect();
+    if dirty.is_empty() {
+        return reps;
+    }
+    // Flat CSR of the investment graph (counting sort over sources).
+    let investments = registry.investments();
+    let mut offsets = vec![0u32; nc + 1];
+    for inv in investments {
+        offsets[inv.investor.index() + 1] += 1;
+    }
+    for i in 0..nc {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets.clone();
+    let mut targets = vec![0u32; investments.len()];
+    for inv in investments {
+        let s = inv.investor.index();
+        targets[cursor[s] as usize] = inv.investee.0;
+        cursor[s] += 1;
+    }
+    SccScratch::new(nc).run(&offsets, &targets, dirty, |v, rep| reps[v as usize] = rep);
+    reps
+}
+
+fn join_labels<'a>(mut names: impl Iterator<Item = &'a str>) -> Label {
     let first = names.next().unwrap_or_default();
     let Some(second) = names.next() else {
         // Singleton — the overwhelmingly common case: the label inlines
@@ -464,116 +413,53 @@ pub(crate) fn join_labels<'a>(mut names: impl Iterator<Item = &'a str>) -> Label
     Label::from(label)
 }
 
-/// Company-syndicate labelling: Tarjan SCCs of the investment graph,
-/// numbered canonically by first appearance of each SCC's minimum member
-/// over `CompanyId` order.  With more than one worker the investment
-/// graph is split into weak components (closed under edges), spread
-/// greedily over the workers, and each worker runs Tarjan over its
-/// components with private scratch state on the shared CSR; the
-/// min-member representatives make the merged labelling independent of
-/// the split.
-fn company_scc_labels(registry: &SourceRegistry, workers: usize) -> (Vec<u32>, usize) {
-    let nc = registry.company_count();
-    let investments = registry.investments();
+/// One candidate arc before dedup: endpoints as TPIIN node indices, the
+/// source-record sequence, and the arc weight.
+struct Cand {
+    src: u32,
+    dst: u32,
+    seq: u32,
+    weight: f64,
+}
 
-    // Flat CSR of the investment graph (counting sort over sources).
-    let mut offsets = vec![0u32; nc + 1];
-    for inv in investments {
-        offsets[inv.investor.index() + 1] += 1;
+/// First-occurrence-wins dedup of one colour partition in
+/// `O(nodes + candidates)`: a stable counting sort groups candidates by
+/// source node, a stamp array keeps the first destination seen per
+/// source, and survivors are emitted in their original (ascending
+/// sequence) order.  Returns `(survivors, dropped)`.
+fn dedup_first_wins(n_nodes: usize, items: Vec<Cand>) -> (Vec<Cand>, usize) {
+    let before = items.len();
+    let mut offsets = vec![0u32; n_nodes + 1];
+    for it in &items {
+        offsets[it.src as usize + 1] += 1;
     }
-    for i in 0..nc {
+    for i in 0..n_nodes {
         offsets[i + 1] += offsets[i];
     }
-    let mut cursor = offsets.clone();
-    let mut targets = vec![0u32; investments.len()];
-    for inv in investments {
-        let s = inv.investor.index();
-        targets[cursor[s] as usize] = inv.investee.0;
-        cursor[s] += 1;
+    let mut cursor = offsets;
+    let mut order = vec![0u32; items.len()];
+    for (i, it) in items.iter().enumerate() {
+        order[cursor[it.src as usize] as usize] = i as u32;
+        cursor[it.src as usize] += 1;
     }
-
-    // SCC representative (minimum member) per company.
-    let mut reps: Vec<u32> = (0..nc as u32).collect();
-    if workers > 1 && nc > 1 {
-        // Weak components of the investment graph; each is closed under
-        // investment arcs, so Tarjan never crosses between them.
-        let mut wcc = UnionFind::new(nc);
-        for inv in investments {
-            wcc.union(inv.investor.index(), inv.investee.index());
+    // `mark[dst]` holds the last source that claimed `dst`; each source's
+    // bucket is visited exactly once, so the source id is a unique stamp.
+    let mut mark = vec![u32::MAX; n_nodes];
+    let mut keep = vec![false; items.len()];
+    for &idx in &order {
+        let it = &items[idx as usize];
+        if mark[it.dst as usize] != it.src {
+            mark[it.dst as usize] = it.src;
+            keep[idx as usize] = true;
         }
-        let (comp_of, n_comps) = wcc.into_labels();
-        // Group companies by component (counting sort).
-        let mut comp_size = vec![0u32; n_comps];
-        for &comp in &comp_of {
-            comp_size[comp as usize] += 1;
-        }
-        let mut comp_start = vec![0u32; n_comps + 1];
-        for (i, &size) in comp_size.iter().enumerate() {
-            comp_start[i + 1] = comp_start[i] + size;
-        }
-        let mut comp_cursor = comp_start.clone();
-        let mut comp_nodes = vec![0u32; nc];
-        for (v, &comp) in comp_of.iter().enumerate() {
-            comp_nodes[comp_cursor[comp as usize] as usize] = v as u32;
-            comp_cursor[comp as usize] += 1;
-        }
-        // Greedy longest-processing-time assignment of components to
-        // workers: biggest first onto the least-loaded worker.
-        let mut order: Vec<u32> = (0..n_comps as u32).collect();
-        order.sort_unstable_by_key(|&c| std::cmp::Reverse(comp_size[c as usize]));
-        let mut subsets: Vec<Vec<u32>> = vec![Vec::new(); workers];
-        let mut load = vec![0usize; workers];
-        for comp in order {
-            let w = (0..workers).min_by_key(|&w| load[w]).expect("workers > 1");
-            let start = comp_start[comp as usize] as usize;
-            let end = comp_start[comp as usize + 1] as usize;
-            subsets[w].extend_from_slice(&comp_nodes[start..end]);
-            load[w] += end - start;
-        }
-        let (offsets, targets) = (&offsets, &targets);
-        let pair_lists: Vec<Vec<(u32, u32)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = subsets
-                .iter()
-                .filter(|subset| !subset.is_empty())
-                .map(|subset| {
-                    scope.spawn(move |_| {
-                        let mut scratch = SccScratch::new(nc);
-                        let mut pairs = Vec::with_capacity(subset.len());
-                        scratch.run(offsets, targets, subset, |v, rep| pairs.push((v, rep)));
-                        pairs
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scc worker panicked"))
-                .collect()
-        })
-        .expect("scc scope");
-        for pairs in pair_lists {
-            for (v, rep) in pairs {
-                reps[v as usize] = rep;
-            }
-        }
-    } else if nc > 0 {
-        let all: Vec<u32> = (0..nc as u32).collect();
-        let mut scratch = SccScratch::new(nc);
-        scratch.run(&offsets, &targets, &all, |v, rep| reps[v as usize] = rep);
     }
-
-    // Canonical dense labels: first appearance of each representative.
-    let mut rank = vec![u32::MAX; nc];
-    let mut labels = vec![0u32; nc];
-    let mut count = 0u32;
-    for c in 0..nc {
-        let rep = reps[c] as usize;
-        if rank[rep] == u32::MAX {
-            rank[rep] = count;
-            count += 1;
-        }
-        labels[c] = rank[rep];
-    }
-    (labels, count as usize)
+    let survivors: Vec<Cand> = items
+        .into_iter()
+        .zip(&keep)
+        .filter_map(|(it, &k)| k.then_some(it))
+        .collect();
+    let dropped = before - survivors.len();
+    (survivors, dropped)
 }
 
 #[cfg(test)]
@@ -770,28 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fusion_matches_serial_exactly() {
-        let r = registry();
-        let (serial, serial_report) = fuse(&r).unwrap();
-        for threads in [2, 4] {
-            let (par, par_report) = fuse_with(&r, FuseOptions { threads }).unwrap();
-            assert_eq!(par.node_count(), serial.node_count());
-            assert_eq!(par.edge_list(), serial.edge_list(), "threads = {threads}");
-            assert_eq!(par.person_node, serial.person_node);
-            assert_eq!(par.company_node, serial.company_node);
-            assert_eq!(par.intra_syndicate_trades, serial.intra_syndicate_trades);
-            assert_eq!(par.arc_sources, serial.arc_sources);
-            assert_eq!(
-                par_report.duplicate_arcs_dropped,
-                serial_report.duplicate_arcs_dropped
-            );
-            let labels: Vec<&str> = par.graph.nodes().map(|(_, n)| n.label()).collect();
-            let serial_labels: Vec<&str> = serial.graph.nodes().map(|(_, n)| n.label()).collect();
-            assert_eq!(labels, serial_labels);
-        }
-    }
-
-    #[test]
     fn arc_sources_record_the_winning_record_sequence() {
         let (tpiin, _) = fuse(&registry()).unwrap();
         assert_eq!(tpiin.arc_sources.len(), tpiin.graph.edge_count());
@@ -809,25 +673,6 @@ mod tests {
         r.add_company("orphan");
         match fuse(&r) {
             Err(FusionError::InvalidRegistry(errs)) => assert!(!errs.is_empty()),
-            other => panic!("expected InvalidRegistry, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn invalid_registry_reports_same_errors_at_any_thread_count() {
-        let mut r = SourceRegistry::new();
-        r.add_company("orphan");
-        r.add_trading(TradingRecord {
-            seller: tpiin_model::CompanyId(0),
-            buyer: tpiin_model::CompanyId(0),
-            volume: 1.0,
-        });
-        let serial = match fuse(&r) {
-            Err(FusionError::InvalidRegistry(errs)) => errs,
-            other => panic!("expected InvalidRegistry, got {other:?}"),
-        };
-        match fuse_with(&r, FuseOptions { threads: 4 }) {
-            Err(FusionError::InvalidRegistry(errs)) => assert_eq!(errs, serial),
             other => panic!("expected InvalidRegistry, got {other:?}"),
         }
     }
@@ -874,5 +719,34 @@ mod tests {
         let (tpiin, report) = fuse(&registry()).unwrap();
         let expect = tpiin.graph.edge_count() as f64 / tpiin.graph.node_count() as f64;
         assert!((report.mean_degree - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counting_dedup_keeps_first_occurrence() {
+        let items = vec![
+            Cand {
+                src: 1,
+                dst: 2,
+                seq: 0,
+                weight: 0.3,
+            },
+            Cand {
+                src: 0,
+                dst: 2,
+                seq: 1,
+                weight: 0.5,
+            },
+            Cand {
+                src: 1,
+                dst: 2,
+                seq: 2,
+                weight: 0.9,
+            },
+        ];
+        let (kept, dropped) = dedup_first_wins(3, items);
+        assert_eq!(dropped, 1);
+        let seqs: Vec<u32> = kept.iter().map(|c| c.seq).collect();
+        assert_eq!(seqs, [0, 1], "survivors stay in sequence order");
+        assert_eq!(kept[0].weight, 0.3, "first occurrence wins the weight");
     }
 }

@@ -1,9 +1,11 @@
 //! Intermediate homogeneous graphs of the fusion chain.
 //!
 //! These builders expose the contraction stages of Section 4.1 separately
-//! so that the Appendix A properties can be checked in isolation.  The
-//! end-to-end pipeline in [`crate::fuse`] uses the same logic but fuses in
-//! one pass for efficiency.
+//! so that the Appendix A properties can be checked in isolation.  They
+//! build every intermediate graph the paper names; [`crate::fuse`] builds
+//! none of them — it computes the two contractions as labels and
+//! assembles the TPIIN from those once.  The tests hold it to this
+//! chain: the same antecedent nodes and the same distinct arcs.
 
 use tpiin_graph::{check_bipartite, DiGraph, Partition};
 use tpiin_model::{InterdependenceKind, SourceRegistry};
@@ -217,6 +219,8 @@ pub fn build_antecedent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TpiinNode;
+    use std::collections::BTreeSet;
     use tpiin_graph::NodeId;
     use tpiin_model::{
         InfluenceKind, InfluenceRecord, InvestmentRecord, Role, RoleSet, TradingRecord,
@@ -353,19 +357,102 @@ mod tests {
         assert_eq!(merged, 1, "exactly the investment SCC merged");
     }
 
+    /// A node as the source entities it merges: `(is_person, ids)`,
+    /// ids ascending.
+    type MemberSet = (bool, Vec<u32>);
+
+    /// An antecedent network as its node member sets and its distinct
+    /// arcs between them.
+    type Shape = (BTreeSet<MemberSet>, BTreeSet<(MemberSet, MemberSet)>);
+
+    fn staged_shape(r: &SourceRegistry) -> Shape {
+        let g12p = build_g12_prime(r);
+        let n_person_nodes = g12p.graph.nodes().filter(|(_, &p)| p).count();
+        let staged = build_antecedent(r);
+        let sets: Vec<MemberSet> = staged
+            .members
+            .iter()
+            .map(|members| {
+                let is_person = members[0].index() < n_person_nodes;
+                let mut ids: Vec<u32> = if is_person {
+                    members
+                        .iter()
+                        .flat_map(|m| &g12p.members[m.index()])
+                        .map(|p| p.index() as u32)
+                        .collect()
+                } else {
+                    members
+                        .iter()
+                        .map(|m| (m.index() - n_person_nodes) as u32)
+                        .collect()
+                };
+                ids.sort_unstable();
+                (is_person, ids)
+            })
+            .collect();
+        let arcs = staged
+            .graph
+            .edges()
+            .map(|e| {
+                (
+                    sets[e.source.index()].clone(),
+                    sets[e.target.index()].clone(),
+                )
+            })
+            .collect();
+        (sets.into_iter().collect(), arcs)
+    }
+
+    fn fused_shape(r: &SourceRegistry) -> Shape {
+        let (tpiin, _) = crate::fuse(r).unwrap();
+        let sets: Vec<MemberSet> = tpiin
+            .graph
+            .nodes()
+            .map(|(_, node)| match node {
+                TpiinNode::Person { members, .. } => {
+                    (true, members.as_slice().iter().map(|p| p.0).collect())
+                }
+                TpiinNode::Company { members, .. } => {
+                    (false, members.as_slice().iter().map(|c| c.0).collect())
+                }
+            })
+            .collect();
+        let arcs: BTreeSet<(MemberSet, MemberSet)> = tpiin
+            .graph
+            .edges()
+            .take(tpiin.influence_arc_count)
+            .map(|e| {
+                (
+                    sets[e.source.index()].clone(),
+                    sets[e.target.index()].clone(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            arcs.len(),
+            tpiin.influence_arc_count,
+            "fused arcs are distinct"
+        );
+        (sets.into_iter().collect(), arcs)
+    }
+
     #[test]
     fn stagewise_antecedent_matches_fused_pipeline() {
-        // The explicit stage chain and the one-pass `fuse` must agree on
-        // antecedent shape (node count; arc count may differ only by
-        // duplicate deduplication in fuse()).
-        let r = registry();
-        let staged = build_antecedent(&r);
-        let (tpiin, report) = crate::fuse(&r).unwrap();
-        assert_eq!(staged.graph.node_count(), tpiin.node_count());
-        assert_eq!(
-            staged.graph.node_count(),
-            report.person_syndicate_count + report.company_syndicate_count
-        );
-        assert!(staged.graph.edge_count() >= report.influence_arcs);
+        // The explicit stage chain and the one assembler behind `fuse`
+        // must build the same antecedent network: the same nodes, as sets
+        // of source entities, and the same arcs between them once the
+        // chain's parallel arcs are collapsed.
+        for (name, r) in [
+            ("stages", registry()),
+            ("fig7", tpiin_datagen::fig7_registry()),
+            ("case1", tpiin_datagen::case1_registry()),
+            ("case2", tpiin_datagen::case2_registry()),
+            ("case3", tpiin_datagen::case3_registry()),
+        ] {
+            let (staged_nodes, staged_arcs) = staged_shape(&r);
+            let (fused_nodes, fused_arcs) = fused_shape(&r);
+            assert_eq!(staged_nodes, fused_nodes, "{name}: nodes");
+            assert_eq!(staged_arcs, fused_arcs, "{name}: influence arcs");
+        }
     }
 }

@@ -109,20 +109,19 @@ pub fn condensation_partition<N, E>(graph: &DiGraph<N, E>) -> (Vec<u32>, usize) 
 /// CSR adjacency (`offsets`/`targets` arrays, as produced by edge
 /// counting + prefix sum).
 ///
-/// The parallel fusion front-end decomposes the investment graph into
-/// weak components and hands each worker a disjoint set of components.
+/// Fusion runs it over every company of the investment graph; the delta
+/// engine runs it over only the weak components an edit touched.
 /// Because a weak component is closed under edges, Tarjan never leaves
-/// the subset it was started on, so every worker can run over the same
-/// shared read-only CSR with its own `SccScratch`.  The scratch arrays
-/// are sized for the full graph but never reset between calls: each node
-/// belongs to exactly one subset, so its `visited` slot is written at
-/// most once over the scratch's lifetime.
+/// the subset it was started on.  The scratch arrays are sized for the
+/// full graph but never reset between calls: each node belongs to at
+/// most one subset, so its `visited` slot is written at most once over
+/// the scratch's lifetime.
 ///
 /// For every node of the subset the callback receives `(node, rep)`
 /// where `rep` is the **minimum member** of the node's SCC.  Minimum-
-/// member representatives are what make parallel and serial runs agree:
-/// they depend only on the component's membership, never on traversal
-/// order or on which worker ran the component.
+/// member representatives depend only on the component's membership,
+/// never on traversal order, so a representative computed by an earlier
+/// run over an unchanged component can be carried over as is.
 #[derive(Debug)]
 pub struct SccScratch {
     index: Vec<u32>,

@@ -16,7 +16,7 @@
 use crate::error::Error;
 use std::sync::Arc;
 use tpiin_core::{mine_with_obs, DetectionResult, DetectorConfig, MineContext, MinerRegistry};
-use tpiin_fusion::{FuseOptions, FusionReport, Tpiin};
+use tpiin_fusion::{FusionReport, Tpiin};
 use tpiin_model::SourceRegistry;
 use tpiin_obs::{Level, RunProfile, TraceContext};
 
@@ -63,7 +63,6 @@ impl RunOutput {
 pub struct Pipeline<'a> {
     registry: &'a SourceRegistry,
     config: DetectorConfig,
-    fuse_options: FuseOptions,
     miners: Vec<String>,
     log_level: Option<Level>,
     profile: bool,
@@ -71,15 +70,13 @@ pub struct Pipeline<'a> {
 }
 
 impl<'a> Pipeline<'a> {
-    /// Starts a pipeline over `registry` with default settings.  The
-    /// fusion worker count starts from the `TPIIN_THREADS` environment
-    /// variable (unset means one worker per core); [`Pipeline::threads`]
-    /// overrides it.
+    /// Starts a pipeline over `registry` with default settings: serial
+    /// detection, groups collected, no profile, no trace.  Fusion is
+    /// always one serial pass ([`tpiin_fusion::fuse`]).
     pub fn from_registry(registry: &'a SourceRegistry) -> Pipeline<'a> {
         Pipeline {
             registry,
             config: DetectorConfig::default(),
-            fuse_options: FuseOptions::from_env(),
             miners: Vec::new(),
             log_level: None,
             profile: false,
@@ -108,12 +105,11 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Worker threads for both the fusion front-end and detection;
-    /// `0` or `1` runs both serially.  Fusion results are bit-identical
-    /// at every thread count.
+    /// Worker threads for detection ([`DetectorConfig::threads`]); `0`
+    /// or `1` mines serially.  Fusion is serial either way, and the
+    /// detection result is bit-identical at every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self.fuse_options.threads = threads.max(1);
         self
     }
 
@@ -231,7 +227,7 @@ impl<'a> Pipeline<'a> {
         };
         let outcome = (|| {
             let _root = tpiin_obs::Span::at("pipeline");
-            let (tpiin, report) = tpiin_fusion::fuse_with(self.registry, self.fuse_options)?;
+            let (tpiin, report) = tpiin_fusion::fuse(self.registry)?;
             let results: Vec<(String, DetectionResult)> = registry
                 .iter()
                 .map(|m| (m.name().to_string(), mine_with_obs(m, &tpiin, &ctx)))
