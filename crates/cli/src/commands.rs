@@ -575,7 +575,7 @@ pub fn query(opts: &Options) -> Result<(), tpiin::Error> {
     }
     if let Some(path) = &opts.out {
         // Drill-down view of the first group, Servyou-style.
-        let dot = tpiin_io::groupviz::group_dot(&tpiin, &groups[0]);
+        let dot = tpiin_io::groupviz::group_dot(&tpiin, groups[0].view());
         std::fs::write(path, dot).map_err(|e| tpiin::Error::file(path, e))?;
         println!("wrote drill-down DOT of the first group to {path}");
     }

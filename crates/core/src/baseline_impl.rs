@@ -189,6 +189,7 @@ pub fn detect_baseline(tpiin: &Tpiin, max_trails: usize) -> BaselineResult {
 mod tests {
     use super::*;
     use crate::detector::detect;
+    use crate::table::GroupRef;
     use tpiin_model::{
         InfluenceKind, InfluenceRecord, InvestmentRecord, Role, RoleSet, SourceRegistry,
         TradingRecord,
@@ -229,8 +230,8 @@ mod tests {
 
     type GroupKey = ((NodeId, NodeId), Vec<NodeId>, Vec<NodeId>);
 
-    fn sorted_keys(groups: &[SuspiciousGroup]) -> Vec<GroupKey> {
-        let mut keys: Vec<_> = groups.iter().map(|g| g.key()).collect();
+    fn sorted_keys<'a>(groups: impl IntoIterator<Item = GroupRef<'a>>) -> Vec<GroupKey> {
+        let mut keys: Vec<_> = groups.into_iter().map(|g| g.key()).collect();
         keys.sort();
         keys
     }
@@ -241,7 +242,8 @@ mod tests {
         let proposed = detect(&tpiin);
         let base = detect_baseline(&tpiin, 1_000_000);
         assert!(!base.overflowed);
-        assert_eq!(sorted_keys(&base.groups), sorted_keys(&proposed.groups));
+        let base_groups = base.groups.iter().map(SuspiciousGroup::view);
+        assert_eq!(sorted_keys(base_groups), sorted_keys(&proposed.groups));
         assert_eq!(
             base.suspicious_trading_arcs,
             proposed.suspicious_trading_arcs
@@ -283,7 +285,8 @@ mod tests {
         let (tpiin, _) = tpiin_fusion::fuse(&r).unwrap();
         let proposed = detect(&tpiin);
         let base = detect_baseline(&tpiin, 1_000_000);
-        assert_eq!(sorted_keys(&base.groups), sorted_keys(&proposed.groups));
+        let base_groups = base.groups.iter().map(SuspiciousGroup::view);
+        assert_eq!(sorted_keys(base_groups), sorted_keys(&proposed.groups));
         let circles = base
             .groups
             .iter()

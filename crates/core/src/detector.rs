@@ -3,12 +3,13 @@
 //!
 //! There is one mining kernel and one way to build a result.
 //! [`mine_root`] mines one (subTPIIN, root) work item and always emits
-//! **shard-local** node ids; [`fold_roots`] folds a shard's root
-//! outcomes, in root order, into a [`ShardOutcome`] (cross-root circle
-//! dedup happens here); [`assemble_detection`] remaps shard outcomes
-//! through [`SubTpiin::global`] and builds the [`DetectionResult`].
+//! **shard-local** node ids, appending rows and trail nodes straight
+//! into the shard's [`GroupTable`]; [`Mined`] folds a shard's roots, in
+//! root order, into a [`ShardOutcome`] (cross-root circle dedup happens
+//! here); [`assemble_detection`] remaps shard tables through
+//! [`SubTpiin::global`] into the [`DetectionResult`]'s table.
 //! [`Detector::detect`], [`mine_shard`] and the delta engine differ only
-//! in how they obtain the root outcomes.
+//! in how they obtain the shard outcomes.
 //!
 //! The parallel path shards detection into (subTPIIN, root) work items,
 //! sorts them by estimated shard cost (nodes + trading arcs, heaviest
@@ -28,10 +29,12 @@
 //! many tiny roots.
 
 use crate::matching::match_root;
-use crate::result::{DetectionResult, GroupKind, SubTpiinStats, SuspiciousGroup};
+use crate::result::{DetectionResult, GroupKind, SubTpiinStats};
 use crate::subtpiin::{segment_tpiin, SubTpiin};
+use crate::table::{GroupHead, GroupTable};
 use crate::tree::PatternsTree;
 use crossbeam::deque::{Steal, Stealer, Worker};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
@@ -40,8 +43,8 @@ use tpiin_obs::{Span, SpanHandle, ThreadStats};
 /// Detection options.
 #[derive(Clone, Copy, Debug)]
 pub struct DetectorConfig {
-    /// Materialize [`SuspiciousGroup`]s (set `false` for counting-only
-    /// sweeps like Table 1, which avoids per-group allocations).
+    /// Fill [`DetectionResult::groups`] (set `false` for counting-only
+    /// sweeps like Table 1, which then writes no group row).
     pub collect_groups: bool,
     /// Worker threads; `0` or `1` runs serially.  Parallelism is over
     /// (subTPIIN, root) work items, the paper's future-work direction.
@@ -85,31 +88,87 @@ pub struct Detector {
     pub config: DetectorConfig,
 }
 
-/// Output of mining one root of one subTPIIN, in local ids.
+/// What mining roots of one shard has produced so far, in local ids: the
+/// running [`ShardOutcome`] plus the circles of the root mined last,
+/// which wait for the cross-root dedup of [`Mined::flush_circles`].
+/// The serial path mines every root of a shard into one `Mined`; the
+/// work-stealing path mines each root into its own and
+/// [`Mined::absorb`]s them in root order.
 #[derive(Default)]
-struct RootOutcome {
-    groups: Vec<SuspiciousGroup>,
-    complex: usize,
-    simple: usize,
-    arcs: Vec<(u32, u32)>,
-    /// Circle groups with their local dedup key (circle trail); folded
-    /// across roots because every root reaching a circle re-discovers it.
-    circles: Vec<(Vec<u32>, SuspiciousGroup)>,
-    tree_nodes: usize,
-    patterns: usize,
-    overflowed: bool,
+struct Mined {
+    out: ShardOutcome,
+    /// The last root's circle groups, in discovery order.  Kept even
+    /// when not collecting: the fold needs their arcs.
+    circles: GroupTable,
+}
+
+impl Mined {
+    /// Appends every circle of the root mined last that no earlier root
+    /// of the shard found (`seen` holds their trails), then empties the
+    /// circle buffer.
+    fn flush_circles(&mut self, seen: &mut HashSet<Vec<NodeId>>, collect_groups: bool) {
+        for circle in &self.circles {
+            if seen.insert(circle.trail_with_trade.to_vec()) {
+                self.out.simple += 1;
+                let (source, target) = circle.trading_arc;
+                self.out
+                    .arcs
+                    .push((source.index() as u32, target.index() as u32));
+                if collect_groups {
+                    self.out.groups.push(circle);
+                }
+            }
+        }
+        self.circles.clear();
+    }
+
+    /// Folds one root's outcome, mined on its own, after the roots
+    /// already folded here.
+    fn absorb(&mut self, root: Mined, seen: &mut HashSet<Vec<NodeId>>, collect_groups: bool) {
+        let (out, mined) = (&mut self.out, root.out);
+        out.tree_nodes += mined.tree_nodes;
+        out.patterns += mined.patterns;
+        out.overflowed |= mined.overflowed;
+        out.complex += mined.complex;
+        out.simple += mined.simple;
+        out.arcs.extend(mined.arcs);
+        out.groups.append(&mined.groups);
+        self.circles = root.circles;
+        self.flush_circles(seen, collect_groups);
+    }
+
+    /// The shard's outcome: arcs sorted and deduplicated.
+    fn finish(self) -> ShardOutcome {
+        let mut out = self.out;
+        out.arcs.sort_unstable();
+        out.arcs.dedup();
+        out
+    }
+
+    /// [`Mined::finish`] with both vectors copied at their exact size,
+    /// leaving `self` empty but keeping its capacity: one scratch serves
+    /// every shard a thread mines, and only the copies outlive a shard.
+    fn take(&mut self) -> ShardOutcome {
+        let mut kept = std::mem::take(self).finish();
+        let taken = kept.clone();
+        kept.groups.clear();
+        kept.arcs.clear();
+        (self.out.groups, self.out.arcs) = (kept.groups, kept.arcs);
+        taken
+    }
 }
 
 /// Mines one root in `tree`, the calling thread's arena for this mining
-/// call (rebuilt here for `root`).
+/// call (rebuilt here for `root`), appending its matched groups and
+/// counters to `mined` and its circles to `mined.circles`.
 fn mine_root(
     sub: &SubTpiin,
     root: u32,
     config: &DetectorConfig,
     parent: Option<&SpanHandle>,
     tree: &mut PatternsTree,
-) -> RootOutcome {
-    let mut out = RootOutcome::default();
+    mined: &mut Mined,
+) {
     // Workers record under the orchestrating `detect` span via its
     // explicit handle, so the profile tree reattaches interleaved
     // worker-thread spans; without a handle (recording off, or callers
@@ -120,13 +179,15 @@ fn mine_root(
     };
     let fits = tree.build(sub, root, config.max_tree_nodes);
     drop(build_span);
+    let out = &mut mined.out;
     if !fits {
         out.overflowed = true;
-        return out;
+        return;
     }
-    out.tree_nodes = tree.node_count();
-    out.patterns = tree.a_leaves().len() + tree.b_leaves().len();
+    out.tree_nodes += tree.node_count();
+    out.patterns += tree.a_leaves().len() + tree.b_leaves().len();
     let local = |v: u32| NodeId::from_index(v as usize);
+    let circles = &mut mined.circles;
     match_root(tree, |view| {
         if !view.circle {
             if view.simple {
@@ -141,7 +202,7 @@ fn mine_root(
         }
         // A circle's prefix starts at the node its trading arc re-enters,
         // so `prefix[0]` is the antecedent of either kind.
-        let group = SuspiciousGroup {
+        let head = GroupHead {
             subtpiin: sub.index,
             kind: if view.circle {
                 GroupKind::Circle
@@ -151,70 +212,63 @@ fn mine_root(
             antecedent: local(view.prefix[0]),
             end: local(view.target),
             trading_arc: (local(view.trade_source), local(view.target)),
-            trail_with_trade: view.prefix.iter().map(|&v| local(v)).collect(),
-            trail_plain: view.plain.iter().map(|&v| local(v)).collect(),
             simple: view.simple,
         };
-        if view.circle {
-            // Kept even when not collecting: the fold needs its arc.
-            out.circles.push((view.prefix.to_vec(), group));
+        let table = if view.circle {
+            &mut *circles
         } else {
-            out.groups.push(group);
-        }
+            &mut out.groups
+        };
+        table.push_with(
+            head,
+            view.prefix.iter().map(|&v| local(v)),
+            view.plain.iter().map(|&v| local(v)),
+        );
     });
-    out
 }
 
-/// Folds one shard's root outcomes, in root order, into its
-/// [`ShardOutcome`]; a circle re-discovered under a later root is
-/// dropped here.
-fn fold_roots(roots: impl Iterator<Item = RootOutcome>, collect_groups: bool) -> ShardOutcome {
-    let mut out = ShardOutcome::default();
-    let mut seen_circles: HashSet<Vec<u32>> = HashSet::new();
-    for mined in roots {
-        out.tree_nodes += mined.tree_nodes;
-        out.patterns += mined.patterns;
-        out.overflowed |= mined.overflowed;
-        out.complex += mined.complex;
-        out.simple += mined.simple;
-        out.arcs.extend(mined.arcs);
-        out.groups.extend(mined.groups);
-        for (key, group) in mined.circles {
-            if seen_circles.insert(key) {
-                out.simple += 1;
-                let (source, target) = group.trading_arc;
-                out.arcs
-                    .push((source.index() as u32, target.index() as u32));
-                if collect_groups {
-                    out.groups.push(group);
-                }
-            }
-        }
+/// Serially mines every root of `sub`, in order, into the empty
+/// `mined`: matched groups go straight into its table, each root's
+/// not-yet-seen circles after them.
+fn mine_roots(
+    sub: &SubTpiin,
+    config: &DetectorConfig,
+    parent: Option<&SpanHandle>,
+    tree: &mut PatternsTree,
+    mined: &mut Mined,
+) {
+    let mut seen = HashSet::new();
+    for root in sub.roots() {
+        mine_root(sub, root, config, parent, tree, mined);
+        mined.flush_circles(&mut seen, config.collect_groups);
     }
-    out.arcs.sort_unstable();
-    out.arcs.dedup();
-    out
 }
 
 /// Builds the [`DetectionResult`] of `tpiin` from its shards and their
-/// mined outcomes (`outcomes[i]` belongs to `subs[i]`): remaps every
-/// group and arc to global ids, seeds the intra-syndicate arcs, sums the
-/// counters and fills `per_subtpiin`.  Every producer of a
-/// `DetectionResult` for the Rule 1/Rule 2 detector ends here, so any way
-/// of obtaining the outcomes — serial, work-stealing, [`mine_shard`] per
-/// shard, a cache replay — yields the same result.  Provenance is not
-/// part of it: [`crate::Provenance::assemble`] derives a group's chain
-/// per request from `(tpiin, group)`.
+/// mined outcomes (`outcomes[i]` belongs to `subs[i]`, owned or
+/// borrowed — the delta engine passes its cached outcomes by
+/// reference): remaps every shard table into the result's one
+/// [`GroupTable`] in a single pass per shard, seeds the intra-syndicate
+/// arcs, sums the counters and fills `per_subtpiin`.  Every producer of
+/// a `DetectionResult` for the Rule 1/Rule 2 detector ends here, so any
+/// way of obtaining the outcomes — serial, work-stealing, [`mine_shard`]
+/// per shard, a cache replay — yields the same result.  Provenance is
+/// not part of it: [`crate::Provenance::assemble`] derives a group's
+/// chain per request from `(tpiin, group)`.
 pub fn assemble_detection(
     tpiin: &Tpiin,
     subs: &[SubTpiin],
-    outcomes: Vec<ShardOutcome>,
+    outcomes: &[impl Borrow<ShardOutcome>],
 ) -> DetectionResult {
     assert_eq!(subs.len(), outcomes.len(), "one outcome per shard");
+    let outcomes = || outcomes.iter().map(Borrow::borrow);
     let mut result = DetectionResult {
         total_trading_arcs: tpiin.trading_arc_count + tpiin.intra_syndicate_trades.len(),
         intra_syndicate_trades: tpiin.intra_syndicate_trades.len(),
-        groups: Vec::with_capacity(outcomes.iter().map(|out| out.groups.len()).sum()),
+        groups: GroupTable::with_capacity(
+            outcomes().map(|out| out.groups.len()).sum(),
+            outcomes().map(|out| out.groups.node_count()).sum(),
+        ),
         per_subtpiin: Vec::with_capacity(subs.len()),
         ..Default::default()
     };
@@ -226,7 +280,7 @@ pub fn assemble_detection(
             tpiin.company_node[t.buyer.index()],
         ));
     }
-    for (sub, out) in subs.iter().zip(outcomes) {
+    for (sub, out) in subs.iter().zip(outcomes()) {
         result.per_subtpiin.push(SubTpiinStats {
             index: sub.index,
             nodes: sub.node_count(),
@@ -243,28 +297,11 @@ pub fn assemble_detection(
         result
             .suspicious_trading_arcs
             .extend(out.arcs.iter().map(|&(s, t)| (global(s), global(t))));
-        result.groups.extend(out.groups.into_iter().map(|mut g| {
-            remap_to_global(sub, &mut g);
-            g
-        }));
+        result
+            .groups
+            .extend_mapped(&out.groups, Some(sub.index), |v| sub.global[v.index()]);
     }
     result
-}
-
-/// Rewrites a shard-local group of `sub` into global TPIIN node ids.
-fn remap_to_global(sub: &SubTpiin, g: &mut SuspiciousGroup) {
-    let global = |v: NodeId| sub.global[v.index()];
-    g.subtpiin = sub.index;
-    g.antecedent = global(g.antecedent);
-    g.end = global(g.end);
-    g.trading_arc = (global(g.trading_arc.0), global(g.trading_arc.1));
-    for v in g
-        .trail_with_trade
-        .iter_mut()
-        .chain(g.trail_plain.iter_mut())
-    {
-        *v = global(*v);
-    }
 }
 
 impl Detector {
@@ -315,24 +352,13 @@ impl Detector {
         if self.config.clamp_to_host {
             threads = threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()));
         }
-        let mut outcomes =
+        let shards =
             if threads > 1 && work.len() > 1 && total_cost >= self.config.serial_cutoff as u64 {
                 self.mine_stealing(subs, &work, threads, parent)
             } else {
-                self.mine_serial(subs, &work, parent)
-            }
-            .into_iter();
-
-        // Each shard's roots are one consecutive run of `work`.
-        let mut next = 0;
-        let shards: Vec<ShardOutcome> = (0..subs.len())
-            .map(|i| {
-                let roots = work[next..].iter().take_while(|w| w.0 == i).count();
-                next += roots;
-                fold_roots(outcomes.by_ref().take(roots), self.config.collect_groups)
-            })
-            .collect();
-        let result = assemble_detection(tpiin, subs, shards);
+                self.mine_serial(subs, parent)
+            };
+        let result = assemble_detection(tpiin, subs, &shards);
         if tpiin_obs::profiling_enabled() {
             let registry = tpiin_obs::global();
             registry.counter("detect.subtpiins").add(subs.len() as u64);
@@ -353,24 +379,23 @@ impl Detector {
         result
     }
 
-    /// Mines `work` on the calling thread, in work order, in one tree
-    /// arena.
-    fn mine_serial(
-        &self,
-        subs: &[SubTpiin],
-        work: &[(usize, u32)],
-        parent: Option<&SpanHandle>,
-    ) -> Vec<RootOutcome> {
-        let mut tree = PatternsTree::new();
-        work.iter()
-            .map(|&(sub_idx, root)| {
-                mine_root(&subs[sub_idx], root, &self.config, parent, &mut tree)
+    /// Mines every shard on the calling thread, in shard order, in one
+    /// tree arena and one scratch outcome.
+    fn mine_serial(&self, subs: &[SubTpiin], parent: Option<&SpanHandle>) -> Vec<ShardOutcome> {
+        let (mut tree, mut scratch) = (PatternsTree::new(), Mined::default());
+        subs.iter()
+            .map(|sub| {
+                if sub.trading_arc_count == 0 {
+                    return ShardOutcome::default();
+                }
+                mine_roots(sub, &self.config, parent, &mut tree, &mut scratch);
+                scratch.take()
             })
             .collect()
     }
 
-    /// Mines `work` with a pool of work-stealing workers, returning
-    /// outcomes in work order.
+    /// Mines `work` with a pool of work-stealing workers, then folds the
+    /// root outcomes in work order into one outcome per shard.
     ///
     /// Items are scheduled heaviest-shard-first (estimated cost: nodes +
     /// trading arcs) and glued into batches of at least
@@ -387,7 +412,7 @@ impl Detector {
         work: &[(usize, u32)],
         threads: usize,
         parent: Option<&SpanHandle>,
-    ) -> Vec<RootOutcome> {
+    ) -> Vec<ShardOutcome> {
         let mut schedule: Vec<usize> = (0..work.len()).collect();
         schedule.sort_by_key(|&i| (std::cmp::Reverse(subs[work[i].0].estimated_cost()), i));
         let mut batches: Vec<Vec<usize>> = Vec::new();
@@ -403,7 +428,7 @@ impl Detector {
         let threads = threads.min(batches.len());
         if threads <= 1 {
             // Batching collapsed the workload onto one worker: skip the pool.
-            return self.mine_serial(subs, work, parent);
+            return self.mine_serial(subs, parent);
         }
         let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_fifo()).collect();
         let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
@@ -413,13 +438,13 @@ impl Detector {
         }
 
         let config = &self.config;
-        let collected: parking_lot::Mutex<Vec<(usize, RootOutcome)>> =
+        let collected: parking_lot::Mutex<Vec<(usize, Mined)>> =
             parking_lot::Mutex::new(Vec::with_capacity(work.len()));
         crossbeam::thread::scope(|scope| {
             for (thread_index, worker) in workers.iter().enumerate() {
                 let (collected, stealers, batches) = (&collected, &stealers, &batches);
                 scope.spawn(move |_| {
-                    let mut local: Vec<(usize, RootOutcome)> = Vec::new();
+                    let mut local: Vec<(usize, Mined)> = Vec::new();
                     let mut tree = PatternsTree::new();
                     let profiling = tpiin_obs::profiling_enabled();
                     let mut stats = ThreadStats {
@@ -437,8 +462,15 @@ impl Detector {
                         for &item in &batches[batch] {
                             let (sub_idx, root) = work[item];
                             let started = profiling.then(std::time::Instant::now);
-                            let outcome =
-                                mine_root(&subs[sub_idx], root, config, parent, &mut tree);
+                            let mut outcome = Mined::default();
+                            mine_root(
+                                &subs[sub_idx],
+                                root,
+                                config,
+                                parent,
+                                &mut tree,
+                                &mut outcome,
+                            );
                             if let Some(started) = started {
                                 stats.busy_ns += started.elapsed().as_nanos() as u64;
                             }
@@ -467,7 +499,20 @@ impl Detector {
             work.len(),
             "every work item produced an outcome"
         );
-        flat.into_iter().map(|(_, outcome)| outcome).collect()
+        // Each shard's roots are one consecutive run of `work`.
+        let mut roots = flat.into_iter().map(|(_, outcome)| outcome).peekable();
+        let mut next = 0;
+        (0..subs.len())
+            .map(|i| {
+                let count = work[next..].iter().take_while(|w| w.0 == i).count();
+                next += count;
+                let (mut shard, mut seen) = (Mined::default(), HashSet::new());
+                for root in roots.by_ref().take(count) {
+                    shard.absorb(root, &mut seen, config.collect_groups);
+                }
+                shard.finish()
+            })
+            .collect()
     }
 }
 
@@ -517,7 +562,7 @@ fn steal_any(stealers: &[Stealer<usize>], me: usize) -> Option<usize> {
 /// let (tpiin, _) = fuse(&registry).unwrap();
 /// let result = detect(&tpiin);
 /// assert_eq!(result.group_count(), 1);
-/// assert!(result.groups[0].simple);
+/// assert!(result.groups.row(0).simple);
 /// assert_eq!(result.suspicious_trading_arcs.len(), 1);
 /// ```
 pub fn detect(tpiin: &Tpiin) -> DetectionResult {
@@ -525,18 +570,18 @@ pub fn detect(tpiin: &Tpiin) -> DetectionResult {
 }
 
 /// Everything mining one shard produces, in the shard's **local**
-/// coordinates: node ids are local indices (groups carry them re-cast as
-/// [`NodeId`]s) and only mean something in the full network after
-/// [`assemble_detection`] remaps them through [`SubTpiin::global`].
+/// coordinates: node ids are local indices (the table's rows carry them
+/// re-cast as [`NodeId`]s) and only mean something in the full network
+/// after [`assemble_detection`] remaps them through [`SubTpiin::global`].
 /// Local coordinates are the point — a delta engine can cache the
-/// outcome keyed on the shard's local structure and replay it after
-/// global node ids shift.
+/// outcome keyed on the shard's local structure and replay it, by
+/// reference, after global node ids shift.
 #[derive(Clone, Debug, Default)]
 pub struct ShardOutcome {
     /// The shard's groups in result order: per root (ascending), matched
     /// groups first, then that root's not-yet-seen circles.  Empty when
     /// mined with `collect_groups: false`.
-    pub groups: Vec<SuspiciousGroup>,
+    pub groups: GroupTable,
     /// Complex groups found (Definition 3).
     pub complex: usize,
     /// Simple groups found, circles included.
@@ -564,12 +609,9 @@ pub fn mine_shard(sub: &SubTpiin, config: &DetectorConfig) -> ShardOutcome {
         collect_groups: true,
         ..*config
     };
-    let mut tree = PatternsTree::new();
-    fold_roots(
-        sub.roots()
-            .map(|root| mine_root(sub, root, &config, None, &mut tree)),
-        config.collect_groups,
-    )
+    let mut mined = Mined::default();
+    mine_roots(sub, &config, None, &mut PatternsTree::new(), &mut mined);
+    mined.finish()
 }
 
 #[cfg(test)]
@@ -618,7 +660,7 @@ mod tests {
         let result = detect(&tpiin);
         assert_eq!(result.group_count(), 1);
         assert_eq!(result.suspicious_trading_arcs.len(), 1);
-        let g = &result.groups[0];
+        let g = result.groups.row(0);
         assert_eq!(tpiin.label(g.antecedent), "L1+L2");
         assert_eq!(tpiin.label(g.end), "C2");
         assert!(g.simple);

@@ -49,6 +49,7 @@ mod result;
 mod score;
 mod stats;
 mod subtpiin;
+mod table;
 mod tree;
 
 pub use detector::{
@@ -66,6 +67,7 @@ pub use query::groups_behind_arc;
 pub use result::{DetectionResult, GroupKind, SubTpiinStats, SuspiciousGroup};
 pub use stats::{top_involved, Involvement};
 pub use subtpiin::{segment_one, segment_tpiin, subtpiin_from_arcs, SubTpiin};
+pub use table::{GroupRef, GroupTable, Groups, Trail};
 pub use tree::{PatternsTree, TradingLeaf};
 
 /// The global traversal baseline (Section 5.1).

@@ -26,6 +26,7 @@ use crate::baseline_impl::detect_baseline;
 use crate::detector::{Detector, DetectorConfig};
 use crate::provenance::Provenance;
 use crate::result::{DetectionResult, GroupKind, SuspiciousGroup};
+use crate::table::{GroupHead, GroupRef, GroupTable};
 use tpiin_fusion::{ArcColor, Tpiin, TpiinNode, TRADING_LANE};
 use tpiin_graph::{DiGraph, NodeId};
 use tpiin_obs::Span;
@@ -71,9 +72,10 @@ pub trait GroupMiner: Send + Sync {
     fn mine(&self, tpiin: &Tpiin, ctx: &MineContext) -> DetectionResult;
 
     /// Provenance hook: reconstructs the evidence chain behind one of
-    /// this strategy's groups, or `None` for strategies whose groups
-    /// carry no Rule 1/Rule 2 lineage.
-    fn provenance(&self, tpiin: &Tpiin, group: &SuspiciousGroup) -> Option<Provenance> {
+    /// this strategy's groups — a row of its result's table, borrowed —
+    /// or `None` for strategies whose groups carry no Rule 1/Rule 2
+    /// lineage.
+    fn provenance(&self, tpiin: &Tpiin, group: GroupRef<'_>) -> Option<Provenance> {
         let _ = (tpiin, group);
         None
     }
@@ -123,17 +125,18 @@ fn result_shell(tpiin: &Tpiin, overflowed: bool) -> DetectionResult {
     result
 }
 
-/// Builds a [`DetectionResult`] from an explicit group list: fills the
-/// complex/simple counters and the suspicious-arc set over
-/// [`result_shell`].
+/// Builds a [`DetectionResult`] from an explicit group list (the
+/// baseline oracle's, sorted): fills the complex/simple counters and the
+/// suspicious-arc set over [`result_shell`] and writes the groups into
+/// the result's table.
 fn result_from_groups(
     tpiin: &Tpiin,
-    groups: Vec<SuspiciousGroup>,
+    groups: &[SuspiciousGroup],
     overflowed: bool,
     collect_groups: bool,
 ) -> DetectionResult {
     let mut result = result_shell(tpiin, overflowed);
-    for g in &groups {
+    for g in groups {
         if g.simple {
             result.simple_group_count += 1;
         } else {
@@ -142,7 +145,7 @@ fn result_from_groups(
         result.suspicious_trading_arcs.insert(g.trading_arc);
     }
     if collect_groups {
-        result.groups = groups;
+        result.groups = GroupTable::from(groups);
     }
     result
 }
@@ -163,7 +166,7 @@ impl GroupMiner for Rule12Miner {
         Detector::new(ctx.config).detect(tpiin)
     }
 
-    fn provenance(&self, tpiin: &Tpiin, group: &SuspiciousGroup) -> Option<Provenance> {
+    fn provenance(&self, tpiin: &Tpiin, group: GroupRef<'_>) -> Option<Provenance> {
         Some(Provenance::assemble(tpiin, group))
     }
 
@@ -204,7 +207,7 @@ impl GroupMiner for BaselineMiner {
         let base = detect_baseline(tpiin, self.max_trails);
         let mut groups = base.groups;
         groups.sort_by(SuspiciousGroup::cmp_key);
-        result_from_groups(tpiin, groups, base.overflowed, ctx.config.collect_groups)
+        result_from_groups(tpiin, &groups, base.overflowed, ctx.config.collect_groups)
     }
 }
 
@@ -262,7 +265,7 @@ impl CircularTradingMiner {
     /// including the closing arc.  Syndicate nodes use the mean rate of
     /// their member companies; person nodes and companies without a
     /// recorded rate use [`tpiin_model::DEFAULT_TAX_RATE`].
-    pub fn score(&self, tpiin: &Tpiin, ctx: &MineContext, group: &SuspiciousGroup) -> f64 {
+    pub fn score(&self, tpiin: &Tpiin, ctx: &MineContext, group: GroupRef<'_>) -> f64 {
         ring_score(tpiin, ctx, group.trail_with_trade.iter().copied())
     }
 
@@ -460,11 +463,12 @@ impl GroupMiner for CircularTradingMiner {
 
     /// Enumerates into a flat ring arena, scores every ring once, sorts
     /// row ids by `(score desc, key)` — the key read straight from the
-    /// arena, in [`SuspiciousGroup::cmp_key`] order — flags every arc of
-    /// every surviving ring, and only then materialises the groups, once
-    /// and in final order.  A counting-only run
-    /// (`collect_groups: false`) allocates no group at all and fills the
-    /// same counters and arc set.
+    /// arena, in [`GroupRef::cmp_key`] order — flags every arc of every
+    /// surviving ring, and only then copies the surviving ring slices,
+    /// in final order, into the result's [`GroupTable`] (one row and
+    /// `len + 1` arena nodes per ring).  A counting-only run
+    /// (`collect_groups: false`) writes no row and fills the same
+    /// counters and arc set.
     fn mine(&self, tpiin: &Tpiin, ctx: &MineContext) -> DetectionResult {
         let mut rings = self.enumerate(tpiin);
         let g = |v: u32| NodeId::from_index(v as usize);
@@ -511,23 +515,24 @@ impl GroupMiner for CircularTradingMiner {
         rings.arcs = Vec::new();
 
         if ctx.config.collect_groups {
-            result.groups = order
-                .iter()
-                .map(|&row| {
-                    let ring = rings.ring(row);
-                    let (last, start) = arc(ring);
-                    SuspiciousGroup {
+            let nodes = order.iter().map(|&row| rings.ring(row).len() + 1).sum();
+            result.groups = GroupTable::with_capacity(order.len(), nodes);
+            for &row in &order {
+                let ring = rings.ring(row);
+                let (last, start) = arc(ring);
+                result.groups.push_with(
+                    GroupHead {
                         subtpiin: 0,
                         kind: GroupKind::Circle,
                         antecedent: g(start),
                         end: g(start),
                         trading_arc: (g(last), g(start)),
-                        trail_with_trade: ring.iter().map(|&v| g(v)).collect(),
-                        trail_plain: vec![g(start)],
                         simple: true,
-                    }
-                })
-                .collect();
+                    },
+                    ring.iter().map(|&v| g(v)),
+                    [g(start)],
+                );
+            }
         }
         result
     }
@@ -625,7 +630,7 @@ impl GroupMiner for WindowedMiner {
         self.inner.mine(&view, ctx)
     }
 
-    fn provenance(&self, tpiin: &Tpiin, group: &SuspiciousGroup) -> Option<Provenance> {
+    fn provenance(&self, tpiin: &Tpiin, group: GroupRef<'_>) -> Option<Provenance> {
         // The windowed view preserves node ids, so the inner strategy's
         // evidence chain assembles against the full network.
         self.inner.provenance(tpiin, group)
@@ -839,7 +844,7 @@ mod tests {
         let (tpiin, _) = tpiin_fusion::fuse(&ring_registry(4)).unwrap();
         let result = CircularTradingMiner::default().mine(&tpiin, &MineContext::default());
         assert_eq!(result.group_count(), 1, "one directed 4-ring");
-        assert_eq!(result.groups[0].trail_with_trade.len(), 4);
+        assert_eq!(result.groups.row(0).trail_with_trade.len(), 4);
         assert_eq!(result.suspicious_trading_arcs.len(), 4, "every ring arc");
     }
 
@@ -863,7 +868,7 @@ mod tests {
             ..MineContext::default()
         };
         let result = miner.mine(&tpiin, &flat);
-        let cycle = &result.groups[0];
+        let cycle = result.groups.row(0);
         assert_eq!(miner.score(&tpiin, &flat, cycle), 0.0);
         assert!(miner.score(&tpiin, &spread, cycle) > 0.3);
     }
@@ -967,9 +972,9 @@ mod tests {
         let rules = Rule12Miner;
         let result = rules.mine(&tpiin, &MineContext::default());
         assert!(rules.supports_provenance());
-        assert!(rules.provenance(&tpiin, &result.groups[0]).is_some());
+        assert!(rules.provenance(&tpiin, result.groups.row(0)).is_some());
         let circular = CircularTradingMiner::default();
         assert!(!circular.supports_provenance());
-        assert!(circular.provenance(&tpiin, &result.groups[0]).is_none());
+        assert!(circular.provenance(&tpiin, result.groups.row(0)).is_none());
     }
 }

@@ -21,8 +21,9 @@
 //! * **score breakdown** — the per-arc terms behind
 //!   [`crate::score_group`], so the ranking is auditable term by term.
 
-use crate::result::{GroupKind, SuspiciousGroup};
+use crate::result::GroupKind;
 use crate::score::arc_weight;
+use crate::table::GroupRef;
 use tpiin_fusion::{ArcColor, NodeColor, Tpiin, TpiinNode};
 use tpiin_graph::NodeId;
 
@@ -141,7 +142,7 @@ impl Provenance {
     /// Panics if the group's trails reference influence arcs absent from
     /// `tpiin` (the group came from a different network) — the same
     /// contract as [`crate::score_group`].
-    pub fn assemble(tpiin: &Tpiin, group: &SuspiciousGroup) -> Provenance {
+    pub fn assemble(tpiin: &Tpiin, group: GroupRef<'_>) -> Provenance {
         let rule = match group.kind {
             GroupKind::Matched => MatchedRule::Rule1TrailPair,
             GroupKind::Circle => MatchedRule::Rule2Circle,
@@ -150,7 +151,7 @@ impl Provenance {
         let mut influence_arcs = Vec::new();
         let mut influence_weights = Vec::new();
         let mut chain_strength = 1.0;
-        for trail in [&group.trail_with_trade, &group.trail_plain] {
+        for trail in [group.trail_with_trade, group.trail_plain] {
             for pair in trail.windows(2) {
                 let arc = resolve_arc(tpiin, pair[0], pair[1], ArcColor::Influence)
                     .expect("group trail arc missing from TPIIN");
@@ -243,7 +244,7 @@ impl Provenance {
 
     /// Renders the provenance as the multi-line proof chain the `explain`
     /// CLI subcommand prints.
-    pub fn render(&self, group: &SuspiciousGroup, tpiin: &Tpiin) -> String {
+    pub fn render(&self, group: GroupRef<'_>, tpiin: &Tpiin) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "{}", group.explain(tpiin));
@@ -416,7 +417,7 @@ mod tests {
         let (tpiin, _) = tpiin_fusion::fuse(&case1_registry()).unwrap();
         let result = detect(&tpiin);
         assert_eq!(result.group_count(), 1);
-        let p = Provenance::assemble(&tpiin, &result.groups[0]);
+        let p = Provenance::assemble(&tpiin, result.groups.row(0));
         assert_eq!(p.rule, MatchedRule::Rule1TrailPair);
         // Trails: L1+L2 -> C1 -> C3 (with trade) and L1+L2 -> C2.
         assert_eq!(p.influence_arcs.len(), 3);
@@ -425,7 +426,7 @@ mod tests {
         assert_eq!(p.trading_arc.source_record, Some(0));
         assert!((p.trading_arc.weight - 2552.0).abs() < 1e-12);
         // Score matches score_group term by term.
-        let s = crate::score_group(&tpiin, &result.groups[0]);
+        let s = crate::score_group(&tpiin, result.groups.row(0));
         assert!((p.score.chain_strength - s.chain_strength).abs() < 1e-12);
         assert!((p.score.trade_volume - s.trade_volume).abs() < 1e-12);
         assert!((p.score.score - s.score).abs() < 1e-12);
@@ -444,8 +445,8 @@ mod tests {
     fn render_prints_the_full_chain() {
         let (tpiin, _) = tpiin_fusion::fuse(&case1_registry()).unwrap();
         let result = detect(&tpiin);
-        let p = Provenance::assemble(&tpiin, &result.groups[0]);
-        let text = p.render(&result.groups[0], &tpiin);
+        let p = Provenance::assemble(&tpiin, result.groups.row(0));
+        let text = p.render(result.groups.row(0), &tpiin);
         assert!(text.contains("Rule 1"), "{text}");
         assert!(text.contains("TR C3 -> C2"), "{text}");
         assert!(text.contains("record #"), "{text}");
@@ -457,7 +458,7 @@ mod tests {
     fn source_records_split_by_feed() {
         let (tpiin, _) = tpiin_fusion::fuse(&case1_registry()).unwrap();
         let result = detect(&tpiin);
-        let p = Provenance::assemble(&tpiin, &result.groups[0]);
+        let p = Provenance::assemble(&tpiin, result.groups.row(0));
         let (influence, trading) = p.source_records();
         // Influence records 0 (L1->C1), 1 (L2->C2), and the investment
         // C1->C3 at offset 3 (3 influence records precede it).
@@ -473,10 +474,10 @@ mod tests {
             *s = u32::MAX;
         }
         let result = detect(&tpiin);
-        let p = Provenance::assemble(&tpiin, &result.groups[0]);
+        let p = Provenance::assemble(&tpiin, result.groups.row(0));
         assert!(p.influence_arcs.iter().all(|a| a.source_record.is_none()));
         assert!(p
-            .render(&result.groups[0], &tpiin)
+            .render(result.groups.row(0), &tpiin)
             .contains("no recorded source"));
     }
 
@@ -484,7 +485,7 @@ mod tests {
     fn audit_flags_arcs_from_a_different_network() {
         let (tpiin, _) = tpiin_fusion::fuse(&case1_registry()).unwrap();
         let result = detect(&tpiin);
-        let p = Provenance::assemble(&tpiin, &result.groups[0]);
+        let p = Provenance::assemble(&tpiin, result.groups.row(0));
         // A smaller, unrelated network misses the referenced arcs.
         let mut other = SourceRegistry::new();
         let l = other.add_person("X", RoleSet::of(&[Role::Ceo]));
@@ -517,7 +518,7 @@ mod tests {
         let (tpiin, _) = tpiin_fusion::fuse(&r).unwrap();
         assert_eq!(tpiin.intra_syndicate_trades.len(), 1);
         let syndicate = tpiin.company_node[c1.index()];
-        let mut p = Provenance::assemble(&tpiin, &detect(&tpiin).groups[0]);
+        let mut p = Provenance::assemble(&tpiin, detect(&tpiin).groups.row(0));
         // The recorded internal trade audits clean; the same seller with
         // a buyer it never traded with is not in the network.
         p.trading_arc.source = syndicate;

@@ -1,5 +1,6 @@
 //! Detection result types: suspicious groups, statistics, explanations.
 
+use crate::table::{GroupRef, GroupTable, Trail};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use tpiin_fusion::Tpiin;
@@ -19,6 +20,12 @@ pub enum GroupKind {
 /// A suspicious tax-evasion group (Definition 2): two simple directed
 /// trails with the same antecedent and end node hiding exactly one
 /// interest-affiliated transaction.
+///
+/// This is the owned form, for APIs whose value outlives a result —
+/// [`crate::groups_behind_arc`], the delta engine's new groups, the
+/// baseline oracle.  A [`DetectionResult`] stores its groups as rows of
+/// a [`GroupTable`] and hands out borrowed [`GroupRef`]s with the same
+/// fields.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SuspiciousGroup {
     /// Which subTPIIN the group was mined from.
@@ -45,12 +52,24 @@ pub struct SuspiciousGroup {
 }
 
 impl SuspiciousGroup {
+    /// This group borrowed as a [`GroupRef`], the form every reader of
+    /// a [`GroupTable`] takes.
+    pub fn view(&self) -> GroupRef<'_> {
+        GroupRef {
+            subtpiin: self.subtpiin,
+            kind: self.kind,
+            antecedent: self.antecedent,
+            end: self.end,
+            trading_arc: self.trading_arc,
+            trail_with_trade: Trail::new(&self.trail_with_trade),
+            trail_plain: Trail::new(&self.trail_plain),
+            simple: self.simple,
+        }
+    }
+
     /// All member nodes of the group, deduplicated and ordered.
     pub fn members(&self) -> BTreeSet<NodeId> {
-        let mut m: BTreeSet<NodeId> = self.trail_with_trade.iter().copied().collect();
-        m.extend(self.trail_plain.iter().copied());
-        m.insert(self.end);
-        m
+        self.view().members()
     }
 
     /// A canonical identity used for deduplication and for comparing the
@@ -70,37 +89,12 @@ impl SuspiciousGroup {
     /// trail — but by reference: a sort calls its comparator
     /// `O(n log n)` times, and `key()` clones both trails every time.
     pub fn cmp_key(&self, other: &Self) -> Ordering {
-        self.trading_arc
-            .cmp(&other.trading_arc)
-            .then_with(|| self.trail_with_trade.cmp(&other.trail_with_trade))
-            .then_with(|| self.trail_plain.cmp(&other.trail_plain))
+        self.view().cmp_key(&other.view())
     }
 
-    /// Human-readable proof chain, labelled via `tpiin` — the explanation
-    /// the paper highlights as an advantage over black-box methods.
+    /// Human-readable proof chain (see [`GroupRef::explain`]).
     pub fn explain(&self, tpiin: &Tpiin) -> String {
-        let label = |n: NodeId| tpiin.label(n).to_string();
-        let members: Vec<String> = self.members().into_iter().map(label).collect();
-        let t1: Vec<String> = self.trail_with_trade.iter().copied().map(label).collect();
-        let t2: Vec<String> = self.trail_plain.iter().copied().map(label).collect();
-        format!(
-            "{} group ({}) behind IAT {} -> {}: trail [{} ->TR {}] with trail [{}]",
-            match self.kind {
-                GroupKind::Matched =>
-                    if self.simple {
-                        "simple"
-                    } else {
-                        "complex"
-                    },
-                GroupKind::Circle => "circle",
-            },
-            members.join(", "),
-            label(self.trading_arc.0),
-            label(self.trading_arc.1),
-            t1.join(" -> "),
-            label(self.end),
-            t2.join(" -> "),
-        )
+        self.view().explain(tpiin)
     }
 }
 
@@ -124,11 +118,16 @@ pub struct SubTpiinStats {
 }
 
 /// Aggregated output of a detection run.
+///
+/// Cloning it copies the group table's two vectors and the arc set — no
+/// per-group allocation — which is what lets the delta engine and the
+/// serve daemon share one result behind an `Arc` and copy it on write.
 #[derive(Clone, Debug, Default)]
 pub struct DetectionResult {
     /// The groups, if the detector was configured to collect them
-    /// (ordered deterministically); counts below are always filled.
-    pub groups: Vec<SuspiciousGroup>,
+    /// (ordered deterministically; one [`GroupTable`] row each, read as
+    /// [`GroupRef`]s); counts below are always filled.
+    pub groups: GroupTable,
     /// Number of complex suspicious groups (Table 1, column 3).
     pub complex_group_count: usize,
     /// Number of simple suspicious groups (Table 1, column 4).
@@ -156,14 +155,9 @@ impl DetectionResult {
 
     /// Groups involving `node` (as member, antecedent or trading party).
     /// Requires a result collected with `collect_groups: true`.
-    pub fn groups_involving(&self, node: NodeId) -> impl Iterator<Item = &SuspiciousGroup> {
-        self.groups.iter().filter(move |g| {
-            g.antecedent == node
-                || g.end == node
-                || g.trading_arc.0 == node
-                || g.trail_with_trade.contains(&node)
-                || g.trail_plain.contains(&node)
-        })
+    #[inline]
+    pub fn groups_involving(&self, node: NodeId) -> impl Iterator<Item = GroupRef<'_>> {
+        self.groups.iter().filter(move |g| g.involves(node))
     }
 
     /// The `k` highest-scoring groups under the weighted extension,
@@ -172,7 +166,7 @@ impl DetectionResult {
         &'a self,
         tpiin: &Tpiin,
         k: usize,
-    ) -> Vec<(crate::score::GroupScore, &'a SuspiciousGroup)> {
+    ) -> Vec<(crate::score::GroupScore, GroupRef<'a>)> {
         let mut scored: Vec<_> = self
             .groups
             .iter()
@@ -181,7 +175,7 @@ impl DetectionResult {
         scored.sort_by(|a, b| {
             b.0.score
                 .total_cmp(&a.0.score)
-                .then_with(|| a.1.cmp_key(b.1))
+                .then_with(|| a.1.cmp_key(&b.1))
         });
         scored.truncate(k);
         scored
@@ -335,7 +329,7 @@ mod tests {
     fn groups_involving_filters_by_any_role() {
         let g = group();
         let result = DetectionResult {
-            groups: vec![g.clone()],
+            groups: GroupTable::from(std::slice::from_ref(&g)),
             complex_group_count: 0,
             simple_group_count: 1,
             ..Default::default()

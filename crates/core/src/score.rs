@@ -10,7 +10,7 @@
 //! that by the trade volume, so investigators can rank groups by how much
 //! value flows through how tight a chain.
 
-use crate::result::SuspiciousGroup;
+use crate::table::GroupRef;
 use tpiin_fusion::{ArcColor, Tpiin};
 use tpiin_graph::NodeId;
 
@@ -39,10 +39,10 @@ pub(crate) fn arc_weight(tpiin: &Tpiin, s: NodeId, t: NodeId, color: ArcColor) -
 /// # Panics
 /// Panics if the group's trails reference arcs that do not exist in
 /// `tpiin` (i.e. the group came from a different network).
-pub fn score_group(tpiin: &Tpiin, group: &SuspiciousGroup) -> GroupScore {
+pub fn score_group(tpiin: &Tpiin, group: GroupRef<'_>) -> GroupScore {
     let _span = tpiin_obs::Span::at("detect/score");
     let mut chain_strength = 1.0;
-    for trail in [&group.trail_with_trade, &group.trail_plain] {
+    for trail in [group.trail_with_trade, group.trail_plain] {
         for pair in trail.windows(2) {
             chain_strength *= arc_weight(tpiin, pair[0], pair[1], ArcColor::Influence)
                 .expect("group trail arc missing from TPIIN");
@@ -122,7 +122,7 @@ mod tests {
         let (tpiin, _) = tpiin_fusion::fuse(&registry(0.6, 100.0)).unwrap();
         let result = detect(&tpiin);
         assert_eq!(result.group_count(), 1);
-        let s = score_group(&tpiin, &result.groups[0]);
+        let s = score_group(&tpiin, result.groups.row(0));
         // Trails: L -> C1 -> C3 (1.0 * 0.6) and L -> C2 (1.0).
         assert!((s.chain_strength - 0.6).abs() < 1e-12);
         assert!((s.trade_volume - 100.0).abs() < 1e-12);
@@ -154,8 +154,8 @@ mod tests {
     fn higher_volume_scores_higher() {
         let (t1, _) = tpiin_fusion::fuse(&registry(0.6, 100.0)).unwrap();
         let (t2, _) = tpiin_fusion::fuse(&registry(0.6, 500.0)).unwrap();
-        let g1 = detect(&t1).groups.remove(0);
-        let g2 = detect(&t2).groups.remove(0);
-        assert!(score_group(&t2, &g2).score > score_group(&t1, &g1).score);
+        let (r1, r2) = (detect(&t1), detect(&t2));
+        let (g1, g2) = (r1.groups.row(0), r2.groups.row(0));
+        assert!(score_group(&t2, g2).score > score_group(&t1, g1).score);
     }
 }

@@ -93,7 +93,7 @@ fn circular_miner_recalls_the_planted_ring_and_nothing_else() {
     };
     let planted = CircularTradingMiner::default().mine(&fused(&circular_case_registry()), &ctx);
     assert_eq!(planted.group_count(), 1, "exactly the planted ring");
-    let ring = &planted.groups[0];
+    let ring = planted.groups.row(0);
     assert_eq!(ring.trail_with_trade.len(), CIRCULAR_RING_LEN);
     assert!(!planted.overflowed);
 
@@ -112,10 +112,10 @@ fn circular_miner_scores_the_planted_ring_by_rate_differential() {
     };
     let result = miner.mine(&tpiin, &rated);
     // Rates 0.05/0.17/0.25/0.13 around the ring: |Δ| sums to 0.40.
-    let score = miner.score(&tpiin, &rated, &result.groups[0]);
+    let score = miner.score(&tpiin, &rated, result.groups.row(0));
     assert!((score - 0.40).abs() < 1e-9, "differential was {score}");
     let flat = MineContext::default();
-    assert_eq!(miner.score(&tpiin, &flat, &result.groups[0]), 0.0);
+    assert_eq!(miner.score(&tpiin, &flat, result.groups.row(0)), 0.0);
 }
 
 #[test]
@@ -130,10 +130,10 @@ fn windowed_miner_recalls_only_its_windows_group() {
     };
     let early = mine_window(WINDOWED_EARLY);
     assert_eq!(early.group_count(), 1);
-    assert_eq!(tpiin.label(early.groups[0].trading_arc.0), "EA1");
+    assert_eq!(tpiin.label(early.groups.row(0).trading_arc.0), "EA1");
     let late = mine_window(WINDOWED_LATE);
     assert_eq!(late.group_count(), 1);
-    assert_eq!(tpiin.label(late.groups[0].trading_arc.0), "TB1");
+    assert_eq!(tpiin.label(late.groups.row(0).trading_arc.0), "TB1");
     let quiet = mine_window(WINDOWED_QUIET);
     assert_eq!(quiet.group_count(), 0, "background trade forms no group");
     let whole = mine_window((0, 3));

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use tpiin_core::baseline::detect_baseline;
-use tpiin_core::{detect, Detector, DetectorConfig};
+use tpiin_core::{detect, Detector, DetectorConfig, GroupTable};
 use tpiin_fusion::fuse;
 use tpiin_graph::NodeId;
 use tpiin_model::{
@@ -103,7 +103,7 @@ fn build(raw: &RawRegistry) -> SourceRegistry {
 
 type Key = ((NodeId, NodeId), Vec<NodeId>, Vec<NodeId>);
 
-fn sorted_keys(groups: &[tpiin_core::SuspiciousGroup]) -> Vec<Key> {
+fn sorted_keys(groups: &GroupTable) -> Vec<Key> {
     let mut keys: Vec<Key> = groups.iter().map(|g| g.key()).collect();
     keys.sort();
     keys
@@ -120,7 +120,7 @@ proptest! {
         let proposed = detect(&tpiin);
         let baseline = detect_baseline(&tpiin, 1_000_000);
         prop_assert!(!baseline.overflowed);
-        prop_assert_eq!(sorted_keys(&proposed.groups), sorted_keys(&baseline.groups));
+        prop_assert_eq!(sorted_keys(&proposed.groups), sorted_keys(&GroupTable::from(&baseline.groups[..])));
         prop_assert_eq!(&proposed.suspicious_trading_arcs, &baseline.suspicious_trading_arcs);
         // The unrestricted Definition-2 count never undershoots the
         // anchored count minus circles (completeness sanity).
@@ -212,8 +212,8 @@ proptest! {
         let global = detect(&tpiin);
         let subs = tpiin_core::segment_tpiin(&tpiin);
         let config = DetectorConfig::default();
-        let outcomes = subs.iter().map(|sub| tpiin_core::mine_shard(sub, &config)).collect();
-        let assembled = tpiin_core::assemble_detection(&tpiin, &subs, outcomes);
+        let outcomes: Vec<_> = subs.iter().map(|sub| tpiin_core::mine_shard(sub, &config)).collect();
+        let assembled = tpiin_core::assemble_detection(&tpiin, &subs, &outcomes);
         prop_assert_eq!(&assembled.groups, &global.groups, "same groups in the same order");
         for (a, g) in assembled.groups.iter().zip(&global.groups) {
             let chain = tpiin_core::Provenance::assemble(&tpiin, a);

@@ -51,29 +51,38 @@ impl ShardCache {
     /// first in this cache, then in `carry` (a full re-mine passes the
     /// cache of the network it replaces: a hit there moves the entry
     /// over), and mining the shard when neither knows it.  Returns the
-    /// outcome (local coordinates), the signature to release later, and
-    /// whether it was a replay.
+    /// signature to read the outcome under ([`ShardCache::get`]) and to
+    /// release later, and whether it was a replay.  Nothing is cloned:
+    /// assembly reads the outcome where it lies.
     pub(crate) fn acquire(
         &mut self,
         sub: &SubTpiin,
         config: &DetectorConfig,
         carry: Option<&mut ShardCache>,
-    ) -> (ShardOutcome, Signature, bool) {
+    ) -> (Signature, bool) {
         let key = shard_signature(sub);
         match self.map.entry(key) {
             Entry::Occupied(mut e) => {
                 e.get_mut().1 += 1;
-                (e.get().0.clone(), key, true)
+                (key, true)
             }
             Entry::Vacant(e) => {
                 let (out, hit) = match carry.and_then(|c| c.map.remove(&key)) {
                     Some((out, _)) => (out, true),
                     None => (mine_shard(sub, config), false),
                 };
-                e.insert((out.clone(), 1));
-                (out, key, hit)
+                e.insert((out, 1));
+                (key, hit)
             }
         }
+    }
+
+    /// The outcome (local coordinates) of an entry a shard holds.
+    ///
+    /// # Panics
+    /// Panics when no shard holds a reference on `key`.
+    pub(crate) fn get(&self, key: Signature) -> &ShardOutcome {
+        &self.map[&key].0
     }
 
     /// Gives back one reference on `key`; the last one drops the entry.

@@ -3,10 +3,12 @@
 
 use crate::cache::{ShardCache, Signature};
 use crate::stats::DeltaStats;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use tpiin_core::{
     assemble_detection, mine_shard, segment_one, segment_tpiin, DetectionResult, DetectorConfig,
-    GroupKind, ShardOutcome, SubTpiin, SuspiciousGroup,
+    GroupKind, GroupRef, ShardOutcome, SubTpiin, SuspiciousGroup,
 };
 use tpiin_fusion::compact::{Label, Members};
 use tpiin_fusion::{
@@ -191,7 +193,7 @@ fn label_classes(old: &Tpiin, new: &Tpiin) -> (Vec<u32>, Vec<u32>) {
 /// then the label classes of the trading arc, the trail carrying it
 /// (length first, so the two trails cannot run together) and the plain
 /// trail.  Two groups share a key iff their label sequences are equal.
-fn group_class_key(class: &[u32], g: &SuspiciousGroup, key: &mut Vec<u32>) {
+fn group_class_key(class: &[u32], g: GroupRef<'_>, key: &mut Vec<u32>) {
     let of = |v: &NodeId| class[v.index()];
     key.clear();
     key.push(u32::from(g.kind == GroupKind::Matched));
@@ -260,7 +262,10 @@ fn dirty_companies(
 pub struct DeltaEngine {
     registry: Option<SourceRegistry>,
     tpiin: Tpiin,
-    detection: DetectionResult,
+    /// Shared with whoever serves it ([`DeltaEngine::shared_detection`]);
+    /// a batch copies it on write (`Arc::make_mut`) only while a reader
+    /// still holds the previous epoch's.
+    detection: Arc<DetectionResult>,
     /// Min-member SCC representative per company, carried across batches
     /// so clean weak components skip Tarjan (registry mode only).
     company_reps: Vec<u32>,
@@ -343,7 +348,7 @@ impl DeltaEngine {
         let mut engine = DeltaEngine {
             registry,
             tpiin,
-            detection: DetectionResult::default(),
+            detection: Arc::default(),
             company_reps,
             shard_of: Vec::new(),
             shard_overflow: Vec::new(),
@@ -353,7 +358,8 @@ impl DeltaEngine {
             stats: DeltaStats::default(),
         };
         // Construction-time mining is not a batch: its tallies are dropped.
-        engine.detection = engine.remine(&mut ApplyOutcome::empty(DeltaPath::FullRebuild));
+        engine.detection =
+            Arc::new(engine.remine(&mut ApplyOutcome::empty(DeltaPath::FullRebuild)));
         engine
     }
 
@@ -366,6 +372,14 @@ impl DeltaEngine {
     /// [`tpiin_core::detect`] over [`DeltaEngine::tpiin`].
     pub fn detection(&self) -> &DetectionResult {
         &self.detection
+    }
+
+    /// The same result, shared: a served epoch holds this `Arc` instead
+    /// of a copy, and the next batch that changes the result copies it
+    /// then (a few `memcpy`s of the group table) if the epoch still
+    /// holds it.
+    pub fn shared_detection(&self) -> Arc<DetectionResult> {
+        Arc::clone(&self.detection)
     }
 
     /// The maintained registry, when registry-backed.
@@ -732,11 +746,15 @@ impl DeltaEngine {
     /// the suspicious set and did not leave it earlier in this batch.
     fn splice_detection(&mut self, delta: &SpliceDelta, outcome: &mut ApplyOutcome) {
         let _span = tpiin_obs::Span::at("delta/splice");
-        self.detection.total_trading_arcs += delta.arcs_added + delta.intra_added;
-        self.detection.intra_syndicate_trades += delta.intra_added;
+        // Out of `self` while the shards re-mine through it; copied here
+        // only if a served epoch still shares it.
+        let mut shared = std::mem::take(&mut self.detection);
+        let detection = Arc::make_mut(&mut shared);
+        detection.total_trading_arcs += delta.arcs_added + delta.intra_added;
+        detection.intra_syndicate_trades += delta.intra_added;
 
         for &pair in &delta.new_intra {
-            if self.detection.suspicious_trading_arcs.insert(pair) {
+            if detection.suspicious_trading_arcs.insert(pair) {
                 outcome.new_suspicious_arcs.push(pair);
             }
         }
@@ -757,49 +775,41 @@ impl DeltaEngine {
                 .collect();
             let sub = segment_one(&self.tpiin, idx, members);
 
-            // This shard's slice of the group list, via per-shard counts.
-            let start: usize = self.detection.per_subtpiin[..idx]
-                .iter()
-                .map(|s| s.groups)
-                .sum();
-            let old = start..start + self.detection.per_subtpiin[idx].groups;
-            for g in &self.detection.groups[old.clone()] {
+            // This shard's rows of the group table, via per-shard counts.
+            let start: usize = detection.per_subtpiin[..idx].iter().map(|s| s.groups).sum();
+            let old = start..start + detection.per_subtpiin[idx].groups;
+            for g in detection.groups.slice(old.clone()) {
                 if g.simple {
-                    self.detection.simple_group_count -= 1;
+                    detection.simple_group_count -= 1;
                 } else {
-                    self.detection.complex_group_count -= 1;
+                    detection.complex_group_count -= 1;
                 }
                 // Group trading arcs have distinct endpoints, so this
                 // never evicts an intra-syndicate self pair.
-                if self
-                    .detection
-                    .suspicious_trading_arcs
-                    .remove(&g.trading_arc)
-                {
+                if detection.suspicious_trading_arcs.remove(&g.trading_arc) {
                     removed_arcs.insert(g.trading_arc);
                 }
             }
 
             // The new outcome takes its cache reference before the old
             // one is given back, so an unchanged shape keeps its entry.
-            let (out, sig) = self.lookup_shard(&sub, None, outcome);
+            let (mined, sig) = self.lookup_shard(&sub, None, outcome);
             if let Some(previous) = std::mem::replace(&mut self.shard_sig[idx], sig) {
                 self.cache.release(previous);
             }
 
             // The shard's new contribution, assembled exactly as a full
-            // re-mine would assemble it, replaces the old slice.  (The
+            // re-mine would assemble it, replaces the old rows.  (The
             // part's arc set also carries the intra-syndicate seeds; those
             // are already in the maintained set and insert as no-ops.)
-            let part = assemble_detection(&self.tpiin, std::slice::from_ref(&sub), vec![out]);
-            self.detection.per_subtpiin[idx] = part.per_subtpiin[0];
+            let out = shard_outcome(&self.cache, mined, sig);
+            let part = assemble_detection(&self.tpiin, std::slice::from_ref(&sub), &[out]);
+            detection.per_subtpiin[idx] = part.per_subtpiin[0];
             self.shard_overflow[idx] = part.overflowed;
-            self.detection.complex_group_count += part.complex_group_count;
-            self.detection.simple_group_count += part.simple_group_count;
+            detection.complex_group_count += part.complex_group_count;
+            detection.simple_group_count += part.simple_group_count;
             for arc in part.suspicious_trading_arcs {
-                if self.detection.suspicious_trading_arcs.insert(arc)
-                    && !removed_arcs.contains(&arc)
-                {
+                if detection.suspicious_trading_arcs.insert(arc) && !removed_arcs.contains(&arc) {
                     outcome.new_suspicious_arcs.push(arc);
                 }
             }
@@ -807,12 +817,12 @@ impl DeltaEngine {
                 part.groups
                     .iter()
                     .filter(|g| delta.appended.contains(&g.trading_arc))
-                    .cloned(),
+                    .map(GroupRef::to_owned),
             );
-            // Every other shard's groups move (not clone) in place.
-            self.detection.groups.splice(old, part.groups);
+            detection.groups.splice(old, &part.groups);
         }
-        self.detection.overflowed = self.shard_overflow.iter().any(|&o| o);
+        detection.overflowed = self.shard_overflow.iter().any(|&o| o);
+        self.detection = shared;
         // The full refresh reports new arcs in suspicious-set order.
         outcome.new_suspicious_arcs.sort_unstable();
         self.stats.groups_found += outcome.new_groups.len() as u64;
@@ -860,11 +870,11 @@ impl DeltaEngine {
             detection
                 .groups
                 .iter()
-                .filter(|g| {
+                .filter(|&g| {
                     group_class_key(&new_class, g, &mut key);
                     !old_groups.contains(key.as_slice())
                 })
-                .cloned(),
+                .map(GroupRef::to_owned),
         );
         outcome.new_suspicious_arcs.extend(
             detection
@@ -873,17 +883,17 @@ impl DeltaEngine {
                 .filter(|&&arc| !old_arcs.contains(&arc_key(&new_class, arc))),
         );
         self.stats.groups_found += outcome.new_groups.len() as u64;
-        self.detection = detection;
+        self.detection = Arc::new(detection);
     }
 
     /// Rebuilds the full [`DetectionResult`]: segments the current
     /// network, obtains every shard's outcome through the cache and
-    /// hands them to [`assemble_detection`] — the same assembler the
-    /// detector uses, so the result is bit-identical to
-    /// [`tpiin_core::detect`] over the current network.  The cache comes
-    /// out holding only the entries this pass touched: whatever the
-    /// previous network cached and the current one has no shard for is
-    /// dropped with it.
+    /// hands them, borrowed where they lie, to [`assemble_detection`] —
+    /// the same assembler the detector uses, so the result is
+    /// bit-identical to [`tpiin_core::detect`] over the current network.
+    /// The cache comes out holding only the entries this pass touched:
+    /// whatever the previous network cached and the current one has no
+    /// shard for is dropped with it.
     fn remine(&mut self, outcome: &mut ApplyOutcome) -> DetectionResult {
         let subs = segment_tpiin(&self.tpiin);
         // Refresh the shard membership map the splice paths extend.
@@ -894,39 +904,63 @@ impl DeltaEngine {
             }
         }
         let mut carry = std::mem::take(&mut self.cache);
-        let (mined, sigs): (Vec<ShardOutcome>, Vec<Option<Signature>>) = subs
+        let (mined, sigs): (Vec<Option<ShardOutcome>>, Vec<Option<Signature>>) = subs
             .iter()
             .map(|sub| self.lookup_shard(sub, Some(&mut carry), outcome))
             .unzip();
+        drop(carry);
+        let outcomes: Vec<Cow<'_, ShardOutcome>> = mined
+            .into_iter()
+            .zip(&sigs)
+            .map(|(mined, &sig)| shard_outcome(&self.cache, mined, sig))
+            .collect();
+        self.shard_overflow = outcomes.iter().map(|out| out.overflowed).collect();
+        let detection = assemble_detection(&self.tpiin, &subs, &outcomes);
         self.shard_sig = sigs;
-        self.shard_overflow = mined.iter().map(|out| out.overflowed).collect();
-        assemble_detection(&self.tpiin, &subs, mined)
+        detection
     }
 
     /// One shard's outcome, tallied on `outcome` as re-mined or replayed,
-    /// plus the cache reference it now holds.  Shards without trading
-    /// arcs mine to nothing and are neither.  Without a registry no full
-    /// re-mine ever comes to replay the network, so nothing is memoised.
+    /// plus the cache reference it now holds ([`ShardCache::get`] reads
+    /// it there).  Shards without trading arcs mine to nothing and are
+    /// neither.  Without a registry no full re-mine ever comes to replay
+    /// the network, so nothing is memoised and the mined outcome is
+    /// returned owned.
     fn lookup_shard(
         &mut self,
         sub: &SubTpiin,
         carry: Option<&mut ShardCache>,
         outcome: &mut ApplyOutcome,
-    ) -> (ShardOutcome, Option<Signature>) {
+    ) -> (Option<ShardOutcome>, Option<Signature>) {
         if sub.trading_arc_count == 0 {
-            return (ShardOutcome::default(), None);
+            return (None, None);
         }
         if self.registry.is_none() {
             outcome.shards_remined += 1;
-            return (mine_shard(sub, &self.config.detector), None);
+            return (Some(mine_shard(sub, &self.config.detector)), None);
         }
-        let (out, sig, hit) = self.cache.acquire(sub, &self.config.detector, carry);
+        let (sig, hit) = self.cache.acquire(sub, &self.config.detector, carry);
         if hit {
             outcome.cache_hits += 1;
         } else {
             outcome.shards_remined += 1;
         }
-        (out, Some(sig))
+        (None, Some(sig))
+    }
+}
+
+/// The outcome [`DeltaEngine::lookup_shard`] produced for a shard: the
+/// one it mined, the cache entry it acquired (borrowed, not cloned), or
+/// nothing for a shard without trading arcs.
+fn shard_outcome(
+    cache: &ShardCache,
+    mined: Option<ShardOutcome>,
+    sig: Option<Signature>,
+) -> Cow<'_, ShardOutcome> {
+    match (mined, sig) {
+        (Some(out), _) => Cow::Owned(out),
+        (None, Some(sig)) => Cow::Borrowed(cache.get(sig)),
+        (None, None) => Cow::Owned(ShardOutcome::default()),
     }
 }
 

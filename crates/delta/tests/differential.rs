@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use tpiin_core::{detect, DetectionResult, GroupKind, Provenance, SuspiciousGroup};
+use tpiin_core::{detect, DetectionResult, GroupKind, GroupRef, Provenance};
 use tpiin_delta::DeltaEngine;
 use tpiin_fusion::{fuse, Tpiin};
 use tpiin_model::{
@@ -241,7 +241,7 @@ fn assert_identical(a: &Tpiin, b: &Tpiin) -> Result<(), TestCaseError> {
 /// Label-space identity of a group: kind plus the labels of the trading
 /// arc and both trails.  Unlike node ids it survives re-contraction, so
 /// it can name "the same group" on either side of any batch.
-fn group_label_key(tpiin: &Tpiin, g: &SuspiciousGroup) -> (bool, Vec<String>) {
+fn group_label_key(tpiin: &Tpiin, g: GroupRef<'_>) -> (bool, Vec<String>) {
     let labels = [g.trading_arc.0, g.trading_arc.1]
         .iter()
         .chain(&g.trail_with_trade)
@@ -346,7 +346,7 @@ proptest! {
                 let mut new_groups: Vec<_> = outcome
                     .new_groups
                     .iter()
-                    .map(|g| group_label_key(&expected_tpiin, g))
+                    .map(|g| group_label_key(&expected_tpiin, g.view()))
                     .collect();
                 new_groups.sort();
                 prop_assert_eq!(new_groups, fresh(&after.0, &before.0));

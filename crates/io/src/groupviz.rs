@@ -4,7 +4,7 @@
 //! interest-affiliated transaction highlighted.
 
 use std::fmt::Write as _;
-use tpiin_core::SuspiciousGroup;
+use tpiin_core::GroupRef;
 use tpiin_fusion::{NodeColor, Tpiin};
 use tpiin_graph::NodeId;
 
@@ -15,7 +15,7 @@ fn escape(s: &str) -> String {
 /// Renders one group as a Graphviz DOT document: members only, influence
 /// arcs of the two trails in blue, the IAT in bold red, the antecedent
 /// double-circled.
-pub fn group_dot(tpiin: &Tpiin, group: &SuspiciousGroup) -> String {
+pub fn group_dot(tpiin: &Tpiin, group: GroupRef<'_>) -> String {
     let mut out = String::new();
     out.push_str("digraph suspicious_group {\n  rankdir=LR;\n");
     for node in group.members() {
@@ -65,7 +65,7 @@ mod tests {
     fn renders_the_case1_group() {
         let (tpiin, _) = tpiin_fusion::fuse(&tpiin_datagen::case1_registry()).unwrap();
         let result = detect(&tpiin);
-        let dot = group_dot(&tpiin, &result.groups[0]);
+        let dot = group_dot(&tpiin, result.groups.row(0));
         assert!(dot.starts_with("digraph suspicious_group {"));
         assert!(dot.contains("L1+L2"), "{dot}");
         assert!(

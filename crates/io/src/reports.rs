@@ -9,7 +9,7 @@
 use crate::error::IoError;
 use crate::json::Json;
 use std::path::Path;
-use tpiin_core::{DetectionResult, GroupKind};
+use tpiin_core::{DetectionResult, GroupKind, GroupRef};
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
 
@@ -21,13 +21,17 @@ fn labels(tpiin: &Tpiin, nodes: &[NodeId]) -> String {
         .join(",")
 }
 
-/// Renders one `susGroup(i)` file: columns
+/// Renders one `susGroup(i)` file from subTPIIN `i`'s groups, in result
+/// order: columns
 /// `kind  antecedent  trading_arc  members  trail_with_trade  trail_plain  simple`.
-pub fn render_sus_group(tpiin: &Tpiin, result: &DetectionResult, subtpiin: usize) -> String {
+pub fn render_sus_group<'a>(
+    tpiin: &Tpiin,
+    groups: impl IntoIterator<Item = GroupRef<'a>>,
+) -> String {
     let mut out = String::from(
         "#kind\tantecedent\ttrading_arc\tmembers\ttrail_with_trade\ttrail_plain\tsimple\n",
     );
-    for group in result.groups.iter().filter(|g| g.subtpiin == subtpiin) {
+    for group in groups {
         let members: Vec<String> = group
             .members()
             .into_iter()
@@ -51,15 +55,13 @@ pub fn render_sus_group(tpiin: &Tpiin, result: &DetectionResult, subtpiin: usize
     out
 }
 
-/// Renders one `susTrade(i)` file: the distinct suspicious trading arcs of
-/// one subTPIIN, columns `seller  buyer`.
-pub fn render_sus_trade(tpiin: &Tpiin, result: &DetectionResult, subtpiin: usize) -> String {
-    let mut arcs: Vec<(NodeId, NodeId)> = result
-        .groups
-        .iter()
-        .filter(|g| g.subtpiin == subtpiin)
-        .map(|g| g.trading_arc)
-        .collect();
+/// Renders one `susTrade(i)` file from subTPIIN `i`'s groups: their
+/// distinct suspicious trading arcs, sorted, columns `seller  buyer`.
+pub fn render_sus_trade<'a>(
+    tpiin: &Tpiin,
+    groups: impl IntoIterator<Item = GroupRef<'a>>,
+) -> String {
+    let mut arcs: Vec<(NodeId, NodeId)> = groups.into_iter().map(|g| g.trading_arc).collect();
     arcs.sort();
     arcs.dedup();
     let mut out = String::from("#seller\tbuyer\n");
@@ -189,6 +191,32 @@ pub fn render_markdown(tpiin: &Tpiin, result: &DetectionResult, top: usize) -> S
     out
 }
 
+/// The result's row indices bucketed by subTPIIN in one stable counting
+/// pass: subTPIIN `i`'s rows, in result order, are
+/// `rows[starts[i]..starts[i + 1]]`.
+fn rows_by_subtpiin(result: &DetectionResult) -> (Vec<usize>, Vec<usize>) {
+    let shards = result
+        .groups
+        .iter()
+        .map(|g| g.subtpiin + 1)
+        .max()
+        .unwrap_or(0);
+    let mut starts = vec![0usize; shards + 1];
+    for g in &result.groups {
+        starts[g.subtpiin + 1] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    let mut next = starts.clone();
+    let mut rows = vec![0usize; result.groups.len()];
+    for (row, g) in result.groups.iter().enumerate() {
+        rows[next[g.subtpiin]] = row;
+        next[g.subtpiin] += 1;
+    }
+    (starts, rows)
+}
+
 /// Writes the full report layout into `dir`:
 /// `susGroup_<i>.tsv` and `susTrade_<i>.tsv` for every subTPIIN that
 /// produced groups, plus `summary.json`.  Requires a result collected
@@ -200,15 +228,18 @@ pub fn write_reports(
 ) -> Result<usize, IoError> {
     std::fs::create_dir_all(dir).map_err(|e| IoError::fs(dir, e))?;
     let mut written = 0usize;
-    let mut with_groups: Vec<usize> = result.groups.iter().map(|g| g.subtpiin).collect();
-    with_groups.sort_unstable();
-    with_groups.dedup();
-    for i in with_groups {
+    let (starts, rows) = rows_by_subtpiin(result);
+    for (i, bucket) in starts.windows(2).enumerate() {
+        let bucket = &rows[bucket[0]..bucket[1]];
+        if bucket.is_empty() {
+            continue;
+        }
+        let groups = || bucket.iter().map(|&row| result.groups.row(row));
         let group_path = dir.join(format!("susGroup_{i}.tsv"));
-        std::fs::write(&group_path, render_sus_group(tpiin, result, i))
+        std::fs::write(&group_path, render_sus_group(tpiin, groups()))
             .map_err(|e| IoError::fs(&group_path, e))?;
         let trade_path = dir.join(format!("susTrade_{i}.tsv"));
-        std::fs::write(&trade_path, render_sus_trade(tpiin, result, i))
+        std::fs::write(&trade_path, render_sus_trade(tpiin, groups()))
             .map_err(|e| IoError::fs(&trade_path, e))?;
         written += 2;
     }
@@ -224,6 +255,7 @@ pub fn write_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tpiin_core::detect;
 
     fn fig7() -> (Tpiin, DetectionResult) {
@@ -235,7 +267,7 @@ mod tests {
     #[test]
     fn sus_group_file_lists_all_groups_with_labels() {
         let (tpiin, result) = fig7();
-        let text = render_sus_group(&tpiin, &result, 0);
+        let text = render_sus_group(&tpiin, &result.groups);
         assert_eq!(text.lines().count(), 1 + result.group_count());
         assert!(text.contains("L6+LB"), "{text}");
         assert!(text.contains("C3->C5"), "{text}");
@@ -244,7 +276,7 @@ mod tests {
     #[test]
     fn sus_trade_file_deduplicates_arcs() {
         let (tpiin, result) = fig7();
-        let text = render_sus_trade(&tpiin, &result, 0);
+        let text = render_sus_trade(&tpiin, &result.groups);
         // Three distinct suspicious arcs in the worked example.
         assert_eq!(text.lines().count(), 1 + 3);
     }
@@ -272,6 +304,16 @@ mod tests {
         assert!(text.contains("L6+LB"), "{text}");
     }
 
+    /// The per-subTPIIN files as they were rendered before bucketing:
+    /// each re-filters the whole group list for its subTPIIN.
+    fn filtered_reference(tpiin: &Tpiin, result: &DetectionResult, i: usize) -> [String; 2] {
+        let shard = || result.groups.iter().filter(move |g| g.subtpiin == i);
+        [
+            render_sus_group(tpiin, shard()),
+            render_sus_trade(tpiin, shard()),
+        ]
+    }
+
     #[test]
     fn write_reports_creates_the_paper_layout() {
         let (tpiin, result) = fig7();
@@ -283,6 +325,33 @@ mod tests {
         assert!(dir.join("susTrade_0.tsv").exists());
         assert!(dir.join("summary.json").exists());
         assert!(dir.join("brief.md").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Many shards: every file is byte-identical to the per-shard
+        // filter's, and exactly the shards with groups get files.
+        let (nation, _) = tpiin_fusion::fuse(&tpiin_datagen::generate_nation_with(
+            &tpiin_datagen::NationConfig::scaled(0.1),
+        ))
+        .unwrap();
+        let result = detect(&nation);
+        let _ = std::fs::remove_dir_all(&dir);
+        let files = write_reports(&nation, &result, &dir).unwrap();
+        let with_groups: BTreeSet<usize> = result.groups.iter().map(|g| g.subtpiin).collect();
+        assert!(with_groups.len() > 1, "a multi-shard input");
+        assert_eq!(files, 2 * with_groups.len() + 2);
+        for i in 0..result.per_subtpiin.len() {
+            let read = |name: &str| std::fs::read_to_string(dir.join(format!("{name}_{i}.tsv")));
+            if with_groups.contains(&i) {
+                let written = [read("susGroup").unwrap(), read("susTrade").unwrap()];
+                assert_eq!(
+                    written,
+                    filtered_reference(&nation, &result, i),
+                    "subTPIIN {i}"
+                );
+            } else {
+                assert!(read("susGroup").is_err(), "subTPIIN {i} has no groups");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

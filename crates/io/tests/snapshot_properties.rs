@@ -40,7 +40,7 @@ fn arb_label() -> impl Strategy<Value = String> {
 fn assert_same_chains(
     a: &tpiin_fusion::Tpiin,
     b: &tpiin_fusion::Tpiin,
-    groups: &[tpiin_core::SuspiciousGroup],
+    groups: &tpiin_core::GroupTable,
 ) -> Result<(), TestCaseError> {
     for g in groups {
         let chain = tpiin_core::Provenance::assemble(a, g);

@@ -442,7 +442,7 @@ fn provenance(state: &ServerState, req: &Request) -> Response {
             ),
         );
     }
-    let group = &detection.groups[index];
+    let group = detection.groups.row(index);
     let Some(prov) = state
         .miners
         .get(&miner)

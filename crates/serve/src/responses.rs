@@ -8,7 +8,7 @@
 //! never by internal node id.
 
 use crate::store::ServeSnapshot;
-use tpiin_core::{DetectionResult, GroupKind, SuspiciousGroup, RULES_MINER};
+use tpiin_core::{DetectionResult, GroupKind, GroupRef, SuspiciousGroup, RULES_MINER};
 use tpiin_delta::{ApplyOutcome, DeltaStats};
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
@@ -38,7 +38,7 @@ fn label_array(tpiin: &Tpiin, nodes: impl IntoIterator<Item = NodeId>) -> Json {
 /// One suspicious group with its proof chain, fully labelled.  `miner`
 /// names the strategy that mined it, so a paginated or merged listing
 /// stays self-describing.
-pub fn group_json(tpiin: &Tpiin, group: &SuspiciousGroup, miner: &str) -> Json {
+pub fn group_json(tpiin: &Tpiin, group: GroupRef<'_>, miner: &str) -> Json {
     let kind = match group.kind {
         GroupKind::Circle => "circle",
         GroupKind::Matched if group.simple => "simple",
@@ -104,8 +104,9 @@ pub fn groups_json(
         (
             "groups",
             Json::Array(
-                detection.groups[offset..offset + shown]
-                    .iter()
+                detection
+                    .groups
+                    .slice(offset..offset + shown)
                     .map(|g| group_json(&snapshot.tpiin, g, miner))
                     .collect(),
             ),
@@ -135,7 +136,7 @@ pub fn arc_query_json(
             Json::Array(
                 groups
                     .iter()
-                    .map(|g| group_json(tpiin, g, RULES_MINER))
+                    .map(|g| group_json(tpiin, g.view(), RULES_MINER))
                     .collect(),
             ),
         ),
@@ -147,7 +148,11 @@ pub fn arc_query_json(
 pub fn company_json(snapshot: &ServeSnapshot, node: NodeId) -> Json {
     let tpiin = &snapshot.tpiin;
     let miner = snapshot.primary_miner();
-    let groups: Vec<&SuspiciousGroup> = snapshot.detection().groups_involving(node).collect();
+    let groups: Vec<Json> = snapshot
+        .detection()
+        .groups_involving(node)
+        .map(|g| group_json(tpiin, g, miner))
+        .collect();
     obj(vec![
         ("epoch", num(snapshot.epoch as usize)),
         ("label", s(tpiin.label(node))),
@@ -159,10 +164,7 @@ pub fn company_json(snapshot: &ServeSnapshot, node: NodeId) -> Json {
         ("out_degree", num(tpiin.graph.out_degree(node))),
         ("in_degree", num(tpiin.graph.in_degree(node))),
         ("group_count", num(groups.len())),
-        (
-            "groups",
-            Json::Array(groups.iter().map(|g| group_json(tpiin, g, miner)).collect()),
-        ),
+        ("groups", Json::Array(groups)),
     ])
 }
 
@@ -182,7 +184,7 @@ pub fn ingest_json(tpiin: &Tpiin, epoch: u64, outcome: &ApplyOutcome, stats: &De
                 outcome
                     .new_groups
                     .iter()
-                    .map(|g| group_json(tpiin, g, RULES_MINER))
+                    .map(|g| group_json(tpiin, g.view(), RULES_MINER))
                     .collect(),
             ),
         ),
@@ -249,7 +251,7 @@ fn arc_provenance_json(arc: &tpiin_core::ArcProvenance) -> Json {
 pub fn provenance_json(
     snapshot: &ServeSnapshot,
     miner: &str,
-    group: &SuspiciousGroup,
+    group: GroupRef<'_>,
     index: usize,
     prov: &tpiin_core::Provenance,
 ) -> Json {

@@ -64,7 +64,10 @@ impl ServeSnapshot {
     /// reload and ingest turn an engine into what is served.  The engine
     /// already maintains the Rule 1/Rule 2 result (under the same
     /// default [`tpiin_core::DetectorConfig`] a fresh mine would use), so
-    /// `rules` is taken from it, never mined again.  Every other miner
+    /// `rules` is taken from it, never mined again — and never copied:
+    /// the epoch shares the engine's `Arc`
+    /// ([`DeltaEngine::shared_detection`]), and the engine copies the
+    /// result on write at the next batch that changes it.  Every other miner
     /// in `miners` is carried over from `prev` when the caller has a
     /// previous epoch (ingest: those results refresh on the next reload,
     /// are shared with `prev` rather than copied, and keep reporting the
@@ -98,7 +101,7 @@ impl ServeSnapshot {
             .iter()
             .map(|m| {
                 let (detection, mined_at) = if m.name() == RULES_MINER {
-                    (Arc::new(engine.detection().clone()), epoch)
+                    (engine.shared_detection(), epoch)
                 } else {
                     carried(m.name())
                         .unwrap_or_else(|| (Arc::new(mine_with_obs(m, &tpiin, &ctx)), epoch))

@@ -292,7 +292,7 @@ fn provenance_endpoint_matches_offline_assembly() {
         assert!(body.contains("\"influence_arcs\":"), "group {index}");
         // The served chain references only arcs the offline assembly
         // resolves against the same network.
-        let offline = tpiin_core::Provenance::assemble(&tpiin, &detection.groups[index]);
+        let offline = tpiin_core::Provenance::assemble(&tpiin, detection.groups.row(index));
         assert!(offline.audit(&tpiin).is_ok());
         assert!(
             body.contains(&format!(
@@ -732,7 +732,7 @@ fn registry_backed_daemon_ranks_rings_by_tax_rate_differential() {
         },
     );
     assert_eq!(ranked.group_count(), 2);
-    let (first, second) = (&ranked.groups[0], &ranked.groups[1]);
+    let (first, second) = (ranked.groups.row(0), ranked.groups.row(1));
     assert_eq!(tpiin.label(first.antecedent), "R0", "rated ring leads");
     assert_eq!(tpiin.label(second.antecedent), "Z0");
     assert!(

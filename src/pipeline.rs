@@ -136,8 +136,8 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Whether to materialize [`tpiin_core::SuspiciousGroup`]s (`true` by
-    /// default); counting-only sweeps run leaner with `false`.
+    /// Whether to fill [`tpiin_core::DetectionResult::groups`] (`true`
+    /// by default); counting-only sweeps run leaner with `false`.
     pub fn collect_groups(mut self, on: bool) -> Self {
         self.config.collect_groups = on;
         self

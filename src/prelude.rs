@@ -12,8 +12,8 @@ pub use crate::error::Error;
 pub use crate::pipeline::{Pipeline, RunOutput};
 pub use tpiin_core::{
     score_group, BaselineMiner, CircularTradingMiner, DetectionResult, Detector, DetectorConfig,
-    GroupKind, GroupMiner, GroupScore, MineContext, MinerRegistry, Rule12Miner, SuspiciousGroup,
-    WindowedMiner,
+    GroupKind, GroupMiner, GroupRef, GroupScore, GroupTable, MineContext, MinerRegistry,
+    Rule12Miner, SuspiciousGroup, WindowedMiner,
 };
 pub use tpiin_delta::{ApplyOutcome, DeltaConfig, DeltaEngine, DeltaPath};
 pub use tpiin_fusion::{FusionReport, Tpiin};

@@ -13,7 +13,7 @@ fn case1_kinship_behind_transfer_pricing() {
     let (tpiin, _) = fuse(&case1_registry()).unwrap();
     let result = detect(&tpiin);
     assert_eq!(result.group_count(), 1);
-    let g = &result.groups[0];
+    let g = result.groups.row(0);
     assert_eq!(g.kind, GroupKind::Matched);
     assert_eq!(tpiin.label(g.antecedent), "L1+L2");
     let trade: Vec<&str> = g.trail_with_trade.iter().map(|&n| tpiin.label(n)).collect();
@@ -35,7 +35,7 @@ fn case2_common_investor_triangle() {
     let (tpiin, _) = fuse(&case2_registry()).unwrap();
     let result = detect(&tpiin);
     assert_eq!(result.group_count(), 1);
-    let g = &result.groups[0];
+    let g = result.groups.row(0);
     let mut members: Vec<&str> = g.members().into_iter().map(|n| tpiin.label(n)).collect();
     members.sort_unstable();
     assert_eq!(members, vec!["C4", "C5", "C6", "L4"]);
@@ -53,7 +53,7 @@ fn case3_interlocked_directors() {
     let (tpiin, _) = fuse(&case3_registry()).unwrap();
     let result = detect(&tpiin);
     assert_eq!(result.group_count(), 1);
-    let g = &result.groups[0];
+    let g = result.groups.row(0);
     assert_eq!(tpiin.label(g.antecedent), "B3+B4+B5");
     let mut members: Vec<&str> = g.members().into_iter().map(|n| tpiin.label(n)).collect();
     members.sort_unstable();
@@ -67,10 +67,9 @@ fn case_scores_rank_by_volume_at_stake() {
     // rank Case 3's group above Case 1's.
     let (t1, _) = fuse(&case1_registry()).unwrap();
     let (t3, _) = fuse(&case3_registry()).unwrap();
-    let g1 = detect(&t1).groups.remove(0);
-    let g3 = detect(&t3).groups.remove(0);
-    let s1 = score_group(&t1, &g1);
-    let s3 = score_group(&t3, &g3);
+    let (r1, r3) = (detect(&t1), detect(&t3));
+    let s1 = score_group(&t1, r1.groups.row(0));
+    let s3 = score_group(&t3, r3.groups.row(0));
     assert!(s3.score > s1.score);
     assert_eq!(s3.trade_volume, 90_000_000.0);
 }

@@ -23,8 +23,8 @@ use tpiin::datagen::{
     generate_nation_with, generate_province, plant_trading_ring, NationConfig, ProvinceConfig,
 };
 use tpiin::detect::{
-    CircularTradingMiner, DetectionResult, DetectorConfig, GroupKind, GroupMiner, MineContext,
-    SuspiciousGroup,
+    CircularTradingMiner, DetectionResult, DetectorConfig, GroupKind, GroupMiner, GroupTable,
+    MineContext, SuspiciousGroup,
 };
 use tpiin::fusion::{fuse, Tpiin, TpiinNode, TRADING_LANE};
 use tpiin::graph::NodeId;
@@ -94,7 +94,7 @@ fn reference_result_from_groups(
         }
         result.suspicious_trading_arcs.insert(g.trading_arc);
     }
-    result.groups = groups;
+    result.groups = GroupTable::from(&groups[..]);
     result
 }
 

@@ -151,14 +151,11 @@ fn every_producer_yields_the_same_detection() {
 
         let baseline = detect_baseline(&tpiin, 10_000_000);
         assert!(!baseline.overflowed, "{name}");
-        let keys = |groups: &[tpiin::detect::SuspiciousGroup]| -> BTreeSet<_> {
+        let keys = |groups: &tpiin::detect::GroupTable| -> BTreeSet<_> {
             groups.iter().map(|g| g.key()).collect()
         };
-        assert_eq!(
-            keys(&serial.groups),
-            keys(&baseline.groups),
-            "{name}: baseline"
-        );
+        let baseline_keys: BTreeSet<_> = baseline.groups.iter().map(|g| g.key()).collect();
+        assert_eq!(keys(&serial.groups), baseline_keys, "{name}: baseline");
         assert_eq!(
             keys(&serial.groups).len(),
             serial.groups.len(),
@@ -226,7 +223,7 @@ fn company_append_keeps_on_demand_provenance_in_step() {
             .iter()
             .zip(&before)
             .filter(|(g, old)| {
-                g.subtpiin != touched && Provenance::assemble(engine.tpiin(), g) != **old
+                g.subtpiin != touched && Provenance::assemble(engine.tpiin(), *g) != **old
             })
             .count();
     }

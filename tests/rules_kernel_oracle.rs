@@ -24,7 +24,8 @@ use std::collections::BTreeSet;
 use tpiin::datagen::{add_random_trading, generate_province, ProvinceConfig};
 use tpiin::detect::{
     assemble_detection, groups_behind_arc, mine_shard, segment_tpiin, subtpiin_from_arcs,
-    DetectionResult, Detector, DetectorConfig, GroupKind, ShardOutcome, SubTpiin, SuspiciousGroup,
+    DetectionResult, Detector, DetectorConfig, GroupKind, GroupRef, GroupTable, ShardOutcome,
+    SubTpiin, SuspiciousGroup,
 };
 use tpiin::fusion::{fuse, Tpiin};
 use tpiin::graph::NodeId;
@@ -152,14 +153,14 @@ fn reference_shard(sub: &SubTpiin, max_tree_nodes: usize) -> ShardOutcome {
                 out.complex += 1;
             }
             out.arcs.push(arc(&g));
-            out.groups.push(g);
+            out.groups.push(g.view());
         }
         for (circle, g) in mined.circles {
             if !shard_circles.contains(&circle) {
                 shard_circles.push(circle);
                 out.simple += 1;
                 out.arcs.push(arc(&g));
-                out.groups.push(g);
+                out.groups.push(g.view());
             }
         }
     }
@@ -264,12 +265,12 @@ fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionR
     let counted: Vec<ShardOutcome> = reference
         .iter()
         .map(|out| ShardOutcome {
-            groups: Vec::new(),
+            groups: GroupTable::new(),
             ..out.clone()
         })
         .collect();
-    let want = assemble_detection(tpiin, &subs, reference);
-    let want_counted = assemble_detection(tpiin, &subs, counted);
+    let want = assemble_detection(tpiin, &subs, &reference);
+    let want_counted = assemble_detection(tpiin, &subs, &counted);
     let base = DetectorConfig {
         max_tree_nodes,
         ..DetectorConfig::default()
@@ -303,7 +304,7 @@ fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionR
     }
     // The query emits a root's circle where it meets it; the detector
     // folds it in after the root's matched groups.  Compare as sets.
-    let shapes = |groups: &mut dyn Iterator<Item = &SuspiciousGroup>| {
+    let shapes = |groups: &mut dyn Iterator<Item = GroupRef<'_>>| {
         let mut shapes: Vec<_> = groups
             .map(|g| (g.kind, g.antecedent, g.end, g.key(), g.simple))
             .collect();
@@ -312,7 +313,11 @@ fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionR
     };
     for &(s, b) in &detected.suspicious_trading_arcs {
         assert_eq!(
-            shapes(&mut groups_behind_arc(tpiin, s, b).iter()),
+            shapes(
+                &mut groups_behind_arc(tpiin, s, b)
+                    .iter()
+                    .map(SuspiciousGroup::view)
+            ),
             shapes(&mut detected.groups.iter().filter(|g| g.trading_arc == (s, b))),
             "{what}: groups behind {s:?} -> {b:?}"
         );
