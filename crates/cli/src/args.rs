@@ -7,8 +7,6 @@ pub struct Options {
     pub scale: f64,
     /// RNG seed for the province and trading networks.
     pub seed: u64,
-    /// Worker threads for detection (0 = serial).
-    pub threads: usize,
     /// Trading probabilities for sweeps / single runs.
     pub probs: Vec<f64>,
     /// Verify against the global-traversal baseline.
@@ -75,7 +73,6 @@ impl Default for Options {
         Options {
             scale: 1.0,
             seed: 20170417,
-            threads: 0,
             probs: Vec::new(),
             verify: false,
             top: 10,
@@ -136,11 +133,6 @@ impl Options {
                     opts.seed = value("--seed")?
                         .parse()
                         .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--threads" => {
-                    opts.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
                 }
                 "--probs" => {
                     opts.probs = value("--probs")?
@@ -267,7 +259,6 @@ mod tests {
         let opts = parse(&[]).unwrap();
         assert_eq!(opts.scale, 1.0);
         assert_eq!(opts.seed, 20170417);
-        assert_eq!(opts.threads, 0);
         assert!(!opts.verify);
         assert_eq!(opts.sweep_probs().len(), PAPER_PROBS.len());
     }
@@ -279,8 +270,6 @@ mod tests {
             "0.5",
             "--seed",
             "9",
-            "--threads",
-            "4",
             "--probs",
             "0.01, 0.02",
             "--verify",
@@ -333,7 +322,6 @@ mod tests {
         .unwrap();
         assert_eq!(opts.scale, 0.5);
         assert_eq!(opts.seed, 9);
-        assert_eq!(opts.threads, 4);
         assert_eq!(opts.probs, vec![0.01, 0.02]);
         assert!(opts.verify);
         assert_eq!(opts.top, 3);

@@ -52,7 +52,6 @@ COMMANDS:
 FLAGS:
   --scale F     province scale factor in (0,1] (default 1.0 = 4578 nodes)
   --seed N      RNG seed (default 20170417)
-  --threads N   detection worker threads (default 0 = serial)
   --probs LIST  comma-separated trading probabilities (default: paper's 20)
   --verify      also run the global-traversal baseline and compare
   --top N       groups to print for `detect`/`query` (default 10)
@@ -94,7 +93,7 @@ OBSERVABILITY (all commands):
                   (overrides the TPIIN_LOG environment variable)
   --profile       print the phase-timing table on stderr after the run
   --metrics-out P write the run profile (phase timings, counters,
-                  per-thread stats) as JSON to path P
+                  histograms) as JSON to path P
   --trace-out P   write a Chrome trace_event JSON of the whole run to P
                   (one trace id across CLI, pipeline and detector;
                   opens in Perfetto / chrome://tracing)
@@ -116,10 +115,9 @@ fn province(opts: &Options) -> (SourceRegistry, ProvinceConfig) {
     (generate_province(&config), config)
 }
 
-fn detector(opts: &Options, collect: bool) -> Detector {
+fn detector(collect: bool) -> Detector {
     Detector::new(DetectorConfig {
         collect_groups: collect,
-        threads: opts.threads,
         ..Default::default()
     })
 }
@@ -168,10 +166,10 @@ pub fn table1(opts: &Options) -> Result<(), tpiin::Error> {
         let source_nodes = registry.person_count() + registry.company_count();
         let avg_degree = tpiin.graph.edge_count() as f64 / source_nodes as f64;
         let start = Instant::now();
-        let result = detector(opts, false).detect(&tpiin);
+        let result = detector(false).detect(&tpiin);
         let elapsed = start.elapsed().as_millis();
         let (acc_groups, acc_arcs) = if opts.verify {
-            let full = detector(opts, true).detect(&tpiin);
+            let full = detector(true).detect(&tpiin);
             let baseline = detect_baseline(&tpiin, 100_000_000);
             let mut a: Vec<_> = full.groups.iter().map(|g| g.key()).collect();
             let mut b: Vec<_> = baseline.groups.iter().map(|g| g.key()).collect();
@@ -307,11 +305,7 @@ pub fn detect_one(opts: &Options) -> Result<(), tpiin::Error> {
     add_random_trading(&mut registry, p, opts.seed);
     let (tpiin, _) = fuse(&registry)?;
     let ctx = MineContext {
-        config: DetectorConfig {
-            collect_groups: true,
-            threads: opts.threads,
-            ..Default::default()
-        },
+        config: DetectorConfig::default(),
         tax_rates: registry.company_tax_rates(),
     };
     for miner in miners.iter() {
@@ -370,12 +364,7 @@ pub fn explain(opts: &Options) -> Result<(), tpiin::Error> {
     .map_err(tpiin::Error::Usage)?;
     let name = miner.name().to_string();
     let tpiin = serving_tpiin(opts)?;
-    let ctx = MineContext::with_config(DetectorConfig {
-        collect_groups: true,
-        threads: opts.threads,
-        ..Default::default()
-    });
-    let result = miner.mine(&tpiin, &ctx);
+    let result = miner.mine(&tpiin, &MineContext::default());
     let Some(id) = opts.group else {
         // No id: list the groups so the investigator can pick one.
         println!(
@@ -514,7 +503,7 @@ pub fn import(opts: &Options) -> Result<(), tpiin::Error> {
     let registry = tpiin_io::registry_csv::load_registry(std::path::Path::new(dir))?;
     let (tpiin, report) = fuse(&registry)?;
     println!("{}", report.summary());
-    let result = detector(opts, false).detect(&tpiin);
+    let result = detector(false).detect(&tpiin);
     println!("{}", result.summary());
     Ok(())
 }
@@ -530,7 +519,7 @@ pub fn report(opts: &Options) -> Result<(), tpiin::Error> {
     let p = *opts.sweep_probs().first().unwrap_or(&0.002);
     add_random_trading(&mut registry, p, opts.seed);
     let (tpiin, _) = fuse(&registry)?;
-    let result = detector(opts, true).detect(&tpiin);
+    let result = detector(true).detect(&tpiin);
     let files = tpiin_io::reports::write_reports(&tpiin, &result, std::path::Path::new(dir))?;
     println!(
         "wrote {files} files to {dir}/ ({} groups across {} subTPIINs)",
@@ -602,7 +591,7 @@ pub fn two_phase(opts: &Options) -> Result<(), tpiin::Error> {
     let p = *opts.sweep_probs().first().unwrap_or(&0.002);
     add_random_trading(&mut registry, p, opts.seed);
     let (tpiin, _) = fuse(&registry)?;
-    let msg = detector(opts, false).detect(&tpiin);
+    let msg = detector(false).detect(&tpiin);
     println!(
         "MSG: {} of {} trading relationships suspicious ({:.2}%)",
         msg.suspicious_trading_arcs.len(),
@@ -996,7 +985,7 @@ pub fn analyze(opts: &Options) -> Result<(), tpiin::Error> {
 
     let (tpiin, _) = fuse(&registry)?;
     let node = tpiin.company_node[company_id.index()];
-    let msg = detector(opts, true).detect(&tpiin);
+    let msg = detector(true).detect(&tpiin);
 
     println!("\n# Suspicious trading relationships involving {label}");
     let arcs: Vec<_> = msg

@@ -14,8 +14,6 @@
 //!   suspicious trading relationships ([`match_root`]);
 //! * the **global traversal baseline** the paper compares against
 //!   ([`baseline::detect_baseline`]);
-//! * a **parallel detector** over subTPIINs/roots (the paper's "parallel
-//!   and distributed computation" future-work direction);
 //! * a **weighted scoring extension** ranking groups by investment share
 //!   and trade volume ([`score::score_group`]);
 //! * the **[`GroupMiner`] strategy API** — Rule 1/Rule 2, the baseline,

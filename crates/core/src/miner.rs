@@ -36,9 +36,9 @@ use tpiin_obs::Span;
 /// individual strategies consume.
 #[derive(Clone, Debug, Default)]
 pub struct MineContext {
-    /// Tuning for the Rule 1/Rule 2 detector (thread count, group
-    /// collection, tree bound); other strategies read `collect_groups`
-    /// and ignore the rest.
+    /// Tuning for the Rule 1/Rule 2 detector (group collection, tree
+    /// bound); other strategies read `collect_groups` and ignore the
+    /// rest.
     pub config: DetectorConfig,
     /// Statutory tax rate per source company, indexed by `CompanyId`
     /// ([`CircularTradingMiner`]'s scoring signal).  `None` means every
@@ -60,9 +60,9 @@ impl MineContext {
 /// A detection strategy over a fused TPIIN.
 ///
 /// Implementations must be deterministic: the same network and context
-/// yield the same [`DetectionResult`] (including group order) at any
-/// thread count — the serve daemon hot-swaps snapshots on the strength
-/// of that guarantee, and the differential tests enforce it.
+/// yield the same [`DetectionResult`] (including group order) — the
+/// serve daemon hot-swaps snapshots on the strength of that guarantee,
+/// and the differential tests enforce it.
 pub trait GroupMiner: Send + Sync {
     /// Stable name used for registry lookup, CLI `--miner` specs, the
     /// `miner=` serve filter and per-miner metrics.

@@ -135,8 +135,8 @@ pub struct Provenance {
 impl Provenance {
     /// Assembles the provenance of `group` against the TPIIN it was
     /// mined from.  Deterministic: depends only on the group and the
-    /// network, so parallel and serial detection produce identical
-    /// records.
+    /// network, so every route to the same group (the detector,
+    /// `mine_shard` per shard, the delta engine) yields the same record.
     ///
     /// # Panics
     /// Panics if the group's trails reference influence arcs absent from

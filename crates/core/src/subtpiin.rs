@@ -138,13 +138,6 @@ impl SubTpiin {
     pub fn out_degree(&self, v: u32) -> usize {
         self.influence(v).len() + self.trading(v).len()
     }
-
-    /// Scheduler cost estimate for mining this shard: node count plus
-    /// trading-arc count.  Both terms bound the per-root work (tree size
-    /// scales with reachable nodes, matches with type-(b) leaves).
-    pub fn estimated_cost(&self) -> u64 {
-        self.node_count() as u64 + self.trading_arc_count as u64
-    }
 }
 
 /// One CSR lane of [`SubTpiin::pack`]: a counting pass fixes the

@@ -256,6 +256,15 @@ impl GroupTable {
         self.nodes.len()
     }
 
+    /// Unused capacity of the row vector and of the arena.
+    #[cfg(test)]
+    pub(crate) fn spare_capacity(&self) -> (usize, usize) {
+        (
+            self.rows.capacity() - self.rows.len(),
+            self.nodes.capacity() - self.nodes.len(),
+        )
+    }
+
     #[inline]
     fn view(&self, row: &Row) -> GroupRef<'_> {
         let (start, split, stop) = (row.start as usize, row.split as usize, row.stop as usize);

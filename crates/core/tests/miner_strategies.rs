@@ -2,15 +2,16 @@
 //!
 //! * The trait-ported Rule 1/Rule 2 miner must be **bit-identical** to
 //!   the pre-refactor `Detector` entry point on fig7 and the province
-//!   workload, in both the serial and the forced work-stealing
-//!   configuration (the acceptance bar of the API redesign).
+//!   workload, and to the same shards mined one by one with
+//!   `mine_shard` and assembled (the acceptance bar of the API redesign).
 //! * The two sibling strategies must find **100 %** of the patterns the
 //!   datagen scenarios plant, and **zero** groups on the pattern-free
 //!   controls.
 
 use tpiin_core::{
-    BaselineMiner, CircularTradingMiner, Detector, DetectorConfig, GroupMiner, MineContext,
-    MinerRegistry, Provenance, Rule12Miner, WindowedMiner,
+    assemble_detection, mine_shard, segment_tpiin, BaselineMiner, CircularTradingMiner,
+    DetectionResult, Detector, DetectorConfig, GroupMiner, MineContext, MinerRegistry, Provenance,
+    Rule12Miner, WindowedMiner,
 };
 use tpiin_datagen::{
     add_random_trading, circular_case_registry, circular_control_registry, fig7_registry,
@@ -31,30 +32,23 @@ fn province_tpiin() -> Tpiin {
     fused(&registry)
 }
 
-/// Serial and forced-stealing detector configurations — the stealing
-/// one drops every adaptive cutoff so four workers really run.
-fn arm_configs() -> [DetectorConfig; 2] {
+/// The detector's result, and the same shards mined each in a fresh
+/// arena with `mine_shard` and assembled — the delta engine's route.
+fn arms(tpiin: &Tpiin) -> [DetectionResult; 2] {
+    let config = DetectorConfig::default();
+    let subs = segment_tpiin(tpiin);
+    let outcomes: Vec<_> = subs.iter().map(|sub| mine_shard(sub, &config)).collect();
     [
-        DetectorConfig {
-            threads: 1,
-            ..DetectorConfig::default()
-        },
-        DetectorConfig {
-            threads: 4,
-            serial_cutoff: 0,
-            batch_min_cost: 1,
-            clamp_to_host: false,
-            ..DetectorConfig::default()
-        },
+        Detector::new(config).detect(tpiin),
+        assemble_detection(tpiin, &subs, &outcomes),
     ]
 }
 
 #[test]
 fn rules_miner_is_bit_identical_to_detector_on_fig7_and_province() {
     for tpiin in [fused(&fig7_registry()), province_tpiin()] {
-        for config in arm_configs() {
-            let direct = Detector::new(config).detect(&tpiin);
-            let mined = Rule12Miner.mine(&tpiin, &MineContext::with_config(config));
+        let mined = Rule12Miner.mine(&tpiin, &MineContext::default());
+        for direct in arms(&tpiin) {
             assert_eq!(direct.groups, mined.groups, "group vectors must match");
             assert_eq!(
                 direct.suspicious_trading_arcs,

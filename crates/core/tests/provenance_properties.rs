@@ -119,18 +119,15 @@ proptest! {
     }
 
     #[test]
-    fn provenance_is_identical_across_thread_counts(raw in arb_registry()) {
+    fn provenance_is_identical_mined_per_shard(raw in arb_registry()) {
         let registry = build(&raw);
         let (tpiin, _) = tpiin_fusion::fuse(&registry).expect("valid");
         let serial = detect(&tpiin);
-        let parallel = tpiin_core::Detector::new(tpiin_core::DetectorConfig {
-            threads: 4,
-            serial_cutoff: 0,
-            batch_min_cost: 1,
-            clamp_to_host: false,
-            ..Default::default()
-        })
-        .detect(&tpiin);
+        // A fresh arena per shard, as the delta engine mines.
+        let subs = tpiin_core::segment_tpiin(&tpiin);
+        let config = tpiin_core::DetectorConfig::default();
+        let outcomes: Vec<_> = subs.iter().map(|sub| tpiin_core::mine_shard(sub, &config)).collect();
+        let parallel = tpiin_core::assemble_detection(&tpiin, &subs, &outcomes);
         prop_assert_eq!(serial.groups.len(), parallel.groups.len());
         for (s, p) in serial.groups.iter().zip(&parallel.groups) {
             let chain = Provenance::assemble(&tpiin, p);

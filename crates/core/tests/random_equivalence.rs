@@ -1,7 +1,7 @@
 //! Property-based differential testing: on random registries the proposed
 //! detector must agree exactly with the independent global-traversal
-//! baseline (the Table 1 accuracy claim), and all detector configurations
-//! must agree with each other.
+//! baseline (the Table 1 accuracy claim), and the counting-only and
+//! per-shard routes must agree with the detector.
 
 use proptest::prelude::*;
 use tpiin_core::baseline::detect_baseline;
@@ -129,15 +129,12 @@ proptest! {
     }
 
     #[test]
-    fn parallel_and_counting_configs_agree(raw in arb_registry()) {
+    fn counting_config_agrees(raw in arb_registry()) {
         let registry = build(&raw);
         let (tpiin, _) = fuse(&registry).expect("valid registry fuses");
         let serial = detect(&tpiin);
-        let parallel = Detector::new(DetectorConfig { threads: 3, ..Default::default() })
-            .detect(&tpiin);
         let counting = Detector::new(DetectorConfig { collect_groups: false, ..Default::default() })
             .detect(&tpiin);
-        prop_assert_eq!(sorted_keys(&serial.groups), sorted_keys(&parallel.groups));
         prop_assert_eq!(serial.complex_group_count, counting.complex_group_count);
         prop_assert_eq!(serial.simple_group_count, counting.simple_group_count);
         prop_assert_eq!(&serial.suspicious_trading_arcs, &counting.suspicious_trading_arcs);

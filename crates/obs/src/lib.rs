@@ -17,7 +17,7 @@
 //! * [`log`] — a leveled stderr logger controlled by the `TPIIN_LOG`
 //!   environment variable or [`log::set_level`].
 //! * [`RunProfile`] — a snapshot of everything above (phase tree,
-//!   counters, gauges, histograms, per-thread detector stats) with a
+//!   counters, gauges, histograms) with a
 //!   human-readable table renderer and a JSON exporter.
 //! * [`mod@trace`] — per-run / per-request [`TraceContext`]s: 128-bit
 //!   trace ids, a thread-safe completed-span buffer fed by the same
@@ -46,11 +46,11 @@ pub use alloc::{AllocStats, SpanResources};
 pub use expo::text_exposition;
 pub use json::Json;
 pub use log::Level;
-pub use metrics::{global, Counter, Gauge, Histogram, MetricsRegistry, PhaseRow, ThreadStats};
+pub use metrics::{global, Counter, Gauge, Histogram, MetricsRegistry, PhaseRow};
 pub use proc::ProcSample;
-pub use profile::{HistogramSnapshot, PhaseProfile, RunProfile, ThreadProfile};
+pub use profile::{HistogramSnapshot, PhaseProfile, RunProfile};
 pub use slo::{AlertState, AlertStatus, SloEngine, SloKind, SloSpec};
-pub use span::{Span, SpanHandle, TimedScope};
+pub use span::{Span, TimedScope};
 pub use timeline::{HistDelta, HistPoint, Timeline, TimelineConfig, TimelinePoint};
 pub use trace::{
     current_trace, install_thread_trace, set_active_trace, tracing_enabled, TraceContext,

@@ -1,12 +1,11 @@
 //! The process-global metrics registry: counters, gauges, duration
-//! histograms, the aggregated span-phase tree and per-thread detector
-//! statistics.
+//! histograms and the aggregated span-phase tree.
 //!
 //! Registration (name -> handle) takes a short-lived lock on a `BTreeMap`;
 //! the returned handles are `Arc`s whose updates are single atomic
 //! operations, so hot paths that cache their handle are lock-free.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -282,21 +281,6 @@ pub struct PhaseRow {
     pub peak_live_bytes: u64,
 }
 
-/// Work-stealing statistics reported by one detector worker thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ThreadStats {
-    /// Worker index within the pool.
-    pub thread: usize,
-    /// Work items popped from the worker's own deque (`items - steals`).
-    pub batches: u64,
-    /// Work items (subTPIIN roots) mined.
-    pub items: u64,
-    /// Work items stolen from sibling workers' deques.
-    pub steals: u64,
-    /// Wall-clock nanoseconds spent mining (excludes queue waiting).
-    pub busy_ns: u64,
-}
-
 /// The process-global registry behind [`global`].
 #[derive(Default)]
 pub struct MetricsRegistry {
@@ -304,8 +288,6 @@ pub struct MetricsRegistry {
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
     phases: RwLock<BTreeMap<String, Arc<PhaseAgg>>>,
-    phase_links: RwLock<BTreeMap<String, String>>,
-    threads: Mutex<Vec<ThreadStats>>,
 }
 
 fn get_or_insert<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
@@ -360,34 +342,6 @@ impl MetricsRegistry {
         agg.allocs.fetch_add(resources.allocs, Ordering::Relaxed);
         agg.peak_live_bytes
             .fetch_max(resources.peak_live_bytes, Ordering::Relaxed);
-    }
-
-    /// Records an explicit parent link for the phase at `child` —
-    /// first writer wins.  [`crate::Span::enter_under`] calls this so
-    /// profile reconstruction can re-attach spans that worker threads
-    /// recorded under bare relative paths.
-    pub fn record_phase_link(&self, child: &str, parent: &str) {
-        if self.phase_links.read().contains_key(child) {
-            return;
-        }
-        self.phase_links
-            .write()
-            .entry(child.to_string())
-            .or_insert_with(|| parent.to_string());
-    }
-
-    /// Sorted `(child_path, parent_path)` snapshot of phase links.
-    pub fn phase_links_snapshot(&self) -> Vec<(String, String)> {
-        self.phase_links
-            .read()
-            .iter()
-            .map(|(c, p)| (c.clone(), p.clone()))
-            .collect()
-    }
-
-    /// Appends one worker thread's statistics.
-    pub fn record_thread(&self, stats: ThreadStats) {
-        self.threads.lock().push(stats);
     }
 
     /// Sorted `(name, value)` snapshot of all counters.
@@ -456,14 +410,7 @@ impl MetricsRegistry {
         reset
     }
 
-    /// Per-thread statistics, ordered by worker index.
-    pub fn threads_snapshot(&self) -> Vec<ThreadStats> {
-        let mut threads = self.threads.lock().clone();
-        threads.sort_by_key(|t| t.thread);
-        threads
-    }
-
-    /// Clears every metric, phase aggregate and thread record.  The CLI
+    /// Clears every metric and phase aggregate.  The CLI
     /// calls this once before a profiled run so the exported
     /// [`crate::RunProfile`] covers exactly one command.
     pub fn reset(&self) {
@@ -471,8 +418,6 @@ impl MetricsRegistry {
         self.gauges.write().clear();
         self.histograms.write().clear();
         self.phases.write().clear();
-        self.phase_links.write().clear();
-        self.threads.lock().clear();
     }
 }
 
@@ -530,24 +475,9 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.counter("x").inc();
         registry.record_phase("p", Duration::from_nanos(1));
-        registry.record_phase_link("p", "root");
-        registry.record_thread(ThreadStats::default());
         registry.reset();
         assert!(registry.counters_snapshot().is_empty());
         assert!(registry.phases_snapshot().is_empty());
-        assert!(registry.phase_links_snapshot().is_empty());
-        assert!(registry.threads_snapshot().is_empty());
-    }
-
-    #[test]
-    fn phase_links_are_first_writer_wins() {
-        let registry = MetricsRegistry::new();
-        registry.record_phase_link("score", "detect");
-        registry.record_phase_link("score", "other");
-        assert_eq!(
-            registry.phase_links_snapshot(),
-            vec![("score".to_string(), "detect".to_string())]
-        );
     }
 
     #[test]

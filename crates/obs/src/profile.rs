@@ -3,7 +3,7 @@
 //! exporter (for `--metrics-out`).
 
 use crate::json::Json;
-use crate::metrics::{MetricsRegistry, PhaseRow, ThreadStats, BUCKET_BOUNDS_NS};
+use crate::metrics::{MetricsRegistry, PhaseRow, BUCKET_BOUNDS_NS};
 use serde::{Deserialize, Serialize};
 
 /// One node of the phase timing tree.
@@ -48,33 +48,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-/// Per-thread detector work-stealing statistics.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ThreadProfile {
-    /// Worker index.
-    pub thread: usize,
-    /// Work items popped from the worker's own deque (`items - steals`).
-    pub batches: u64,
-    /// Work items mined.
-    pub items: u64,
-    /// Work items stolen from sibling workers.
-    pub steals: u64,
-    /// Nanoseconds spent mining.
-    pub busy_ns: u64,
-}
-
-impl From<ThreadStats> for ThreadProfile {
-    fn from(s: ThreadStats) -> ThreadProfile {
-        ThreadProfile {
-            thread: s.thread,
-            batches: s.batches,
-            items: s.items,
-            steals: s.steals,
-            busy_ns: s.busy_ns,
-        }
-    }
-}
-
 /// Everything a profiled run recorded, ready to render or export.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunProfile {
@@ -86,12 +59,6 @@ pub struct RunProfile {
     pub gauges: Vec<(String, f64)>,
     /// Histogram snapshots, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Per-thread detector statistics, ordered by worker index.
-    pub threads: Vec<ThreadProfile>,
-    /// Explicit `(child_path, parent_path)` span links recorded via
-    /// [`crate::Span::enter_under`]; already applied to `phases`.
-    #[serde(default)]
-    pub links: Vec<(String, String)>,
 }
 
 impl RunProfile {
@@ -102,9 +69,8 @@ impl RunProfile {
 
     /// Snapshots an explicit registry (tests).
     pub fn capture_from(registry: &MetricsRegistry) -> RunProfile {
-        let links = registry.phase_links_snapshot();
         RunProfile {
-            phases: build_tree(registry.phases_snapshot_full(), &links),
+            phases: build_tree(registry.phases_snapshot_full()),
             counters: registry.counters_snapshot(),
             gauges: registry.gauges_snapshot(),
             histograms: registry
@@ -118,12 +84,6 @@ impl RunProfile {
                     buckets: h.bucket_counts(),
                 })
                 .collect(),
-            threads: registry
-                .threads_snapshot()
-                .into_iter()
-                .map(ThreadProfile::from)
-                .collect(),
-            links,
         }
     }
 
@@ -145,8 +105,8 @@ impl RunProfile {
         walk(&self.phases, path)
     }
 
-    /// Renders the phase-timing table (plus thread and counter sections
-    /// when present) for `--profile` output.
+    /// Renders the phase-timing table (plus a counter section when
+    /// present) for `--profile` output.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -171,22 +131,6 @@ impl RunProfile {
             }
         }
         render_nodes(&mut out, &self.phases, 0);
-        if !self.threads.is_empty() {
-            out.push_str(&format!(
-                "{:<40} {:>12} {:>8} {:>12} {:>8}\n",
-                "thread", "busy", "batches", "items", "steals"
-            ));
-            for t in &self.threads {
-                out.push_str(&format!(
-                    "{:<40} {:>12} {:>8} {:>12} {:>8}\n",
-                    format!("worker {}", t.thread),
-                    fmt_ns(t.busy_ns),
-                    t.batches,
-                    t.items,
-                    t.steals
-                ));
-            }
-        }
         if !self.counters.is_empty() {
             out.push_str(&format!("{:<40} {:>12}\n", "counter", "value"));
             for (name, value) in &self.counters {
@@ -265,76 +209,18 @@ impl RunProfile {
                         .collect(),
                 ),
             ),
-            (
-                "threads".to_string(),
-                Json::Array(
-                    self.threads
-                        .iter()
-                        .map(|t| {
-                            Json::Object(vec![
-                                ("thread".to_string(), Json::Int(t.thread as u64)),
-                                ("batches".to_string(), Json::Int(t.batches)),
-                                ("items".to_string(), Json::Int(t.items)),
-                                ("steals".to_string(), Json::Int(t.steals)),
-                                ("busy_ns".to_string(), Json::Int(t.busy_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ])
     }
 }
 
-/// Whether `path` already sits underneath `parent` in the path tree.
-fn is_under(path: &str, parent: &str) -> bool {
-    path.len() > parent.len() && path.starts_with(parent) && path.as_bytes()[parent.len()] == b'/'
-}
-
-/// Resolves the absolute path a linked span should appear under, by
-/// following explicit parent links (bounded by `depth` against cycles).
-fn absolutize(links: &[(String, String)], path: &str, depth: usize) -> String {
-    if depth == 0 {
-        return path.to_string();
-    }
-    match links.iter().find(|(child, _)| child == path) {
-        Some((_, parent)) if !is_under(path, parent) => {
-            format!("{}/{path}", absolutize(links, parent, depth - 1))
-        }
-        _ => path.to_string(),
-    }
-}
-
 /// Builds the phase tree from sorted [`PhaseRow`]s.
-/// A child path whose parent was never recorded directly (e.g. workers
-/// recorded `detect/score` but nothing recorded `detect`) gets a
-/// zero-duration parent node so the tree stays connected.
-///
-/// `links` carries explicit `(child_path, parent_path)` span links: a
-/// span recorded on a worker thread under a bare relative path (where
-/// the thread-local stack was empty, so string-prefix nesting fails)
-/// is re-attached under its recorded parent, along with everything
-/// nested below it.  Before the links existed such spans surfaced as
-/// spurious roots whenever threads interleaved.
-fn build_tree(rows: Vec<PhaseRow>, links: &[(String, String)]) -> Vec<PhaseProfile> {
-    // child -> rewritten absolute path, for links not already satisfied
-    // by the path prefix.
-    let remap: Vec<(String, String)> = links
-        .iter()
-        .filter(|(child, parent)| !is_under(child, parent))
-        .map(|(child, _)| (child.clone(), absolutize(links, child, links.len() + 1)))
-        .collect();
+/// A child path whose parent was never recorded directly (e.g. only
+/// `detect/score` was recorded, not `detect`) gets a zero-duration
+/// parent node so the tree stays connected.
+fn build_tree(rows: Vec<PhaseRow>) -> Vec<PhaseProfile> {
     let mut roots: Vec<PhaseProfile> = Vec::new();
     for row in rows {
-        let best = remap
-            .iter()
-            .filter(|(child, _)| row.path == *child || is_under(&row.path, child))
-            .max_by_key(|(child, _)| child.len());
-        let effective = match best {
-            Some((child, target)) => format!("{target}{}", &row.path[child.len()..]),
-            None => row.path.clone(),
-        };
-        insert(&mut roots, &effective, &row);
+        insert(&mut roots, &row.path, &row);
     }
     roots
 }
@@ -427,7 +313,7 @@ mod tests {
             row("fusion", 100, 1),
             row("fusion/validate", 60, 1),
         ];
-        let tree = build_tree(rows, &[]);
+        let tree = build_tree(rows);
         assert_eq!(tree.len(), 2);
         let detect = tree.iter().find(|n| n.path == "detect").unwrap();
         assert_eq!(detect.calls, 0);
@@ -436,46 +322,6 @@ mod tests {
         let fusion = tree.iter().find(|n| n.path == "fusion").unwrap();
         assert_eq!(fusion.total_ns, 100);
         assert_eq!(fusion.children[0].name, "validate");
-    }
-
-    #[test]
-    fn explicit_links_reattach_interleaved_worker_spans() {
-        // A worker thread recorded `match_patterns` (and a nested
-        // `match_patterns/score`) with an empty thread-local stack, so
-        // the paths lack the `detect/` prefix; the explicit link says
-        // where they belong.
-        let rows = vec![
-            row("detect", 100, 1),
-            row("match_patterns", 40, 4),
-            row("match_patterns/score", 10, 4),
-        ];
-        let links = vec![("match_patterns".to_string(), "detect".to_string())];
-        let tree = build_tree(rows, &links);
-        assert_eq!(tree.len(), 1, "no spurious roots: {tree:?}");
-        let detect = &tree[0];
-        assert_eq!(detect.path, "detect");
-        let matched = detect
-            .children
-            .iter()
-            .find(|n| n.path == "detect/match_patterns")
-            .expect("re-attached under detect");
-        assert_eq!(matched.total_ns, 40);
-        assert_eq!(matched.children[0].path, "detect/match_patterns/score");
-        assert_eq!(matched.children[0].total_ns, 10);
-    }
-
-    #[test]
-    fn chained_links_resolve_transitively() {
-        let rows = vec![row("leaf", 5, 1), row("mid", 9, 1)];
-        let links = vec![
-            ("leaf".to_string(), "mid".to_string()),
-            ("mid".to_string(), "root".to_string()),
-        ];
-        let tree = build_tree(rows, &links);
-        assert_eq!(tree.len(), 1);
-        assert_eq!(tree[0].path, "root");
-        assert_eq!(tree[0].children[0].path, "root/mid");
-        assert_eq!(tree[0].children[0].children[0].path, "root/mid/leaf");
     }
 
     #[test]
@@ -488,13 +334,6 @@ mod tests {
         registry
             .histogram("match_root")
             .record(Duration::from_micros(3));
-        registry.record_thread(ThreadStats {
-            thread: 0,
-            batches: 2,
-            items: 64,
-            steals: 3,
-            busy_ns: 1_000,
-        });
         let profile = RunProfile::capture_from(&registry);
         assert_eq!(profile.phase("fusion/validate").unwrap().calls, 1);
         assert!(profile.phase("fusion/missing").is_none());
@@ -502,7 +341,6 @@ mod tests {
         let table = profile.render_table();
         assert!(table.contains("fusion"));
         assert!(table.contains("  validate"));
-        assert!(table.contains("worker 0"));
         assert!(table.contains("arcs_dropped"));
 
         let json = profile.to_json().to_pretty();
@@ -510,8 +348,6 @@ mod tests {
         assert!(json.contains("\"arcs_dropped\": 7"));
         assert!(json.contains("\"suspicious_fraction\": 0.05"));
         assert!(json.contains("\"match_root\""));
-        assert!(json.contains("\"steals\": 3"));
-        assert!(json.contains("\"busy_ns\": 1000"));
     }
 
     #[test]

@@ -5,21 +5,15 @@
 //! ([`MetricsRegistry::record_phase`]); when a trace context is
 //! installed ([`mod@crate::trace`]) the same span is also appended to the
 //! trace's event buffer, so one instrumentation point feeds both the
-//! aggregate profile and the per-run/per-request timeline.  Three
-//! constructors cover the threading situations in the pipeline:
+//! aggregate profile and the per-run/per-request timeline.  Two
+//! constructors cover the pipeline:
 //!
 //! * [`Span::enter`] nests under whatever span is already open on the
 //!   *current thread* (a thread-local path stack), so sequential code
 //!   gets a parent/child tree for free.
 //! * [`Span::at`] records under an explicit absolute path, which keeps
-//!   phase names consistent when the same logical phase runs on many
-//!   worker threads at once.
-//! * [`Span::enter_under`] nests under an explicit parent
-//!   [`SpanHandle`] carried across a thread boundary — the worker-pool
-//!   case, where thread-local nesting would misplace the span at the
-//!   tree root.  The parent link is recorded in the registry so
-//!   [`crate::RunProfile`] can reconstruct the tree even for spans
-//!   recorded under bare relative paths.
+//!   a phase's name fixed wherever it is opened from (the detector's
+//!   `detect/*` phases, a request handled on any daemon worker).
 //!
 //! When both profiling ([`crate::set_profiling`]) and tracing are
 //! disabled, every constructor costs one relaxed atomic load each and
@@ -30,29 +24,10 @@ use crate::metrics::{global, MetricsRegistry};
 use crate::profiling_enabled;
 use crate::trace::{current_trace, tracing_enabled};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 thread_local! {
     static CURRENT_PATH: RefCell<String> = const { RefCell::new(String::new()) };
-}
-
-/// Process-wide span id allocator (ids are unique within a run).
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-fn next_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// A cloneable, `Send` reference to an open span: its full path and
-/// unique id.  Hand one to worker threads so their spans nest under
-/// the right parent via [`Span::enter_under`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanHandle {
-    /// Full `/`-separated path of the span this handle refers to.
-    pub path: String,
-    /// Unique span id (process-wide, this run).
-    pub id: u64,
 }
 
 /// An RAII timer that records into the global phase tree on drop.
@@ -65,7 +40,6 @@ pub struct Span {
 
 struct SpanInner {
     path: String,
-    id: u64,
     /// Byte length of the thread-local path before this span opened;
     /// restored on drop.  `None` for absolute ([`Span::at`]) spans,
     /// which leave the thread-local stack untouched.
@@ -99,7 +73,6 @@ impl Span {
         Span {
             active: Some(SpanInner {
                 path,
-                id: next_span_id(),
                 saved_len: Some(saved_len),
                 started: Instant::now(),
                 alloc_start: checkpoint(),
@@ -108,8 +81,8 @@ impl Span {
     }
 
     /// Opens a span at the absolute `path`, independent of any
-    /// thread-local nesting.  Use from worker threads so the phase name
-    /// matches the coordinator's tree.
+    /// thread-local nesting, so the phase name is the same wherever
+    /// the span opens.
     pub fn at(path: &str) -> Span {
         if !recording() {
             return Span { active: None };
@@ -117,46 +90,7 @@ impl Span {
         Span {
             active: Some(SpanInner {
                 path: path.to_string(),
-                id: next_span_id(),
                 saved_len: None,
-                started: Instant::now(),
-                alloc_start: checkpoint(),
-            }),
-        }
-    }
-
-    /// Opens a span named `name` nested under the span `parent` refers
-    /// to, regardless of which thread either runs on.  The span records
-    /// under `{parent.path}/{name}` and the parent link is stored in
-    /// the registry ([`MetricsRegistry::record_phase_link`]) so profile
-    /// reconstruction keeps the nesting even when sibling spans on the
-    /// same worker thread recorded bare relative paths.
-    ///
-    /// The parent path is also installed as the thread-local root while
-    /// the span is open, so deeper [`Span::enter`] calls on the worker
-    /// nest correctly.
-    pub fn enter_under(parent: &SpanHandle, name: &str) -> Span {
-        if !recording() {
-            return Span { active: None };
-        }
-        let (path, saved_len) = CURRENT_PATH.with(|current| {
-            let mut current = current.borrow_mut();
-            let saved_len = current.len();
-            if current.is_empty() {
-                current.push_str(&parent.path);
-            }
-            if !current.is_empty() {
-                current.push('/');
-            }
-            current.push_str(name);
-            (current.clone(), saved_len)
-        });
-        global().record_phase_link(&path, &parent.path);
-        Span {
-            active: Some(SpanInner {
-                path,
-                id: next_span_id(),
-                saved_len: Some(saved_len),
                 started: Instant::now(),
                 alloc_start: checkpoint(),
             }),
@@ -167,15 +101,6 @@ impl Span {
     /// when neither profiling nor tracing was on at construction.
     pub fn path(&self) -> Option<&str> {
         self.active.as_ref().map(|inner| inner.path.as_str())
-    }
-
-    /// A sendable handle to this span for [`Span::enter_under`], or
-    /// `None` when the span is inactive.
-    pub fn handle(&self) -> Option<SpanHandle> {
-        self.active.as_ref().map(|inner| SpanHandle {
-            path: inner.path.clone(),
-            id: inner.id,
-        })
     }
 }
 

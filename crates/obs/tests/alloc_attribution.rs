@@ -61,7 +61,9 @@ fn timed_scope_reports_resources() {
     set_profiling(true);
     let path = unique_path("scope");
     let scope = TimedScope::start();
-    let buffer = vec![1u8; 100_000];
+    // `black_box` keeps the optimiser from eliding the allocation, whose
+    // only other use is a constant length.
+    let buffer = std::hint::black_box(vec![1u8; 100_000]);
     assert_eq!(buffer.len(), 100_000);
     drop(buffer);
     scope.finish(&path);

@@ -54,9 +54,6 @@ fn main() {
     let detect_start = std::time::Instant::now();
     let detector = Detector::new(DetectorConfig {
         collect_groups: false,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         ..Default::default()
     });
     let result = detector.detect_segmented(&tpiin, &subs);

@@ -15,9 +15,6 @@ fn main() {
     let base = generate_province(&config);
     let detector = Detector::new(DetectorConfig {
         collect_groups: false, // counting-only: no per-group allocation
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         ..Default::default()
     });
 

@@ -58,7 +58,7 @@ fn main() -> Result<(), Error> {
     });
 
     // 2. Fuse into a TPIIN and mine suspicious groups, in one chain.
-    let out = Pipeline::from_registry(&registry).threads(2).run()?;
+    let out = Pipeline::from_registry(&registry).run()?;
 
     println!("fused network:\n{}\n", out.report.summary());
     println!(

@@ -11,8 +11,8 @@
 //! * [`model`] — taxpayer domain model (persons, roles, companies,
 //!   source relationships).
 //! * [`fusion`] — `G1 … G123 + G4 -> TPIIN` multi-network fusion.
-//! * [`detect`] — Algorithm 1/2, pattern matching, baseline, the
-//!   parallel detector (the paper's contribution), and the
+//! * [`detect`] — Algorithm 1/2 and pattern matching (the paper's
+//!   contribution), the baseline, and the
 //!   [`detect::GroupMiner`] strategy API behind which every detection
 //!   workload — Rule 1/Rule 2, the baseline oracle, circular-trading
 //!   cycles, time-windowed variants — plugs in uniformly
@@ -50,7 +50,7 @@
 //! }
 //! registry.add_trading(TradingRecord { seller: a, buyer: b, volume: 1.0 });
 //!
-//! let out = Pipeline::from_registry(&registry).threads(2).run()?;
+//! let out = Pipeline::from_registry(&registry).run()?;
 //! assert_eq!(out.groups.group_count(), 1);
 //! # Ok::<(), tpiin::Error>(())
 //! ```

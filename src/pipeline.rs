@@ -2,13 +2,13 @@
 //!
 //! One call chain configures and runs the whole system — fusion
 //! (Section 4.1, five stages plus the CSR freeze), then Algorithm 1/2
-//! group detection on the work-stealing scheduler:
+//! group detection, one subTPIIN after another:
 //!
 //! ```
 //! use tpiin::prelude::*;
 //!
 //! let registry = tpiin::datagen::fig7_registry();
-//! let out = Pipeline::from_registry(&registry).threads(4).run()?;
+//! let out = Pipeline::from_registry(&registry).run()?;
 //! assert!(out.groups.group_count() > 0);
 //! # Ok::<(), tpiin::Error>(())
 //! ```
@@ -105,14 +105,6 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Worker threads for detection ([`DetectorConfig::threads`]); `0`
-    /// or `1` mines serially.  Fusion is serial either way, and the
-    /// detection result is bit-identical at every thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Sets the global log level for the run (overrides `TPIIN_LOG`).
     pub fn log_level(mut self, level: Level) -> Self {
         self.log_level = Some(level);
@@ -128,8 +120,7 @@ impl<'a> Pipeline<'a> {
 
     /// Records the whole run into `trace`: installed as the process-wide
     /// active context for the duration of [`Pipeline::run`], so fusion
-    /// and detector spans on every worker thread land in it under one
-    /// trace id.  Export afterwards with
+    /// and detector spans land in it under one trace id.  Export afterwards with
     /// [`TraceContext::to_chrome_json`].
     pub fn trace(mut self, trace: Arc<TraceContext>) -> Self {
         self.trace = Some(trace);
@@ -183,8 +174,8 @@ impl<'a> Pipeline<'a> {
     /// [`tpiin_model::MutationBatch`]es ([`tpiin_delta::DeltaEngine::apply`]).
     /// The detector knobs configured on this builder
     /// ([`Pipeline::collect_groups`] is forced on — diffing needs group
-    /// bodies — and [`Pipeline::max_tree_nodes`], [`Pipeline::threads`])
-    /// carry over to every re-mine.
+    /// bodies — and [`Pipeline::max_tree_nodes`]) carry over to every
+    /// re-mine.
     pub fn delta(self) -> Result<tpiin_delta::DeltaEngine, Error> {
         if self.log_level.is_some() {
             tpiin_obs::log::set_level(self.log_level);
@@ -259,7 +250,6 @@ mod tests {
     fn builder_runs_the_worked_example() {
         let registry = tpiin_datagen::fig7_registry();
         let out = Pipeline::from_registry(&registry)
-            .threads(2)
             .run()
             .expect("fig7 is valid");
         assert_eq!(out.groups.group_count(), 3);
@@ -332,7 +322,6 @@ mod tests {
         let registry = tpiin_datagen::fig7_registry();
         let trace = Arc::new(TraceContext::new());
         let out = Pipeline::from_registry(&registry)
-            .threads(2)
             .trace(Arc::clone(&trace))
             .run()
             .expect("fig7 is valid");

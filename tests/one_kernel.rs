@@ -1,6 +1,6 @@
 //! One kernel, one assembler: every producer of a `DetectionResult` —
-//! the serial detector, the work-stealing pool, the counting-only mode
-//! and the delta engine's cached re-mine — must agree field for field,
+//! the detector, `mine_shard` per shard, the counting-only mode and the
+//! delta engine's cached re-mine — must agree field for field,
 //! and the group set must equal the global-traversal baseline's.
 //! Provenance is no field: it is assembled per group on demand, and must
 //! come out the same over every producer's network.
@@ -12,7 +12,10 @@ use tpiin::datagen::{
 };
 use tpiin::delta::{DeltaEngine, DeltaPath};
 use tpiin::detect::baseline::detect_baseline;
-use tpiin::detect::{detect, segment_tpiin, DetectionResult, Detector, DetectorConfig, Provenance};
+use tpiin::detect::{
+    assemble_detection, detect, mine_shard, segment_tpiin, DetectionResult, Detector,
+    DetectorConfig, Provenance,
+};
 use tpiin::fusion::{fuse, Tpiin};
 use tpiin::model::{
     CompanyId, InvestmentRecord, Mutation, MutationBatch, SourceRegistry, TradingRecord,
@@ -127,15 +130,15 @@ fn every_producer_yields_the_same_detection() {
             (&tpiin, &serial),
         );
 
-        let pooled = Detector::new(DetectorConfig {
-            serial_cutoff: 0,
-            batch_min_cost: 1,
-            clamp_to_host: false,
-            threads: 4,
-            ..DetectorConfig::default()
-        })
-        .detect(&tpiin);
-        assert_identical(&name, "forced pool", (&tpiin, &pooled), (&tpiin, &serial));
+        // A fresh arena per shard, as the delta engine mines, against the
+        // detector's one reused scratch.
+        let subs = segment_tpiin(&tpiin);
+        let outcomes: Vec<_> = subs
+            .iter()
+            .map(|sub| mine_shard(sub, &DetectorConfig::default()))
+            .collect();
+        let per_shard = assemble_detection(&tpiin, &subs, &outcomes);
+        assert_identical(&name, "per shard", (&tpiin, &per_shard), (&tpiin, &serial));
 
         let counting = Detector::new(DetectorConfig {
             collect_groups: false,

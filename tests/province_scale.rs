@@ -8,8 +8,8 @@ use tpiin::datagen::{
 };
 use tpiin::delta::DeltaEngine;
 use tpiin::detect::{
-    detect, segment_tpiin, Detector, DetectorConfig, GroupTable, MineContext, MinerRegistry,
-    CIRCULAR_MINER, RULES_MINER,
+    assemble_detection, detect, mine_shard, segment_tpiin, Detector, DetectorConfig, GroupTable,
+    MineContext, MinerRegistry, CIRCULAR_MINER, RULES_MINER,
 };
 use tpiin::fusion::fuse;
 
@@ -135,27 +135,31 @@ fn group_counts_grow_linearly_with_probability() {
 }
 
 #[test]
-fn parallel_detection_matches_serial_at_scale() {
+fn per_shard_detection_matches_detect_at_scale() {
     let config = ProvinceConfig::default();
     let mut registry = generate_province(&config);
     add_random_trading(&mut registry, 0.01, 5);
     let (tpiin, _) = fuse(&registry).unwrap();
-    let serial = Detector::new(DetectorConfig {
-        collect_groups: false,
-        ..Default::default()
-    })
-    .detect(&tpiin);
-    let parallel = Detector::new(DetectorConfig {
-        collect_groups: false,
-        threads: 8,
-        ..Default::default()
-    })
-    .detect(&tpiin);
-    assert_eq!(serial.complex_group_count, parallel.complex_group_count);
-    assert_eq!(serial.simple_group_count, parallel.simple_group_count);
+    let detected = detect(&tpiin);
+    // A fresh arena per shard, as the delta engine mines, against the
+    // detector's one reused scratch.
+    let subs = segment_tpiin(&tpiin);
+    let outcomes: Vec<_> = subs
+        .iter()
+        .map(|sub| mine_shard(sub, &DetectorConfig::default()))
+        .collect();
+    let per_shard = assemble_detection(&tpiin, &subs, &outcomes);
+    assert_eq!(detected.complex_group_count, per_shard.complex_group_count);
+    assert_eq!(detected.simple_group_count, per_shard.simple_group_count);
     assert_eq!(
-        serial.suspicious_trading_arcs,
-        parallel.suspicious_trading_arcs
+        detected.suspicious_trading_arcs,
+        per_shard.suspicious_trading_arcs
+    );
+    let keys = |groups: &GroupTable| -> Vec<_> { groups.iter().map(|g| g.key()).collect() };
+    assert_eq!(
+        keys(&detected.groups),
+        keys(&per_shard.groups),
+        "same groups in the same order"
     );
 }
 
@@ -290,10 +294,7 @@ fn fixture_counts_are_pinned() {
             [0xbece_6f6b_445b_0fa5, 0x7a27_5dc6_a0aa_fe62],
         ),
     ];
-    let ctx = MineContext::with_config(DetectorConfig {
-        threads: 1,
-        ..DetectorConfig::default()
-    });
+    let ctx = MineContext::default();
     let miners = MinerRegistry::with_defaults();
     for (name, registry, arcs, subtpiins, rules, circular, order) in fixtures {
         let (tpiin, report) = fuse(&registry).unwrap();

@@ -8,8 +8,8 @@
 //! Definition 3 on node sets, dedups circles per root and then per
 //! shard, and marks a root whose trail count exceeds the tree bound as
 //! overflowed.  `mine_shard` must equal it field for field and in
-//! order, and so must `detect` (serial, work-stealing, and counting-only)
-//! against the reference outcomes assembled — on random hand-built
+//! order, and so must `detect` (collecting and counting-only) and
+//! `mine_shard` per shard against the reference outcomes assembled — on random hand-built
 //! shards (trading arcs into any node, so circles and person targets
 //! occur) and on random fused provinces with trades planted against
 //! investment arcs, across tree bounds on both sides of a root's trail
@@ -253,9 +253,9 @@ fn check_shard(what: &str, sub: &SubTpiin, rng: &mut StdRng) {
     }
 }
 
-/// `detect` (serial, work-stealing, counting-only) against the reference
-/// outcomes assembled, then `groups_behind_arc` against `detect`;
-/// returns the serial detection.
+/// `detect` (collecting and counting-only) and `mine_shard` per shard
+/// against the reference outcomes assembled, then `groups_behind_arc`
+/// against `detect`; returns the collecting detection.
 fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionResult {
     let subs = segment_tpiin(tpiin);
     let reference: Vec<ShardOutcome> = subs
@@ -275,13 +275,6 @@ fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionR
         max_tree_nodes,
         ..DetectorConfig::default()
     };
-    let stealing = DetectorConfig {
-        threads: 4,
-        serial_cutoff: 0,
-        batch_min_cost: 1,
-        clamp_to_host: false,
-        ..base
-    };
     let counting = DetectorConfig {
         collect_groups: false,
         ..base
@@ -289,9 +282,10 @@ fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionR
     let what = format!("{what}, bound {max_tree_nodes}");
     let detected = Detector::new(base).detect(tpiin);
     assert_same_detection(&format!("{what}: serial"), &detected, &want);
+    let per_shard: Vec<ShardOutcome> = subs.iter().map(|s| mine_shard(s, &base)).collect();
     assert_same_detection(
-        &format!("{what}: stealing"),
-        &Detector::new(stealing).detect(tpiin),
+        &format!("{what}: per shard"),
+        &assemble_detection(tpiin, &subs, &per_shard),
         &want,
     );
     assert_same_detection(
