@@ -1,14 +1,14 @@
 //! Property-based round-trip testing of the CSR freeze: on random
-//! registries, the frozen [`tpiin_graph::CsrGraph`] must agree with the
-//! hash-map `DiGraph` algorithms it replaced — identical strongly
-//! connected components and identical weak components.  (Detection over
-//! the frozen lanes is checked against the global-traversal baseline in
-//! `random_equivalence.rs`.)
+//! fused registries, the strongly connected and weak components of the
+//! frozen [`tpiin_graph::CsrGraph`] must equal those of the `DiGraph`'s
+//! own edge list, computed here by naive mutual and undirected
+//! reachability.  (Detection over the frozen lanes is checked against
+//! the global-traversal baseline in `random_equivalence.rs`.)
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tpiin_fusion::fuse;
-use tpiin_graph::{csr_index, tarjan_scc, weakly_connected_components, NodeId};
+use tpiin_fusion::{fuse, Tpiin};
+use tpiin_graph::csr_index;
 use tpiin_model::{
     InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Role, RoleSet,
     SourceRegistry, TradingRecord,
@@ -102,13 +102,40 @@ fn build(raw: &RawRegistry) -> SourceRegistry {
     r
 }
 
-/// Canonical form of a node partition: set of sorted member sets.
-fn canonical(components: Vec<Vec<NodeId>>) -> BTreeSet<Vec<u32>> {
-    components
-        .into_iter()
-        .map(|mut c| {
-            c.sort();
-            c.into_iter().map(csr_index).collect()
+/// Node classes of `tpiin.graph`'s edge list: `v` and `w` share a class
+/// iff each reaches the other, following arcs forward, and also
+/// backward when `undirected`.  Depth-first search from every node.
+fn naive_classes(tpiin: &Tpiin, undirected: bool) -> BTreeSet<Vec<u32>> {
+    let n = tpiin.node_count();
+    let mut adj = vec![Vec::new(); n];
+    for e in tpiin.graph.edges() {
+        let (s, t) = (csr_index(e.source), csr_index(e.target));
+        adj[s as usize].push(t);
+        if undirected {
+            adj[t as usize].push(s);
+        }
+    }
+    let reach: Vec<Vec<bool>> = (0..n)
+        .map(|root| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![root];
+            seen[root] = true;
+            while let Some(v) = stack.pop() {
+                for &w in &adj[v] {
+                    if !seen[w as usize] {
+                        seen[w as usize] = true;
+                        stack.push(w as usize);
+                    }
+                }
+            }
+            seen
+        })
+        .collect();
+    (0..n)
+        .map(|v| {
+            (0..n as u32)
+                .filter(|&w| reach[v][w as usize] && reach[w as usize][v])
+                .collect()
         })
         .collect()
 }
@@ -139,7 +166,7 @@ proptest! {
                 c
             })
             .collect();
-        prop_assert_eq!(canonical(tarjan_scc(&tpiin.graph)), frozen);
+        prop_assert_eq!(naive_classes(&tpiin, false), frozen);
     }
 
     /// `freeze()` preserves weak components exactly.
@@ -148,10 +175,9 @@ proptest! {
         let registry = build(&raw);
         let (tpiin, _) = fuse(&registry).expect("valid registry fuses");
         let csr = tpiin.graph.freeze();
-        let (dg_labels, dg_count) = weakly_connected_components(&tpiin.graph);
         let (csr_labels, csr_count) = csr.weak_components(0);
         prop_assert_eq!(
-            canonical_labels(&dg_labels, dg_count),
+            naive_classes(&tpiin, true),
             canonical_labels(&csr_labels, csr_count)
         );
     }

@@ -383,9 +383,12 @@ mod tests {
             ..ProvinceConfig::scaled(0.1)
         };
         let r = generate_province(&config);
-        let gi = tpiin_fusion::stages::build_investment_graph(&r);
-        let sccs = tpiin_graph::tarjan_scc(&gi);
-        let nontrivial = sccs.iter().filter(|c| c.len() >= 2).count();
+        let all: Vec<u32> = (0..r.company_count() as u32).collect();
+        let mut members = vec![0usize; r.company_count()];
+        for rep in tpiin_fusion::company_scc_reps(&r, &[], &all) {
+            members[rep as usize] += 1;
+        }
+        let nontrivial = members.iter().filter(|&&m| m >= 2).count();
         assert_eq!(nontrivial, 2);
     }
 

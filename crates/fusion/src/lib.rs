@@ -14,16 +14,17 @@
 //! ```
 //!
 //! The result has two node colors (*Person*, *Company*) and two arc colors
-//! (*Influence*, *Trading*).  [`fuse`] runs the whole pipeline and returns
-//! the [`Tpiin`] plus a [`FusionReport`] with per-stage statistics (the
-//! numbers behind Figs. 11–16).  [`fuse_carrying`] is the same pipeline
-//! with the SCC representatives of untouched companies carried over from
-//! an earlier run, which is how the delta engine re-fuses.  The
-//! contraction stages are also built one graph at a time in [`stages`],
-//! the reference the tests hold the pipeline to.
+//! (*Influence*, *Trading*).  [`fuse`] builds none of the intermediate
+//! graphs: it computes the two contractions as labels (union–find over
+//! the interdependence records, one Tarjan pass over the investment
+//! graph) and assembles the [`Tpiin`] from them once, returning it with a
+//! [`FusionReport`] of per-stage statistics (the numbers behind
+//! Figs. 11–16).  [`fuse_carrying`] is the same pipeline with the SCC
+//! representatives of untouched companies carried over from an earlier
+//! run, which is how the delta engine re-fuses.  [`verify_tpiin`] audits
+//! the Appendix A properties of a finished network.
 
 pub mod compact;
-pub mod stages;
 
 mod pipeline;
 mod report;

@@ -3,19 +3,19 @@
 //! `fuse` guarantees these by construction (and fails fast on the DAG
 //! check), but data pipelines want an *audit trail*: a structured report
 //! confirming each property on a concrete TPIIN, suitable for logging
-//! next to the detection outputs.  [`verify_tpiin`] checks:
+//! next to the detection outputs.  That node colors partition the network
+//! (every node Person or Company) holds by [`NodeColor`]'s type and is
+//! not reported.  [`verify_tpiin`] checks, in report order:
 //!
-//! 1. node colors partition the network (every node Person or Company);
-//! 2. Person nodes have indegree zero; arcs never end at a Person;
-//! 3. trading arcs connect Company nodes only;
-//! 4. the antecedent network (influence arcs) is acyclic;
-//! 5. every Company node has at least one incoming influence arc (the
+//! 1. Person nodes have indegree zero;
+//! 2. arcs never end at a Person, and trading arcs start at a Company;
+//! 3. the antecedent network (the CSR influence lane) is acyclic;
+//! 4. every Company node has at least one incoming influence arc (the
 //!    legal-person link survives fusion) — waivable for hand-built
 //!    networks;
-//! 6. no duplicate same-color arcs.
+//! 5. no duplicate same-color arcs.
 
-use crate::tpiin::{ArcColor, NodeColor, Tpiin};
-use tpiin_graph::{is_acyclic, DiGraph};
+use crate::tpiin::{ArcColor, NodeColor, Tpiin, INFLUENCE_LANE};
 
 /// One verified property.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,7 +60,10 @@ impl VerificationReport {
 
 /// Runs every Appendix A check against `tpiin`.
 ///
-/// `require_legal_person_arcs` enables check 5; pass `false` for
+/// Checks 1, 2, 4 and 5 read [`Tpiin::graph`].  Check 3 audits the CSR
+/// influence lane ([`Tpiin::csr`]) that the miners read, so a caller that
+/// mutates the graph must [`Tpiin::refreeze`] before auditing.
+/// `require_legal_person_arcs` enables check 4; pass `false` for
 /// hand-built networks that do not model legal persons.
 pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> VerificationReport {
     let mut checks = Vec::new();
@@ -72,7 +75,7 @@ pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> Verificat
         });
     };
 
-    // 2. Persons have indegree zero.
+    // 1. Persons have indegree zero.
     let offender = tpiin
         .graph
         .node_ids()
@@ -82,7 +85,7 @@ pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> Verificat
         offender.map(|v| format!("person node {} has incoming arcs", tpiin.label(v))),
     );
 
-    // 3. Arc endpoints: everything ends at a company; trading arcs also
+    // 2. Arc endpoints: everything ends at a company; trading arcs also
     // start at one.
     let mut bad_arc = None;
     for e in tpiin.graph.edges() {
@@ -105,22 +108,14 @@ pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> Verificat
     }
     push("arc color endpoints", bad_arc);
 
-    // 4. Antecedent network is a DAG.
-    let mut antecedent: DiGraph<(), ()> = DiGraph::with_capacity(tpiin.node_count(), 0);
-    for _ in 0..tpiin.node_count() {
-        antecedent.add_node(());
-    }
-    for e in tpiin.graph.edges() {
-        if e.weight.color == ArcColor::Influence {
-            antecedent.add_edge(e.source, e.target, ());
-        }
-    }
+    // 3. Antecedent network is a DAG.
     push(
         "antecedent network acyclic",
-        (!is_acyclic(&antecedent)).then(|| "influence arcs contain a directed cycle".to_string()),
+        (!tpiin.csr().is_acyclic(INFLUENCE_LANE))
+            .then(|| "influence arcs contain a directed cycle".to_string()),
     );
 
-    // 5. Companies keep a legal-person (influence) in-arc.
+    // 4. Companies keep a legal-person (influence) in-arc.
     if require_legal_person_arcs {
         let orphan = tpiin.graph.node_ids().find(|&v| {
             tpiin.color(v) == NodeColor::Company
@@ -135,7 +130,7 @@ pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> Verificat
         );
     }
 
-    // 6. No duplicate same-color arcs.
+    // 5. No duplicate same-color arcs.
     let mut seen = std::collections::HashSet::new();
     let dup = tpiin
         .graph
@@ -193,6 +188,7 @@ mod tests {
                 weight: 1.0,
             },
         );
+        tpiin.refreeze();
         let report = verify_tpiin(&tpiin, true);
         assert!(!report.all_hold());
         assert!(report.summary().contains("[FAIL]"));
@@ -211,6 +207,7 @@ mod tests {
         let e = tpiin.graph.edges().next().unwrap();
         let (s, t, w) = (e.source, e.target, *e.weight);
         tpiin.graph.add_edge(s, t, w);
+        tpiin.refreeze();
         let report = verify_tpiin(&tpiin, true);
         let dup = report
             .checks
@@ -222,8 +219,53 @@ mod tests {
     }
 
     #[test]
+    fn influence_cycle_fails_only_the_dag_check() {
+        // P -> A, then A -> B -> A: a company-to-company influence 2-cycle
+        // that SCC contraction would have merged.
+        let influence = TpiinArc {
+            color: ArcColor::Influence,
+            weight: 1.0,
+        };
+        let mut graph: tpiin_graph::DiGraph<crate::tpiin::TpiinNode, TpiinArc> =
+            tpiin_graph::DiGraph::new();
+        let p = graph.add_node(crate::tpiin::TpiinNode::Person {
+            label: "P".into(),
+            members: vec![tpiin_model::PersonId(0)].into(),
+        });
+        let a = graph.add_node(crate::tpiin::TpiinNode::Company {
+            label: "A".into(),
+            members: vec![tpiin_model::CompanyId(0)].into(),
+        });
+        let b = graph.add_node(crate::tpiin::TpiinNode::Company {
+            label: "B".into(),
+            members: vec![tpiin_model::CompanyId(1)].into(),
+        });
+        graph.add_edge(p, a, influence);
+        graph.add_edge(a, b, influence);
+        graph.add_edge(b, a, influence);
+        let tpiin = Tpiin::assemble(graph, vec![p], vec![a, b], 3, 0, vec![], vec![]);
+        let report = verify_tpiin(&tpiin, true);
+        let failed: Vec<_> = report
+            .checks
+            .iter()
+            .filter(|c| !c.holds)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(
+            failed,
+            ["antecedent network acyclic"],
+            "{}",
+            report.summary()
+        );
+        assert_eq!(report.checks.len(), 5);
+        assert!(report.summary().contains(
+            "[FAIL] antecedent network acyclic: influence arcs contain a directed cycle"
+        ));
+    }
+
+    #[test]
     fn legal_person_check_is_waivable() {
-        // A bare company node with only trading arcs: fails check 5 when
+        // A bare company node with only trading arcs: fails check 4 when
         // required, passes when waived.
         let mut graph: tpiin_graph::DiGraph<crate::tpiin::TpiinNode, TpiinArc> =
             tpiin_graph::DiGraph::new();

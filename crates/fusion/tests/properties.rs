@@ -3,7 +3,7 @@
 //! cycles and dense interdependence.
 
 use proptest::prelude::*;
-use tpiin_fusion::{fuse, ArcColor, NodeColor};
+use tpiin_fusion::{fuse, ArcColor, NodeColor, INFLUENCE_LANE};
 use tpiin_model::{
     InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Role, RoleSet,
     SourceRegistry, TradingRecord,
@@ -149,17 +149,8 @@ proptest! {
             }
         }
 
-        // The antecedent network is a DAG: walk influence arcs only.
-        let mut g: tpiin_graph::DiGraph<(), ()> = tpiin_graph::DiGraph::new();
-        for _ in 0..tpiin.graph.node_count() {
-            g.add_node(());
-        }
-        for e in tpiin.graph.edges() {
-            if e.weight.color == ArcColor::Influence {
-                g.add_edge(e.source, e.target, ());
-            }
-        }
-        prop_assert!(tpiin_graph::is_acyclic(&g));
+        // The antecedent network (the CSR influence lane) is a DAG.
+        prop_assert!(tpiin.csr().is_acyclic(INFLUENCE_LANE));
 
         // Arc accounting: trading records = arcs + intra-syndicate +
         // duplicates dropped among trading.  (Duplicates are reported as

@@ -1,12 +1,12 @@
 //! Frozen compressed-sparse-row (CSR) snapshot of a [`DiGraph`].
 //!
-//! The mutable [`DiGraph`] is the right shape while the fusion pipeline is
-//! still contracting syndicates, but its per-node `Vec<EdgeId>` adjacency
-//! costs two pointer hops per neighbor on the mining hot path.  Once the
-//! TPIIN is final it never changes again, so [`DiGraph::freeze`] packs the
-//! whole topology into a handful of flat arrays: every neighbor scan
-//! becomes one contiguous slice, and the detector's Algorithm 2 DFS walks
-//! cache lines instead of hash buckets.
+//! The mutable [`DiGraph`] is the right shape while a network is being
+//! assembled, but its per-node `Vec<EdgeId>` adjacency costs two pointer
+//! hops per neighbor on the mining hot path.  Once the TPIIN is final it
+//! never changes again, so [`DiGraph::freeze`] packs the whole topology
+//! into a handful of flat arrays: every neighbor scan becomes one
+//! contiguous slice, and the detector's Algorithm 2 DFS walks cache lines
+//! instead of hash buckets.
 //!
 //! Edges are partitioned into **lanes** at freeze time (one lane per edge
 //! color for a TPIIN: trading and influence), so per-color traversals —
@@ -16,6 +16,7 @@
 
 use crate::digraph::DiGraph;
 use crate::ids::{EdgeId, NodeId};
+use crate::scc::SccScratch;
 use crate::unionfind::UnionFind;
 
 /// One edge lane of a [`CsrGraph`]: a forward and a reverse CSR index over
@@ -265,91 +266,31 @@ impl CsrGraph {
         (0..self.node_count as u32).flat_map(move |v| l.out(v).iter().map(move |&t| (v, t)))
     }
 
-    /// Strongly connected components of one lane, iterative Tarjan over
-    /// the packed slices.  Same contract as [`crate::tarjan_scc`]:
-    /// components come out in reverse topological order of the
-    /// condensation.
+    /// Strongly connected components of one lane: [`SccScratch::run`]
+    /// over all nodes in index order, split into one `Vec` per component.
+    /// Components come out in reverse topological order of the
+    /// condensation (if component `A` has an arc into component `B`, `B`
+    /// comes first), members in Tarjan's stack pop order.
     pub fn tarjan_scc(&self, lane: usize) -> Vec<Vec<u32>> {
-        const UNVISITED: u32 = u32::MAX;
-        let n = self.node_count;
-        let lane = &self.lanes[lane];
-        let mut index = vec![UNVISITED; n];
-        let mut lowlink = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut next_index = 0u32;
-        let mut components = Vec::new();
-        // Explicit DFS call stack: (node, offset into its out slice).
-        let mut call: Vec<(u32, usize)> = Vec::new();
-
-        for root in 0..n as u32 {
-            if index[root as usize] != UNVISITED {
-                continue;
+        let l = &self.lanes[lane];
+        let all: Vec<u32> = (0..self.node_count as u32).collect();
+        let mut components: Vec<Vec<u32>> = Vec::new();
+        let mut current = None;
+        SccScratch::new(self.node_count).run(&l.out_offsets, &l.out_targets, &all, |v, rep| {
+            // A component's members are emitted contiguously, and two
+            // components never share a minimum member.
+            if current != Some(rep) {
+                current = Some(rep);
+                components.push(Vec::new());
             }
-            call.push((root, 0));
-            index[root as usize] = next_index;
-            lowlink[root as usize] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root as usize] = true;
-
-            while let Some(&mut (v, ref mut next)) = call.last_mut() {
-                let succ = lane.out(v);
-                if *next < succ.len() {
-                    let w = succ[*next];
-                    *next += 1;
-                    if index[w as usize] == UNVISITED {
-                        index[w as usize] = next_index;
-                        lowlink[w as usize] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w as usize] = true;
-                        call.push((w, 0));
-                    } else if on_stack[w as usize] {
-                        lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        lowlink[parent as usize] =
-                            lowlink[parent as usize].min(lowlink[v as usize]);
-                    }
-                    if lowlink[v as usize] == index[v as usize] {
-                        let mut component = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w as usize] = false;
-                            component.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        components.push(component);
-                    }
-                }
-            }
-        }
+            components.last_mut().expect("pushed above").push(v);
+        });
         components
-    }
-
-    /// Dense SCC labelling of one lane: `(labels, count)` with labels in
-    /// reverse topological order, mirroring
-    /// [`crate::condensation_partition`].
-    pub fn condensation(&self, lane: usize) -> (Vec<u32>, usize) {
-        let components = self.tarjan_scc(lane);
-        let mut labels = vec![0u32; self.node_count];
-        for (i, comp) in components.iter().enumerate() {
-            for &v in comp {
-                labels[v as usize] = i as u32;
-            }
-        }
-        (labels, components.len())
     }
 
     /// Weakly connected components of one lane (direction ignored):
     /// `(labels, count)` with labels dense and assigned in order of first
-    /// appearance by node index, mirroring
-    /// [`crate::weakly_connected_components`].
+    /// appearance by node index.
     pub fn weak_components(&self, lane: usize) -> (Vec<u32>, usize) {
         let mut uf = UnionFind::new(self.node_count);
         for (s, t) in self.lane_edges(lane) {
@@ -379,39 +320,6 @@ impl CsrGraph {
             }
         }
         seen == self.node_count
-    }
-
-    /// Contracts the graph along `partition` (the CSR port of
-    /// [`crate::Partition::quotient`]'s topology step): each group becomes
-    /// one node, arcs between groups survive in their lane, arcs internal
-    /// to a group are dropped.  Parallel quotient arcs are preserved, and
-    /// lane/slice ordering stays deterministic.
-    pub fn quotient(&self, partition: &crate::Partition) -> CsrGraph {
-        assert_eq!(partition.labels().len(), self.node_count, "partition size");
-        let qn = partition.group_count();
-        let labels = partition.labels();
-        let lanes = (0..self.lanes.len())
-            .map(|lane| {
-                let pairs: Vec<(u32, u32, EdgeId)> = (0..self.node_count as u32)
-                    .flat_map(|v| {
-                        let qs = labels[v as usize];
-                        self.out(lane, v)
-                            .iter()
-                            .zip(self.out_edge_ids(lane, v))
-                            .filter_map(move |(&t, &id)| {
-                                let qt = labels[t as usize];
-                                (qs != qt).then_some((qs, qt, id))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                build_lane(qn, &pairs)
-            })
-            .collect();
-        CsrGraph {
-            node_count: qn,
-            lanes,
-        }
     }
 }
 
@@ -496,9 +404,6 @@ pub fn csr_index(v: NodeId) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        condensation_partition, is_acyclic, tarjan_scc, weakly_connected_components, Partition,
-    };
 
     fn graph_from(edges: &[(usize, usize)], n: usize) -> DiGraph<(), u8> {
         let mut g = DiGraph::new();
@@ -550,40 +455,142 @@ mod tests {
     }
 
     #[test]
-    fn csr_scc_matches_digraph_scc() {
-        let cases: &[(&[(usize, usize)], usize)] = &[
-            (&[(0, 1), (1, 2)], 3),
-            (&[(0, 1), (1, 2), (2, 0)], 3),
-            (&[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], 4),
-            (&[(0, 0), (0, 1)], 2),
-            (&[], 4),
+    fn tarjan_scc_order_is_pinned() {
+        // Pinned component order and member order: the whole graph in one
+        // lane, then split into two lanes by edge parity.
+        /// Arcs, node count, and the components of one lane, of the even
+        /// arcs and of the odd arcs.
+        type Pin = (&'static [(usize, usize)], usize, [&'static str; 3]);
+        let cases: [Pin; 7] = [
+            (
+                &[(0, 1), (1, 2)],
+                3,
+                ["[[2], [1], [0]]", "[[1], [0], [2]]", "[[0], [2], [1]]"],
+            ),
+            (
+                &[(0, 1), (1, 2), (2, 0)],
+                3,
+                ["[[2, 1, 0]]", "[[1], [0], [2]]", "[[0], [2], [1]]"],
+            ),
+            (
+                &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)],
+                4,
+                [
+                    "[[3, 2], [1, 0]]",
+                    "[[2], [1], [0], [3]]",
+                    "[[0], [1], [3], [2]]",
+                ],
+            ),
+            (
+                &[(0, 0), (0, 1)],
+                2,
+                ["[[1], [0]]", "[[0], [1]]", "[[1], [0]]"],
+            ),
+            (&[], 4, ["[[0], [1], [2], [3]]"; 3]),
+            (
+                &[(0, 1), (1, 2), (2, 0), (1, 3), (3, 1)],
+                4,
+                [
+                    "[[3, 2, 1, 0]]",
+                    "[[1], [0], [2], [3]]",
+                    "[[0], [2], [3], [1]]",
+                ],
+            ),
+            (
+                &[
+                    (3, 1),
+                    (1, 4),
+                    (4, 3),
+                    (0, 2),
+                    (2, 0),
+                    (5, 0),
+                    (4, 5),
+                    (1, 1),
+                    (6, 6),
+                ],
+                7,
+                [
+                    "[[2, 0], [5], [3, 4, 1], [6]]",
+                    "[[0], [1], [2], [3], [5], [4], [6]]",
+                    "[[2], [0], [4], [1], [3], [5], [6]]",
+                ],
+            ),
         ];
-        for &(edges, n) in cases {
+        for (edges, n, [one, even, odd]) in cases {
             let g = graph_from(edges, n);
-            let reference: Vec<Vec<u32>> = tarjan_scc(&g)
-                .into_iter()
-                .map(|c| c.into_iter().map(|v| v.index() as u32).collect())
-                .collect();
-            assert_eq!(g.freeze().tarjan_scc(0), reference, "edges {edges:?}");
-            let (labels, count) = condensation_partition(&g);
-            assert_eq!(g.freeze().condensation(0), (labels, count));
+            assert_eq!(format!("{:?}", g.freeze().tarjan_scc(0)), one, "{edges:?}");
+            let lanes = g.freeze_lanes(2, |_, &w| w as usize);
+            assert_eq!(
+                format!("{:?}", lanes.tarjan_scc(0)),
+                even,
+                "{edges:?} lane 0"
+            );
+            assert_eq!(
+                format!("{:?}", lanes.tarjan_scc(1)),
+                odd,
+                "{edges:?} lane 1"
+            );
+        }
+    }
+
+    /// `m` pseudo-random arcs over `n` nodes (a 64-bit LCG).
+    fn lcg_edges(seed: u64, n: usize, m: usize) -> Vec<(usize, usize)> {
+        let mut x = seed;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n
+        };
+        (0..m).map(|_| (next(), next())).collect()
+    }
+
+    /// FNV-1a over the members, each component closed by `u32::MAX`.
+    fn order_hash(components: &[Vec<u32>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for c in components {
+            for &v in c.iter().chain(std::iter::once(&u32::MAX)) {
+                for b in v.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn tarjan_scc_order_is_pinned_on_random_graphs() {
+        // (seed, nodes, arcs) -> (components, largest, order hash).
+        let pins = [
+            ((1, 300, 360), (273, 27, 0x23c0_a8c3_a636_82f9u64)),
+            ((2, 200, 600), (20, 181, 0xea7d_97dd_b52f_2dfd)),
+            ((3, 2000, 2400), (1920, 46, 0x2c98_41be_5825_e9c1)),
+        ];
+        for ((seed, n, m), want) in pins {
+            let comps = graph_from(&lcg_edges(seed, n, m), n).freeze().tarjan_scc(0);
+            let largest = comps.iter().map(Vec::len).max().unwrap_or(0);
+            assert_eq!(
+                (comps.len(), largest, order_hash(&comps)),
+                want,
+                "seed {seed}"
+            );
         }
     }
 
     #[test]
-    fn csr_weak_components_match_digraph() {
-        let g = graph_from(&[(0, 2), (1, 3), (4, 4)], 6);
-        let csr = g.freeze();
-        assert_eq!(csr.weak_components(0), weakly_connected_components(&g));
+    fn weak_components_ignore_direction_and_label_by_first_appearance() {
+        let g = graph_from(&[(0, 2), (3, 1), (4, 4)], 6);
+        assert_eq!(g.freeze().weak_components(0), (vec![0, 1, 0, 1, 2, 3], 4));
     }
 
     #[test]
-    fn csr_acyclicity_matches_digraph() {
+    fn acyclicity_of_a_dag_and_a_cycle() {
         let dag = graph_from(&[(0, 1), (1, 2), (0, 2)], 3);
         assert!(dag.freeze().is_acyclic(0));
-        assert_eq!(is_acyclic(&dag), dag.freeze().is_acyclic(0));
         let cyc = graph_from(&[(0, 1), (1, 0)], 2);
         assert!(!cyc.freeze().is_acyclic(0));
+        let self_loop = graph_from(&[(0, 1), (1, 1)], 2);
+        assert!(!self_loop.freeze().is_acyclic(0));
     }
 
     #[test]
@@ -599,19 +606,6 @@ mod tests {
         let csr = g.freeze_lanes(2, |_, &w| w as usize);
         assert!(!csr.is_acyclic(0));
         assert!(csr.is_acyclic(1));
-    }
-
-    #[test]
-    fn quotient_drops_internal_arcs_and_keeps_cross_arcs() {
-        // {0,1} merge; 0->1 internal (dropped), 1->2 and 2->0 survive.
-        let g = graph_from(&[(0, 1), (1, 2), (2, 0)], 3);
-        let csr = g.freeze();
-        let partition = Partition::from_labels(vec![0, 0, 1], 2);
-        let q = csr.quotient(&partition);
-        assert_eq!(q.node_count(), 2);
-        assert_eq!(q.edge_count(0), 2);
-        assert_eq!(q.out(0, 0), &[1]);
-        assert_eq!(q.out(0, 1), &[0]);
     }
 
     #[test]

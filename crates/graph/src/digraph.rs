@@ -118,10 +118,9 @@ impl Adjacency {
 ///
 /// * Parallel edges and self-loops are allowed — the fusion pipeline
 ///   deduplicates where the paper requires it, not the storage layer.
-/// * Nodes and edges can never be removed; graph simplifications
-///   (syndicate contraction, SCC condensation) build *new* graphs via
-///   [`crate::Partition::quotient`], mirroring how the paper derives
-///   `G12'` and `G123` from `G12` and `G_B`.
+/// * Nodes and edges can never be removed; fusion computes the
+///   syndicate contractions as labels and assembles the final network
+///   once, instead of deriving intermediate graphs.
 /// * All iteration orders are deterministic (insertion order), which keeps
 ///   the detection output stable across runs — important because the
 ///   paper's component-pattern base (Fig. 10) is ordered.
@@ -335,12 +334,6 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[id.index()]
     }
 
-    /// Mutably borrow a node payload.
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// Borrow an edge payload.
     #[inline]
     pub fn edge(&self, id: EdgeId) -> &E {
@@ -403,22 +396,6 @@ impl<N, E> DiGraph<N, E> {
         })
     }
 
-    /// Successor node ids of `node` (duplicates preserved for parallel edges).
-    pub fn successors(&self, node: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.out_adj
-            .row(node.index())
-            .iter()
-            .map(move |&id| self.edges[id.index()].target)
-    }
-
-    /// Predecessor node ids of `node` (duplicates preserved for parallel edges).
-    pub fn predecessors(&self, node: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.in_adj
-            .row(node.index())
-            .iter()
-            .map(move |&id| self.edges[id.index()].source)
-    }
-
     /// Number of outgoing edges of `node`.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {
@@ -442,44 +419,6 @@ impl<N, E> DiGraph<N, E> {
         } else {
             inn.iter()
                 .any(|&id| self.edges[id.index()].source == source)
-        }
-    }
-
-    /// First edge id for `source -> target`, if any.
-    pub fn find_edge(&self, source: NodeId, target: NodeId) -> Option<EdgeId> {
-        self.out_adj
-            .row(source.index())
-            .iter()
-            .copied()
-            .find(|&id| self.edges[id.index()].target == target)
-    }
-
-    /// Builds a graph with identical topology whose payloads are mapped
-    /// through the two closures.  Node and edge ids are preserved.
-    pub fn map<N2, E2>(
-        &self,
-        mut node_map: impl FnMut(NodeId, &N) -> N2,
-        mut edge_map: impl FnMut(EdgeId, &E) -> E2,
-    ) -> DiGraph<N2, E2> {
-        DiGraph {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, w)| node_map(NodeId::from_index(i), w))
-                .collect(),
-            edges: self
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(i, e)| EdgeSlot {
-                    source: e.source,
-                    target: e.target,
-                    weight: edge_map(EdgeId::from_index(i), &e.weight),
-                })
-                .collect(),
-            out_adj: self.out_adj.clone(),
-            in_adj: self.in_adj.clone(),
         }
     }
 }
@@ -665,21 +604,14 @@ mod tests {
     }
 
     #[test]
-    fn successors_and_predecessors_follow_insertion_order() {
-        let (g, n) = diamond();
-        assert_eq!(g.successors(n[0]).collect::<Vec<_>>(), vec![n[1], n[2]]);
-        assert_eq!(g.predecessors(n[3]).collect::<Vec<_>>(), vec![n[1], n[2]]);
-    }
-
-    #[test]
     fn edge_lookup() {
         let (g, n) = diamond();
         assert!(g.contains_edge(n[0], n[1]));
         assert!(!g.contains_edge(n[1], n[0]));
-        let e = g.find_edge(n[2], n[3]).unwrap();
+        assert!(!g.contains_edge(n[3], n[0]));
+        let e = EdgeId::from_index(3);
         assert_eq!(*g.edge(e), "d");
         assert_eq!(g.endpoints(e), (n[2], n[3]));
-        assert_eq!(g.find_edge(n[3], n[0]), None);
     }
 
     #[test]
@@ -693,19 +625,10 @@ mod tests {
         assert_eq!(g.out_degree(a), 3);
         assert_eq!(g.in_degree(b), 2);
         assert_eq!(g.in_degree(a), 1);
-        assert_eq!(g.successors(a).collect::<Vec<_>>(), vec![b, b, a]);
-    }
-
-    #[test]
-    fn map_preserves_topology() {
-        let (g, n) = diamond();
-        let mapped = g.map(|_, &w| w * 10, |_, &s| s.len());
-        assert_eq!(*mapped.node(n[2]), 20);
         assert_eq!(
-            mapped.successors(n[0]).collect::<Vec<_>>(),
-            vec![n[1], n[2]]
+            g.out_edges(a).map(|e| e.target).collect::<Vec<_>>(),
+            vec![b, b, a]
         );
-        assert_eq!(*mapped.edge(EdgeId::from_index(0)), 1);
     }
 
     #[test]
@@ -714,13 +637,6 @@ mod tests {
         assert_eq!(g.node_ids().count(), 4);
         let weights: Vec<_> = g.edges().map(|e| *e.weight).collect();
         assert_eq!(weights, vec!["a", "b", "c", "d"]);
-    }
-
-    #[test]
-    fn node_mut_updates_payload() {
-        let (mut g, n) = diamond();
-        *g.node_mut(n[1]) = 99;
-        assert_eq!(*g.node(n[1]), 99);
     }
 
     #[test]

@@ -1,178 +1,220 @@
-//! Property-based tests for the graph substrate: the algorithms are
-//! checked against independent naive reference implementations on random
-//! graphs.
+//! Property-based tests for the graph algorithms the pipeline runs —
+//! `CsrGraph::{tarjan_scc, weak_components, is_acyclic}` and
+//! `SccScratch` — checked on random graphs against naive references
+//! written here: depth-first reachability over plain adjacency vectors.
 
 use proptest::prelude::*;
-use tpiin_graph::{
-    condensation_partition, is_acyclic, reachable_from, tarjan_scc, topological_sort,
-    weakly_connected_components, DiGraph, NodeId, Partition, UnionFind,
-};
+use tpiin_graph::{CsrGraph, DiGraph, SccScratch, UnionFind};
 
-/// Strategy: a random digraph with up to `max_n` nodes and `max_m` edges.
-fn arb_digraph(max_n: usize, max_m: usize) -> impl Strategy<Value = DiGraph<(), ()>> {
+/// A random multigraph as `(node count, arcs)`: self-loops and parallel
+/// arcs allowed.
+type Arcs = (usize, Vec<(usize, usize)>);
+
+/// Strategy: up to `max_n` nodes and `max_m` arcs.
+fn arb_arcs(max_n: usize, max_m: usize) -> impl Strategy<Value = Arcs> {
     (1..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n), 0..=max_m).prop_map(move |edges| {
-            let mut g = DiGraph::new();
-            let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
-            for (a, b) in edges {
-                g.add_edge(ids[a], ids[b], ());
-            }
-            g
-        })
+        proptest::collection::vec((0..n, 0..n), 0..=max_m).prop_map(move |arcs| (n, arcs))
     })
 }
 
-/// Strategy: a random DAG (edges only from lower to higher index).
-fn arb_dag(max_n: usize, max_m: usize) -> impl Strategy<Value = DiGraph<(), ()>> {
-    (2..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n), 0..=max_m).prop_map(move |edges| {
-            let mut g = DiGraph::new();
-            let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
-            for (a, b) in edges {
-                if a < b {
-                    g.add_edge(ids[a], ids[b], ());
+/// Strategy: a random DAG (arcs only from lower to higher index).
+fn arb_dag(max_n: usize, max_m: usize) -> impl Strategy<Value = Arcs> {
+    arb_arcs(max_n, max_m)
+        .prop_map(|(n, arcs)| (n, arcs.into_iter().filter(|&(a, b)| a < b).collect()))
+}
+
+/// Freezes the arcs into one lane (`lane_count == 1`) or two lanes
+/// split by arc parity, so a lane is a strict subset of the arcs.
+fn freeze(n: usize, arcs: &[(usize, usize)], lane_count: usize) -> CsrGraph {
+    let mut g: DiGraph<(), usize> = DiGraph::new();
+    let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
+    for (i, &(a, b)) in arcs.iter().enumerate() {
+        g.add_edge(ids[a], ids[b], i % lane_count);
+    }
+    g.freeze_lanes(lane_count, |_, &lane| lane)
+}
+
+/// The arcs of `lane` (see [`freeze`]) as adjacency vectors.
+fn adjacency(n: usize, arcs: &[(usize, usize)], lane_count: usize, lane: usize) -> Vec<Vec<usize>> {
+    let mut adj = vec![Vec::new(); n];
+    for (i, &(a, b)) in arcs.iter().enumerate() {
+        if i % lane_count == lane {
+            adj[a].push(b);
+        }
+    }
+    adj
+}
+
+/// `reach[v][w]`: a path (possibly empty) leads from `v` to `w`.
+fn naive_reach(adj: &[Vec<usize>]) -> Vec<Vec<bool>> {
+    (0..adj.len())
+        .map(|root| {
+            let mut seen = vec![false; adj.len()];
+            let mut stack = vec![root];
+            seen[root] = true;
+            while let Some(v) = stack.pop() {
+                for &w in &adj[v] {
+                    if !seen[w] {
+                        seen[w] = true;
+                        stack.push(w);
+                    }
                 }
             }
-            g
+            seen
         })
-    })
+        .collect()
 }
 
-/// Naive SCC labelling: mutual reachability via per-node DFS masks.
-fn naive_scc_labels(g: &DiGraph<(), ()>) -> Vec<usize> {
-    let n = g.node_count();
-    let reach: Vec<Vec<bool>> = (0..n)
-        .map(|v| reachable_from(g, NodeId::from_index(v)))
-        .collect();
+/// The same adjacency with every arc also reversed.
+fn undirected(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let mut both = adj.to_vec();
+    for (v, out) in adj.iter().enumerate() {
+        for &w in out {
+            both[w].push(v);
+        }
+    }
+    both
+}
+
+/// Whether some node reaches itself over at least one arc.
+fn naive_has_cycle(adj: &[Vec<usize>]) -> bool {
+    let reach = naive_reach(adj);
+    (0..adj.len()).any(|v| adj[v].iter().any(|&w| reach[w][v]))
+}
+
+/// Labels of a node partition given as member lists.
+fn labels_of(n: usize, components: &[Vec<u32>]) -> Vec<usize> {
     let mut label = vec![usize::MAX; n];
-    let mut next = 0;
-    for v in 0..n {
-        if label[v] != usize::MAX {
-            continue;
+    for (i, comp) in components.iter().enumerate() {
+        for &v in comp {
+            assert_eq!(label[v as usize], usize::MAX, "node {v} in two components");
+            label[v as usize] = i;
         }
-        for w in v..n {
-            if reach[v][w] && reach[w][v] {
-                label[w] = next;
-            }
-        }
-        next += 1;
     }
     label
 }
 
 proptest! {
     #[test]
-    fn tarjan_matches_naive_mutual_reachability(g in arb_digraph(12, 30)) {
-        let (labels, _) = condensation_partition(&g);
-        let naive = naive_scc_labels(&g);
-        for a in 0..g.node_count() {
-            for b in 0..g.node_count() {
-                prop_assert_eq!(
-                    labels[a] == labels[b],
-                    naive[a] == naive[b],
-                    "SCC disagreement on nodes {} and {}", a, b
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tarjan_components_partition_the_nodes(g in arb_digraph(20, 60)) {
-        let comps = tarjan_scc(&g);
-        let mut seen = vec![false; g.node_count()];
-        for comp in &comps {
-            for &v in comp {
-                prop_assert!(!seen[v.index()], "node {:?} in two components", v);
-                seen[v.index()] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn condensation_is_acyclic(g in arb_digraph(15, 40)) {
-        let (labels, count) = condensation_partition(&g);
-        let part = Partition::from_labels(labels, count);
-        let out = part.quotient(&g, |_| ());
-        prop_assert!(is_acyclic(&out.graph), "condensation must be a DAG");
-    }
-
-    #[test]
-    fn topological_sort_respects_all_edges(g in arb_dag(20, 80)) {
-        let order = topological_sort(&g).expect("generated graph is a DAG");
-        let mut pos = vec![0usize; g.node_count()];
-        for (i, v) in order.iter().enumerate() {
-            pos[v.index()] = i;
-        }
-        for e in g.edges() {
-            prop_assert!(pos[e.source.index()] < pos[e.target.index()]);
-        }
-    }
-
-    #[test]
-    fn graph_with_cycle_fails_topological_sort(n in 2usize..10) {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1], ());
-        }
-        g.add_edge(ids[n - 1], ids[0], ());
-        prop_assert!(topological_sort(&g).is_err());
-        prop_assert!(!is_acyclic(&g));
-    }
-
-    #[test]
-    fn wcc_labels_agree_with_union_find_over_edges(g in arb_digraph(25, 50)) {
-        let (labels, count) = weakly_connected_components(&g);
-        prop_assert!(labels.iter().all(|&l| (l as usize) < count));
-        // Endpoint labels agree for every edge.
-        for e in g.edges() {
-            prop_assert_eq!(labels[e.source.index()], labels[e.target.index()]);
-        }
-        // Count matches an independent union-find run.
-        let mut uf = UnionFind::new(g.node_count());
-        for e in g.edges() {
-            uf.union(e.source.index(), e.target.index());
-        }
-        prop_assert_eq!(uf.set_count(), count);
-    }
-
-    #[test]
-    fn quotient_conserves_external_edges(g in arb_digraph(12, 30)) {
-        // Merge nodes by parity: a partition with at most two groups.
-        let n = g.node_count();
-        let labels: Vec<u32> = (0..n).map(|v| (v % 2) as u32).collect();
-        let groups = if n >= 2 { 2 } else { 1 };
-        let part = Partition::from_labels(labels, groups);
-        let out = part.quotient(&g, |members| members.len());
-        let internal = g
-            .edges()
-            .filter(|e| e.source.index() % 2 == e.target.index() % 2)
-            .count();
-        prop_assert_eq!(out.dropped_internal_edges, internal);
-        prop_assert_eq!(out.graph.edge_count(), g.edge_count() - internal);
-        let member_total: usize = (0..out.graph.node_count())
-            .map(|k| *out.graph.node(NodeId::from_index(k)))
-            .sum();
-        prop_assert_eq!(member_total, n);
-    }
-
-    #[test]
-    fn reachability_is_transitive(g in arb_digraph(12, 24)) {
-        let n = g.node_count();
-        let reach: Vec<Vec<bool>> =
-            (0..n).map(|v| reachable_from(&g, NodeId::from_index(v))).collect();
-        for a in 0..n {
-            for b in 0..n {
-                if !reach[a][b] {
-                    continue;
+    fn tarjan_scc_matches_naive_mutual_reachability(
+        (n, arcs) in arb_arcs(14, 36),
+        lane_count in 1usize..3,
+    ) {
+        let csr = freeze(n, &arcs, lane_count);
+        for lane in 0..lane_count {
+            let adj = adjacency(n, &arcs, lane_count, lane);
+            let reach = naive_reach(&adj);
+            let comps = csr.tarjan_scc(lane);
+            let label = labels_of(n, &comps);
+            prop_assert!(label.iter().all(|&l| l != usize::MAX), "a node is missing");
+            for a in 0..n {
+                for b in 0..n {
+                    prop_assert_eq!(
+                        label[a] == label[b],
+                        reach[a][b] && reach[b][a],
+                        "SCC disagreement on nodes {} and {}", a, b
+                    );
                 }
-                for (c, &reachable) in reach[b].iter().enumerate() {
-                    if reachable {
-                        prop_assert!(reach[a][c], "reach not transitive: {}->{}->{}", a, b, c);
-                    }
+            }
+            // Reverse topological order: an arc's head component is
+            // emitted no later than its tail component.
+            for (a, out) in adj.iter().enumerate() {
+                for &b in out {
+                    prop_assert!(label[b] <= label[a], "arc {}->{} out of order", a, b);
                 }
             }
         }
+    }
+
+    #[test]
+    fn scc_scratch_reps_are_min_mutual_members_per_weak_component(
+        (n, arcs) in arb_arcs(14, 36),
+    ) {
+        let adj = adjacency(n, &arcs, 1, 0);
+        let reach = naive_reach(&adj);
+        let weak = naive_reach(&undirected(&adj));
+        let csr = freeze(n, &arcs, 1);
+        let (offsets, targets) = (csr.lane_out_offsets(0), csr.lane_out_targets(0));
+
+        // One run over every node, and one run per weak component through
+        // the same scratch, last component first.
+        let mut whole = vec![u32::MAX; n];
+        let all: Vec<u32> = (0..n as u32).collect();
+        SccScratch::new(n).run(offsets, targets, &all, |v, rep| whole[v as usize] = rep);
+        let mut per_component = vec![u32::MAX; n];
+        let mut scratch = SccScratch::new(n);
+        for root in (0..n).rev() {
+            if (0..root).any(|v| weak[root][v]) {
+                continue;
+            }
+            let subset: Vec<u32> = (0..n as u32).filter(|&v| weak[root][v as usize]).collect();
+            scratch.run(offsets, targets, &subset, |v, rep| per_component[v as usize] = rep);
+        }
+
+        for v in 0..n {
+            let want = (0..n).find(|&w| reach[v][w] && reach[w][v]).expect("v reaches v");
+            prop_assert_eq!(whole[v] as usize, want, "rep of node {}", v);
+        }
+        prop_assert_eq!(per_component, whole);
+    }
+
+    #[test]
+    fn weak_components_match_naive_undirected_reachability(
+        (n, arcs) in arb_arcs(25, 50),
+        lane_count in 1usize..3,
+    ) {
+        let csr = freeze(n, &arcs, lane_count);
+        for lane in 0..lane_count {
+            let adj = adjacency(n, &arcs, lane_count, lane);
+            let weak = naive_reach(&undirected(&adj));
+            let (labels, count) = csr.weak_components(lane);
+            // Dense labels, numbered by first appearance in node order.
+            let mut next = 0;
+            for &l in &labels {
+                prop_assert!(l <= next, "label {} before {}", l, next);
+                next = next.max(l + 1);
+            }
+            prop_assert_eq!(next as usize, count);
+            for a in 0..n {
+                for b in 0..n {
+                    prop_assert_eq!(labels[a] == labels[b], weak[a][b], "nodes {} and {}", a, b);
+                }
+            }
+            let mut uf = UnionFind::new(n);
+            for (a, out) in adj.iter().enumerate() {
+                for &b in out {
+                    uf.union(a, b);
+                }
+            }
+            prop_assert_eq!(uf.set_count(), count);
+        }
+    }
+
+    #[test]
+    fn is_acyclic_matches_naive_cycle_search(
+        (n, arcs) in arb_arcs(12, 20),
+        lane_count in 1usize..3,
+    ) {
+        let csr = freeze(n, &arcs, lane_count);
+        for lane in 0..lane_count {
+            let adj = adjacency(n, &arcs, lane_count, lane);
+            prop_assert_eq!(csr.is_acyclic(lane), !naive_has_cycle(&adj), "lane {}", lane);
+        }
+    }
+
+    #[test]
+    fn generated_dags_are_acyclic_and_all_singletons((n, arcs) in arb_dag(20, 80)) {
+        let csr = freeze(n, &arcs, 1);
+        prop_assert!(csr.is_acyclic(0));
+        prop_assert_eq!(csr.tarjan_scc(0).len(), n);
+    }
+
+    #[test]
+    fn closing_a_path_into_a_ring_makes_one_cycle(n in 2usize..10) {
+        let mut arcs: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+        arcs.push((n - 1, 0));
+        let csr = freeze(n, &arcs, 1);
+        prop_assert!(!csr.is_acyclic(0));
+        prop_assert_eq!(csr.tarjan_scc(0).len(), 1);
     }
 }

@@ -12,11 +12,21 @@
 //! examples, seeded random registries dense in investment cycles and
 //! duplicate records, and the two pinned province and nation fixtures.
 //!
+//! [`reference_fuse`] shares `SccScratch` and `UnionFind` with [`fuse`],
+//! so a defect in either would pass that comparison.  Every case is
+//! therefore also held to references that use no graph-crate algorithm:
+//! fusion's SCC representatives to [`naive_company_syndicates`] (mutual
+//! reachability by plain depth-first search), and every valid case's
+//! antecedent network to [`naive_antecedent_shape`] (person syndicates
+//! as components over the interdependence records, those company
+//! syndicates, and the distinct influence arcs between them).
+//!
 //! `FUSION_DIFF_CASES` sets the number of random registries (default
 //! 256).  From 1024 up — the CI release step — the two full-size
 //! benchmark inputs join.
 
 use rand::prelude::*;
+use std::collections::BTreeSet;
 use tpiin::datagen::{
     add_random_trading, case1_registry, case2_registry, case3_registry, circular_case_registry,
     circular_control_registry, fig7_registry, generate_nation_with, generate_province,
@@ -24,8 +34,8 @@ use tpiin::datagen::{
 };
 use tpiin::fusion::compact::{Label, Members};
 use tpiin::fusion::{
-    fuse, ArcColor, FusionError, FusionReport, IntraSyndicateTrade, Tpiin, TpiinArc, TpiinNode,
-    INFLUENCE_LANE,
+    company_scc_reps, fuse, ArcColor, FusionError, FusionReport, IntraSyndicateTrade, Tpiin,
+    TpiinArc, TpiinNode, INFLUENCE_LANE,
 };
 use tpiin::graph::{DiGraph, NodeId, SccScratch, UnionFind};
 use tpiin::model::{
@@ -275,14 +285,169 @@ fn reference_fuse(registry: &SourceRegistry) -> Result<(Tpiin, FusionReport), Fu
 }
 
 // ---------------------------------------------------------------------
+// The second reference: the antecedent network's shape, from records.
+// ---------------------------------------------------------------------
+
+/// A node as the source entities it merges: `(is_person, ids)`, ids
+/// ascending.
+type MemberSet = (bool, Vec<u32>);
+
+/// An antecedent network as its node member sets and its distinct arcs
+/// between them.
+type Shape = (BTreeSet<MemberSet>, BTreeSet<(MemberSet, MemberSet)>);
+
+/// Every node `root` reaches over `adj`, itself included, by depth-first
+/// search.  `seen` holds the stamp of the search that last visited each
+/// node, so one buffer serves every search.
+fn reach(adj: &[Vec<u32>], root: u32, seen: &mut [u32], stamp: u32) -> Vec<u32> {
+    let mut out = vec![root];
+    seen[root as usize] = stamp;
+    let mut next = 0;
+    while next < out.len() {
+        for &w in &adj[out[next] as usize] {
+            if seen[w as usize] != stamp {
+                seen[w as usize] = stamp;
+                out.push(w);
+            }
+        }
+        next += 1;
+    }
+    out
+}
+
+/// Partitions `0..n` into classes, where `members_of(v)` returns the
+/// class of `v`; it is called once per class, on its smallest node.
+/// Returns every node's class as a sorted id list.
+fn classes(n: usize, mut members_of: impl FnMut(u32) -> Vec<u32>) -> Vec<Vec<u32>> {
+    let mut class: Vec<Option<usize>> = vec![None; n];
+    let mut sets: Vec<Vec<u32>> = Vec::new();
+    for v in 0..n as u32 {
+        if class[v as usize].is_some() {
+            continue;
+        }
+        let mut members = members_of(v);
+        members.sort_unstable();
+        for &m in &members {
+            class[m as usize] = Some(sets.len());
+        }
+        sets.push(members);
+    }
+    class
+        .into_iter()
+        .map(|c| sets[c.expect("every node is classed")].clone())
+        .collect()
+}
+
+/// Each company's syndicate: the companies it and they reach each other
+/// over investment records.
+fn naive_company_syndicates(registry: &SourceRegistry) -> Vec<Vec<u32>> {
+    let nc = registry.company_count();
+    let (mut out, mut inn) = (vec![Vec::new(); nc], vec![Vec::new(); nc]);
+    for inv in registry.investments() {
+        out[inv.investor.index()].push(inv.investee.0);
+        inn[inv.investee.index()].push(inv.investor.0);
+    }
+    let (mut seen_out, mut seen_in) = (vec![0u32; nc], vec![0u32; nc]);
+    let mut stamp = 0;
+    classes(nc, |c| {
+        stamp += 1;
+        reach(&out, c, &mut seen_out, stamp);
+        reach(&inn, c, &mut seen_in, stamp)
+            .into_iter()
+            .filter(|&d| seen_out[d as usize] == stamp)
+            .collect()
+    })
+}
+
+/// The antecedent network the paper's stage chain (`G12 -> G12' ->
+/// G_B -> G123`) derives from `registry`, computed from the records with
+/// no graph-crate algorithm.
+fn naive_antecedent_shape(registry: &SourceRegistry) -> Shape {
+    let np = registry.person_count();
+    let mut kin = vec![Vec::new(); np];
+    for i in registry.interdependencies() {
+        kin[i.a.index()].push(i.b.0);
+        kin[i.b.index()].push(i.a.0);
+    }
+    let mut seen = vec![0u32; np];
+    let mut stamp = 0;
+    let person_set = classes(np, |p| {
+        stamp += 1;
+        reach(&kin, p, &mut seen, stamp)
+    });
+    let nc = registry.company_count();
+    let company_set = naive_company_syndicates(registry);
+
+    let person = |p: PersonId| (true, person_set[p.index()].clone());
+    let company = |c: CompanyId| (false, company_set[c.index()].clone());
+    let nodes = (0..np as u32)
+        .map(|p| person(PersonId(p)))
+        .chain((0..nc as u32).map(|c| company(CompanyId(c))))
+        .collect();
+    let mut arcs: BTreeSet<(MemberSet, MemberSet)> = registry
+        .influences()
+        .iter()
+        .map(|inf| (person(inf.person), company(inf.company)))
+        .collect();
+    for inv in registry.investments() {
+        let (s, t) = (company(inv.investor), company(inv.investee));
+        if s != t {
+            arcs.insert((s, t));
+        }
+    }
+    (nodes, arcs)
+}
+
+/// The shape of a fused network: node members, and the arcs of the CSR
+/// influence lane the miners read.
+fn fused_shape(tpiin: &Tpiin) -> Shape {
+    let sets: Vec<MemberSet> = tpiin
+        .graph
+        .nodes()
+        .map(|(_, node)| match node {
+            TpiinNode::Person { members, .. } => {
+                (true, members.as_slice().iter().map(|p| p.0).collect())
+            }
+            TpiinNode::Company { members, .. } => {
+                (false, members.as_slice().iter().map(|c| c.0).collect())
+            }
+        })
+        .collect();
+    let arcs: BTreeSet<(MemberSet, MemberSet)> = tpiin
+        .csr()
+        .lane_edges(INFLUENCE_LANE)
+        .map(|(s, t)| (sets[s as usize].clone(), sets[t as usize].clone()))
+        .collect();
+    assert_eq!(
+        arcs.len(),
+        tpiin.influence_arc_count,
+        "fused influence arcs are distinct"
+    );
+    (sets.into_iter().collect(), arcs)
+}
+
+// ---------------------------------------------------------------------
 // Comparison.
 // ---------------------------------------------------------------------
 
-/// Fuses `registry` both ways and asserts every observable field equal;
-/// returns the production report (`None` for an invalid registry).
+/// Holds fusion's SCC pass and, for a valid registry, the fused
+/// antecedent network to the naive references, then fuses `registry`
+/// both ways and asserts every observable field equal; returns the
+/// production report (`None` for an invalid registry).
 fn check(what: &str, registry: &SourceRegistry) -> Option<FusionReport> {
+    // The SCC pass first: a wrong one can fail fusion's own DAG check,
+    // and then no network is left to compare.
+    let all: Vec<u32> = (0..registry.company_count() as u32).collect();
+    let reps = company_scc_reps(registry, &[], &all);
+    for (c, syndicate) in naive_company_syndicates(registry).iter().enumerate() {
+        assert_eq!(reps[c], syndicate[0], "{what}: SCC representative of C{c}");
+    }
     match (fuse(registry), reference_fuse(registry)) {
         (Ok((got, mut got_report)), Ok((want, want_report))) => {
+            let (nodes, arcs) = fused_shape(&got);
+            let (naive_nodes, naive_arcs) = naive_antecedent_shape(registry);
+            assert_eq!(nodes, naive_nodes, "{what}: antecedent nodes");
+            assert_eq!(arcs, naive_arcs, "{what}: antecedent arcs");
             assert_eq!(got.edge_list(), want.edge_list(), "{what}: edge list");
             let arcs = |t: &Tpiin| -> Vec<(NodeId, NodeId, TpiinArc)> {
                 t.graph
@@ -505,6 +670,46 @@ fn random_registry(seed: u64) -> SourceRegistry {
     r
 }
 
+/// The registry the stage-chain unit tests were written over: kin legal
+/// persons L1 and L2, a director D1, and a C2 <-> C3 investment cycle.
+fn stage_registry() -> SourceRegistry {
+    let mut r = SourceRegistry::new();
+    let l1 = r.add_person("L1", RoleSet::of(&[Role::Ceo]));
+    let l2 = r.add_person("L2", RoleSet::of(&[Role::Ceo]));
+    let d1 = r.add_person("D1", RoleSet::of(&[Role::Director]));
+    let c1 = r.add_company("C1");
+    let c2 = r.add_company("C2");
+    let c3 = r.add_company("C3");
+    for (person, company) in [(l1, c1), (l2, c2), (l2, c3)] {
+        r.add_influence(InfluenceRecord {
+            person,
+            company,
+            kind: InfluenceKind::CeoOf,
+            is_legal_person: true,
+        });
+    }
+    r.add_influence(InfluenceRecord {
+        person: d1,
+        company: c1,
+        kind: InfluenceKind::DirectorOf,
+        is_legal_person: false,
+    });
+    r.add_interdependence(l1, l2, InterdependenceKind::Kinship);
+    for (investor, investee, share) in [(c2, c3, 0.6), (c3, c2, 0.5)] {
+        r.add_investment(InvestmentRecord {
+            investor,
+            investee,
+            share,
+        });
+    }
+    r.add_trading(TradingRecord {
+        seller: c1,
+        buyer: c2,
+        volume: 10.0,
+    });
+    r
+}
+
 /// The two scaled fixtures `province_scale::fixture_counts_are_pinned`
 /// pins counts for, built the same way.
 fn scaled_fixtures() -> [(&'static str, SourceRegistry); 2] {
@@ -548,9 +753,33 @@ fn worked_examples_match_the_oracle() {
         ("case3", case3_registry()),
         ("circular_case", circular_case_registry()),
         ("circular_control", circular_control_registry()),
+        ("stages", stage_registry()),
     ] {
         check(name, &registry).expect("worked examples are valid");
     }
+}
+
+#[test]
+fn stage_registry_contracts_kin_and_the_investment_cycle() {
+    let (tpiin, report) = fuse(&stage_registry()).unwrap();
+    // L1 + L2 merge; D1 stays alone.
+    assert_eq!(tpiin.person_node[0], tpiin.person_node[1]);
+    assert_ne!(tpiin.person_node[0], tpiin.person_node[2]);
+    assert_eq!(
+        (
+            report.person_syndicate_count,
+            report.person_syndicates_merged
+        ),
+        (2, 1)
+    );
+    // C2 + C3 merge, and the two arcs of their cycle become internal.
+    assert_eq!(tpiin.company_node[1], tpiin.company_node[2]);
+    assert_ne!(tpiin.company_node[0], tpiin.company_node[1]);
+    assert_eq!(report.company_syndicates_merged, 1);
+    assert_eq!(report.internal_investment_arcs_dropped, 2);
+    // Two person syndicates and two company nodes, as a DAG.
+    assert_eq!(tpiin.node_count(), 4);
+    assert!(tpiin.csr().is_acyclic(INFLUENCE_LANE));
 }
 
 #[test]
