@@ -355,22 +355,18 @@ impl Provenance {
 /// Looks up the arc `s -> t` of `color` and resolves its provenance;
 /// `None` when no such arc exists.
 fn resolve_arc(tpiin: &Tpiin, s: NodeId, t: NodeId, color: ArcColor) -> Option<ArcProvenance> {
-    tpiin
-        .graph
-        .out_edges(s)
-        .find(|e| e.target == t && e.weight.color == color)
-        .map(|e| {
-            let seq = tpiin.arc_sources.get(e.id.index()).copied();
-            ArcProvenance {
-                source: s,
-                target: t,
-                source_label: tpiin.label(s).to_string(),
-                target_label: tpiin.label(t).to_string(),
-                color,
-                weight: e.weight.weight,
-                source_record: seq.filter(|&q| q != u32::MAX),
-            }
-        })
+    tpiin.find_arc(s, t, color).map(|id| {
+        let seq = tpiin.arc_sources.get(id.index()).copied();
+        ArcProvenance {
+            source: s,
+            target: t,
+            source_label: tpiin.label(s).to_string(),
+            target_label: tpiin.label(t).to_string(),
+            color,
+            weight: tpiin.graph.edge(id).weight,
+            source_record: seq.filter(|&q| q != u32::MAX),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -22,10 +22,10 @@ fn ancestors(tpiin: &Tpiin, start: NodeId) -> Vec<bool> {
     seen[start.index()] = true;
     let mut queue = vec![start];
     while let Some(v) = queue.pop() {
-        for e in tpiin.graph.in_edges(v) {
-            if e.weight.color == ArcColor::Influence && !seen[e.source.index()] {
-                seen[e.source.index()] = true;
-                queue.push(e.source);
+        for &u in tpiin.csr().sources(INFLUENCE_LANE, v.index() as u32) {
+            if !seen[u as usize] {
+                seen[u as usize] = true;
+                queue.push(NodeId::from_index(u as usize));
             }
         }
     }
@@ -43,11 +43,7 @@ fn ancestors(tpiin: &Tpiin, start: NodeId) -> Vec<bool> {
 ///
 /// Returns an empty vector if no such trading arc exists.
 pub fn groups_behind_arc(tpiin: &Tpiin, seller: NodeId, buyer: NodeId) -> Vec<SuspiciousGroup> {
-    let arc_exists = tpiin
-        .graph
-        .out_edges(seller)
-        .any(|e| e.target == buyer && e.weight.color == ArcColor::Trading);
-    if !arc_exists {
+    if tpiin.find_arc(seller, buyer, ArcColor::Trading).is_none() {
         return Vec::new();
     }
     // Restrict to nodes that can appear on either trail: ancestors of the

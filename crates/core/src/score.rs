@@ -28,10 +28,8 @@ pub struct GroupScore {
 
 pub(crate) fn arc_weight(tpiin: &Tpiin, s: NodeId, t: NodeId, color: ArcColor) -> Option<f64> {
     tpiin
-        .graph
-        .out_edges(s)
-        .find(|e| e.target == t && e.weight.color == color)
-        .map(|e| e.weight.weight)
+        .find_arc(s, t, color)
+        .map(|id| tpiin.graph.edge(id).weight)
 }
 
 /// Scores `group` against the TPIIN it was mined from.

@@ -90,9 +90,7 @@ proptest! {
             // Influence arcs physically present, with in-range sources.
             for arc in &prov.influence_arcs {
                 prop_assert_eq!(arc.color, ArcColor::Influence);
-                let found = tpiin.graph.out_edges(arc.source).any(|e| {
-                    e.target == arc.target && e.weight.color == ArcColor::Influence
-                });
+                let found = tpiin.find_arc(arc.source, arc.target, ArcColor::Influence).is_some();
                 prop_assert!(found, "influence arc {} -> {} missing", arc.source, arc.target);
                 let seq = arc.source_record.expect("fused arcs carry sources");
                 prop_assert!((seq as usize) < influence_feed, "seq {seq} out of feed");

@@ -172,14 +172,14 @@ proptest! {
             // Every arc of both trails exists in the TPIIN with the right
             // color.
             for pair in g.trail_with_trade.windows(2) {
-                prop_assert!(tpiin.graph.out_edges(pair[0]).any(|e| e.target == pair[1]
-                    && e.weight.color == tpiin_fusion::ArcColor::Influence));
+                prop_assert!(tpiin
+                    .find_arc(pair[0], pair[1], tpiin_fusion::ArcColor::Influence)
+                    .is_some());
             }
+            let (seller, buyer) = g.trading_arc;
             prop_assert!(tpiin
-                .graph
-                .out_edges(g.trading_arc.0)
-                .any(|e| e.target == g.trading_arc.1
-                    && e.weight.color == tpiin_fusion::ArcColor::Trading));
+                .find_arc(seller, buyer, tpiin_fusion::ArcColor::Trading)
+                .is_some());
         }
         // Suspicious arcs are exactly the arcs appearing in groups plus
         // intra-syndicate trades.

@@ -294,8 +294,10 @@ pub struct DeltaEngine {
 struct SpliceDelta {
     /// Shards whose local structure changed (new nodes, arcs).
     dirty: BTreeSet<usize>,
-    /// Trading arcs appended inside a shard: a re-mined group is new iff
-    /// its trading arc is one of these.
+    /// Trading arcs appended by this batch, which the CSR (frozen before
+    /// the batch) does not hold yet: the duplicate check reads them, and
+    /// a re-mined group is new iff its trading arc is one of these.
+    /// Cross-shard arcs are among them but carry no group.
     appended: BTreeSet<(NodeId, NodeId)>,
     /// Intra-syndicate self pairs newly diverted by this batch.
     new_intra: Vec<(NodeId, NodeId)>,
@@ -524,10 +526,14 @@ impl DeltaEngine {
             delta.new_intra.push((seller, buyer));
             return;
         }
-        // The graph already holds the arcs appended earlier in this batch.
-        let duplicate = (self.tpiin.graph.out_edges(seller))
-            .any(|e| e.target == buyer && e.weight.color == ArcColor::Trading);
-        if duplicate {
+        // The CSR holds the network as it was before this batch; a seller
+        // registered earlier in the batch is not in it yet.
+        let frozen = seller.index() < self.tpiin.csr().node_count()
+            && self
+                .tpiin
+                .find_arc(seller, buyer, ArcColor::Trading)
+                .is_some();
+        if frozen || delta.appended.contains(&(seller, buyer)) {
             outcome.duplicates += 1;
             self.stats.duplicates += 1;
             return;
@@ -546,10 +552,10 @@ impl DeltaEngine {
         self.stats.arcs_patched += 1;
         outcome.arcs_patched += 1;
         delta.arcs_added += 1;
+        delta.appended.insert((seller, buyer));
         let (s, b) = (self.shard_of[seller.index()], self.shard_of[buyer.index()]);
         if s == b {
             delta.dirty.insert(s as usize);
-            delta.appended.insert((seller, buyer));
         }
     }
 

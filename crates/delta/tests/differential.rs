@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use tpiin_core::{detect, DetectionResult, GroupKind, GroupRef, Provenance};
 use tpiin_delta::DeltaEngine;
-use tpiin_fusion::{fuse, Tpiin};
+use tpiin_fusion::{fuse, Tpiin, INFLUENCE_LANE, TRADING_LANE};
 use tpiin_model::{
     CompanyId, InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Mutation,
     MutationBatch, PersonId, Role, RoleSet, SourceRegistry, TradingRecord,
@@ -235,6 +235,16 @@ fn assert_identical(a: &Tpiin, b: &Tpiin) -> Result<(), TestCaseError> {
     let la: Vec<&str> = a.graph.nodes().map(|(_, n)| n.label()).collect();
     let lb: Vec<&str> = b.graph.nodes().map(|(_, n)| n.label()).collect();
     prop_assert_eq!(la, lb);
+    // The CSR is the only adjacency, and what the engine serves from.
+    let (ca, cb) = (a.csr(), b.csr());
+    prop_assert_eq!(ca.node_count(), cb.node_count());
+    for lane in [TRADING_LANE, INFLUENCE_LANE] {
+        prop_assert_eq!(ca.lane_out_offsets(lane), cb.lane_out_offsets(lane));
+        prop_assert_eq!(ca.lane_out_targets(lane), cb.lane_out_targets(lane));
+        prop_assert_eq!(ca.lane_out_edge_ids(lane), cb.lane_out_edge_ids(lane));
+        prop_assert_eq!(ca.lane_in_offsets(lane), cb.lane_in_offsets(lane));
+        prop_assert_eq!(ca.lane_in_sources(lane), cb.lane_in_sources(lane));
+    }
     Ok(())
 }
 

@@ -89,6 +89,53 @@ fn duplicates_are_skipped() {
 }
 
 #[test]
+fn company_append_dedups_against_the_network_and_the_batch() {
+    // The frozen CSR holds the network from before the batch: it has no
+    // row for a company registered in the batch, nor the arcs appended
+    // earlier in it.  Both duplicates must still be caught.
+    let mut registry = tpiin_datagen::fig7_registry();
+    let legal = *registry
+        .influences()
+        .iter()
+        .find(|r| r.is_legal_person)
+        .expect("fig7 has legal persons");
+    let x = CompanyId(registry.company_count() as u32);
+    let trade = |seller, buyer| {
+        Mutation::AddTrading(TradingRecord {
+            seller,
+            buyer,
+            volume: 1.0,
+        })
+    };
+    // C3 -> C5 (CompanyId 2 -> 4) is already in fig7.
+    let batch = MutationBatch::new(vec![
+        Mutation::AddCompany {
+            name: "X".to_string(),
+            legal_person: legal.person,
+            kind: legal.kind,
+        },
+        trade(x, CompanyId(4)),
+        trade(x, CompanyId(4)),
+        trade(CompanyId(2), CompanyId(4)),
+    ]);
+    let mut engine = DeltaEngine::new(registry.clone()).unwrap();
+    let outcome = engine.apply(&batch).unwrap();
+    assert_eq!(outcome.path, DeltaPath::CompanyAppend);
+    assert_eq!(outcome.duplicates, 2);
+    assert_eq!(engine.stats().arcs_added, 1);
+
+    batch.apply_to_registry(&mut registry).unwrap();
+    let (fresh, _) = fuse(&registry).unwrap();
+    let want = detect(&fresh);
+    assert_identical(engine.tpiin(), &fresh);
+    assert_eq!(engine.detection().groups, want.groups);
+    assert_eq!(
+        engine.detection().suspicious_trading_arcs,
+        want.suspicious_trading_arcs
+    );
+}
+
+#[test]
 fn intra_syndicate_trades_flagged_immediately() {
     let mut r = SourceRegistry::new();
     let l = r.add_person("L", RoleSet::of(&[Role::Ceo]));

@@ -2,7 +2,7 @@
 
 use crate::compact::{Label, Members};
 use serde::{Deserialize, Serialize};
-use tpiin_graph::{CsrGraph, DiGraph, NodeId};
+use tpiin_graph::{CsrGraph, DiGraph, EdgeId, NodeId};
 use tpiin_model::{CompanyId, PersonId};
 
 /// CSR lane index of the trading arcs (the paper's edge-color code `0`).
@@ -159,8 +159,9 @@ pub struct Tpiin {
     /// Frozen CSR snapshot of `graph`, with one lane per arc color
     /// ([`TRADING_LANE`], [`INFLUENCE_LANE`]).  The mining hot path
     /// (Algorithm 1 segmentation, Algorithm 2 tree DFS) iterates these
-    /// packed slices instead of the mutable adjacency.  Kept private so it
-    /// can only be set by [`Tpiin::assemble`] / [`Tpiin::refreeze`].
+    /// packed slices; so does every other neighbour question, since the
+    /// graph keeps no adjacency of its own.  Kept private so it can only
+    /// be set by [`Tpiin::assemble`] / [`Tpiin::refreeze`].
     csr: CsrGraph,
     /// Bytes of any flat snapshot buffer still backing this network
     /// (zero-copy binary loads); `0` for networks assembled from parsed
@@ -245,7 +246,10 @@ impl Tpiin {
     }
 
     /// The frozen CSR view of the network (lane [`TRADING_LANE`] holds the
-    /// trading arcs, lane [`INFLUENCE_LANE`] the antecedent arcs).
+    /// trading arcs, lane [`INFLUENCE_LANE`] the antecedent arcs).  It is
+    /// the network's only adjacency: [`Tpiin::graph`] holds just the node
+    /// and edge columns, so every neighbour, degree and arc-existence
+    /// question reads these lanes.
     ///
     /// The snapshot is taken at assembly; after mutating [`Tpiin::graph`]
     /// directly (e.g. streaming ingestion), call [`Tpiin::refreeze`] to
@@ -258,6 +262,20 @@ impl Tpiin {
     pub fn refreeze(&mut self) {
         self.csr = Self::freeze_graph(&self.graph);
     }
+
+    /// The first `s -> t` arc of `color`, by edge id, as of the last
+    /// freeze.  A lane keeps each node's arcs in insertion order, so
+    /// this is the lowest-id such arc: the one first-wins dedup kept.
+    ///
+    /// # Panics
+    /// Panics if `s` is not a node of the frozen CSR.
+    pub fn find_arc(&self, s: NodeId, t: NodeId, color: ArcColor) -> Option<EdgeId> {
+        let lane = color.code() as usize;
+        let (s, t) = (s.index() as u32, t.index() as u32);
+        let at = self.csr.out(lane, s).iter().position(|&v| v == t)?;
+        Some(self.csr.out_edge_ids(lane, s)[at])
+    }
+
     /// Number of TPIIN nodes.
     pub fn node_count(&self) -> usize {
         self.graph.node_count()
@@ -295,11 +313,10 @@ impl Tpiin {
         tpiin_graph::edge_list(&self.graph, |arc| arc.color.code())
     }
 
-    /// This network's heap footprint in bytes: the graph's own buffers
-    /// (node slots, edge slots, adjacency rows — counted exactly via
-    /// [`DiGraph::heap_bytes`], whichever adjacency layout is in use),
-    /// spilled label/member allocations, the frozen CSR lanes (exact via
-    /// [`CsrGraph::heap_bytes`]), provenance side tables, and any
+    /// This network's heap footprint in bytes: the graph's node and edge
+    /// slots (exact via [`DiGraph::heap_bytes`]), spilled label/member
+    /// allocations, the frozen CSR lanes — the only adjacency — (exact
+    /// via [`CsrGraph::heap_bytes`]), provenance side tables, and any
     /// retained zero-copy snapshot buffer.  The `/status` endpoint
     /// reports it so operators can see how much of the process RSS the
     /// served snapshot accounts for.  "Approx" survives in the name only

@@ -15,7 +15,7 @@
 //!    networks;
 //! 5. no duplicate same-color arcs.
 
-use crate::tpiin::{ArcColor, NodeColor, Tpiin, INFLUENCE_LANE};
+use crate::tpiin::{ArcColor, NodeColor, Tpiin, INFLUENCE_LANE, TRADING_LANE};
 
 /// One verified property.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,9 +60,10 @@ impl VerificationReport {
 
 /// Runs every Appendix A check against `tpiin`.
 ///
-/// Checks 1, 2, 4 and 5 read [`Tpiin::graph`].  Check 3 audits the CSR
-/// influence lane ([`Tpiin::csr`]) that the miners read, so a caller that
-/// mutates the graph must [`Tpiin::refreeze`] before auditing.
+/// Checks 2 and 5 read the edge column of [`Tpiin::graph`].  Checks 1, 3
+/// and 4 read the CSR lanes ([`Tpiin::csr`]), the network's only
+/// adjacency, so a caller that mutates the graph must
+/// [`Tpiin::refreeze`] before auditing.
 /// `require_legal_person_arcs` enables check 4; pass `false` for
 /// hand-built networks that do not model legal persons.
 pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> VerificationReport {
@@ -75,11 +76,13 @@ pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> Verificat
         });
     };
 
-    // 1. Persons have indegree zero.
-    let offender = tpiin
-        .graph
-        .node_ids()
-        .find(|&v| tpiin.color(v) == NodeColor::Person && tpiin.graph.in_degree(v) > 0);
+    // 1. Persons have indegree zero, in either lane.
+    let csr = tpiin.csr();
+    let in_degree = |lane, v: tpiin_graph::NodeId| csr.in_degree(lane, v.index() as u32);
+    let offender = tpiin.graph.node_ids().find(|&v| {
+        tpiin.color(v) == NodeColor::Person
+            && in_degree(TRADING_LANE, v) + in_degree(INFLUENCE_LANE, v) > 0
+    });
     push(
         "person indegree zero",
         offender.map(|v| format!("person node {} has incoming arcs", tpiin.label(v))),
@@ -111,19 +114,16 @@ pub fn verify_tpiin(tpiin: &Tpiin, require_legal_person_arcs: bool) -> Verificat
     // 3. Antecedent network is a DAG.
     push(
         "antecedent network acyclic",
-        (!tpiin.csr().is_acyclic(INFLUENCE_LANE))
+        (!csr.is_acyclic(INFLUENCE_LANE))
             .then(|| "influence arcs contain a directed cycle".to_string()),
     );
 
     // 4. Companies keep a legal-person (influence) in-arc.
     if require_legal_person_arcs {
-        let orphan = tpiin.graph.node_ids().find(|&v| {
-            tpiin.color(v) == NodeColor::Company
-                && !tpiin
-                    .graph
-                    .in_edges(v)
-                    .any(|e| e.weight.color == ArcColor::Influence)
-        });
+        let orphan = tpiin
+            .graph
+            .node_ids()
+            .find(|&v| tpiin.color(v) == NodeColor::Company && in_degree(INFLUENCE_LANE, v) == 0);
         push(
             "companies influenced",
             orphan.map(|v| format!("company {} has no influence in-arc", tpiin.label(v))),

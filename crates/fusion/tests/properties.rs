@@ -3,7 +3,7 @@
 //! cycles and dense interdependence.
 
 use proptest::prelude::*;
-use tpiin_fusion::{fuse, ArcColor, NodeColor, INFLUENCE_LANE};
+use tpiin_fusion::{fuse, ArcColor, NodeColor, INFLUENCE_LANE, TRADING_LANE};
 use tpiin_model::{
     InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Role, RoleSet,
     SourceRegistry, TradingRecord,
@@ -137,9 +137,11 @@ proptest! {
         }
 
         // Persons have indegree zero; influence arcs never end at persons.
+        let csr = tpiin.csr();
         for v in tpiin.graph.node_ids() {
             if tpiin.color(v) == NodeColor::Person {
-                prop_assert_eq!(tpiin.graph.in_degree(v), 0);
+                let i = v.index() as u32;
+                prop_assert_eq!(csr.in_degree(TRADING_LANE, i) + csr.in_degree(INFLUENCE_LANE, i), 0);
             }
         }
         for e in tpiin.graph.edges() {

@@ -1,12 +1,11 @@
 //! Frozen compressed-sparse-row (CSR) snapshot of a [`DiGraph`].
 //!
-//! The mutable [`DiGraph`] is the right shape while a network is being
-//! assembled, but its per-node `Vec<EdgeId>` adjacency costs two pointer
-//! hops per neighbor on the mining hot path.  Once the TPIIN is final it
-//! never changes again, so [`DiGraph::freeze`] packs the whole topology
-//! into a handful of flat arrays: every neighbor scan becomes one
-//! contiguous slice, and the detector's Algorithm 2 DFS walks cache lines
-//! instead of hash buckets.
+//! A [`DiGraph`] is only its node and edge columns, the right shape while
+//! a network is being assembled; it answers no neighbour question.
+//! [`DiGraph::freeze`] packs the edge column into a handful of flat
+//! arrays, and this is the workspace's only adjacency: every neighbour
+//! scan is one contiguous slice, and the detector's Algorithm 2 DFS walks
+//! cache lines instead of pointer-chasing per-node rows.
 //!
 //! Edges are partitioned into **lanes** at freeze time (one lane per edge
 //! color for a TPIIN: trading and influence), so per-color traversals —

@@ -605,9 +605,9 @@ impl SnapshotView {
                 },
             ));
         }
-        // Bulk construction: endpoints were bounds-checked above, so the
-        // counting pass allocates every adjacency list at its exact
-        // final size instead of growing it push by push.
+        // Bulk construction: the edge column is built at its exact final
+        // size instead of growing push by push.  The graph keeps no
+        // adjacency; the frozen lanes below are read straight from the file.
         let graph = DiGraph::from_edge_list(nodes, edge_list);
 
         let sellers = self.section_u32s(11, "intra sellers")?;

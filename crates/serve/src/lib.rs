@@ -58,7 +58,7 @@
 //! | `GET /slowlog` | slow-request exemplars, each linking to its `/trace/{id}` |
 //! | `GET /groups` | one miner's detection (`?miner=NAME&limit=N&offset=N`; unknown params are a 400) |
 //! | `GET /groups/{id}/provenance` | the evidence chain behind group `id` (`?miner=NAME`) |
-//! | `GET /groups_behind_arc?src=..&dst=..` | Section 6: groups hiding behind one trading arc |
+//! | `GET /groups_behind_arc?src=..&dst=..` | Section 6: groups hiding behind one trading arc; `arc_exists` says whether that *trading* arc exists |
 //! | `GET /trace/{id}` | Chrome trace JSON of a recent request (`x-tpiin-trace`) |
 //! | `GET /company/{label}` | one node's profile and its groups |
 //! | `POST /ingest` | `{"records": [{"seller": n, "buyer": n, "volume": x}]}` |

@@ -10,7 +10,7 @@
 use crate::store::ServeSnapshot;
 use tpiin_core::{DetectionResult, GroupKind, GroupRef, SuspiciousGroup, RULES_MINER};
 use tpiin_delta::{ApplyOutcome, DeltaStats};
-use tpiin_fusion::Tpiin;
+use tpiin_fusion::{ArcColor, Tpiin, INFLUENCE_LANE, TRADING_LANE};
 use tpiin_graph::NodeId;
 use tpiin_io::json::Json;
 
@@ -115,6 +115,8 @@ pub fn groups_json(
 }
 
 /// The `/groups_behind_arc` body: the Section 6 investigator query.
+/// `arc_exists` says whether the *trading* arc `src -> dst` exists; an
+/// influence arc between the same nodes does not count.
 pub fn arc_query_json(
     tpiin: &Tpiin,
     epoch: u64,
@@ -128,7 +130,7 @@ pub fn arc_query_json(
         ("dst", s(tpiin.label(dst))),
         (
             "arc_exists",
-            Json::Bool(tpiin.graph.contains_edge(src, dst)),
+            Json::Bool(tpiin.find_arc(src, dst, ArcColor::Trading).is_some()),
         ),
         ("group_count", num(groups.len())),
         (
@@ -153,6 +155,10 @@ pub fn company_json(snapshot: &ServeSnapshot, node: NodeId) -> Json {
         .groups_involving(node)
         .map(|g| group_json(tpiin, g, miner))
         .collect();
+    // Degrees count the arcs of both colours.
+    let (csr, v) = (tpiin.csr(), node.index() as u32);
+    let out_degree = csr.out_degree(TRADING_LANE, v) + csr.out_degree(INFLUENCE_LANE, v);
+    let in_degree = csr.in_degree(TRADING_LANE, v) + csr.in_degree(INFLUENCE_LANE, v);
     obj(vec![
         ("epoch", num(snapshot.epoch as usize)),
         ("label", s(tpiin.label(node))),
@@ -161,8 +167,8 @@ pub fn company_json(snapshot: &ServeSnapshot, node: NodeId) -> Json {
             "color",
             s(format!("{:?}", tpiin.color(node)).to_ascii_lowercase()),
         ),
-        ("out_degree", num(tpiin.graph.out_degree(node))),
-        ("in_degree", num(tpiin.graph.in_degree(node))),
+        ("out_degree", num(out_degree)),
+        ("in_degree", num(in_degree)),
         ("group_count", num(groups.len())),
         ("groups", Json::Array(groups)),
     ])
@@ -682,5 +688,21 @@ mod tests {
             json.get("group_count").and_then(Json::as_f64),
             Some(groups.len() as f64)
         );
+    }
+
+    #[test]
+    fn arc_exists_means_the_trading_arc() {
+        let snap = snapshot();
+        let arc_exists = |src: &str, dst: &str| {
+            let (src, dst) = (snap.resolve_node(src), snap.resolve_node(dst));
+            let (src, dst) = (src.unwrap(), dst.unwrap());
+            arc_query_json(&snap.tpiin, snap.epoch, src, dst, &[])
+                .get("arc_exists")
+                .cloned()
+        };
+        // Influence and investment arcs are not trading arcs.
+        assert_eq!(arc_exists("L2", "C3"), Some(Json::Bool(false)));
+        assert_eq!(arc_exists("C1", "C3"), Some(Json::Bool(false)));
+        assert_eq!(arc_exists("C3", "C5"), Some(Json::Bool(true)));
     }
 }
