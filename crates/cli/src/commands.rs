@@ -313,13 +313,18 @@ pub fn detect_one(opts: &Options) -> Result<(), tpiin::Error> {
         let start = Instant::now();
         let result = mine_with_obs(miner, &tpiin, &ctx);
         println!(
-            "[{name}] detected {} groups ({} complex, {} simple) behind {} of {} trading arcs in {:?}",
+            "[{name}] detected {} groups ({} complex, {} simple) behind {} of {} trading arcs in {:?}{}",
             result.group_count(),
             result.complex_group_count,
             result.simple_group_count,
             result.suspicious_trading_arcs.len(),
             result.total_trading_arcs,
-            start.elapsed()
+            start.elapsed(),
+            if result.overflowed {
+                "; truncated: budget spent"
+            } else {
+                ""
+            }
         );
         if miner.supports_provenance() {
             // Rule 1/Rule 2 shaped groups rank by chain strength x

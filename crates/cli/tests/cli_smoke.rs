@@ -234,6 +234,20 @@ fn detect_runs_every_requested_miner_strategy() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("[rules] detected"), "{stdout}");
     assert!(stdout.contains("[circular] detected"), "{stdout}");
+    assert!(!stdout.contains("truncated"), "{stdout}");
+
+    // A dense lane holds more rings than the circular miner's budget:
+    // the headline says the list stops there.
+    let (stdout, stderr, ok) = run(&[
+        "detect", "--scale", "0.1", "--probs", "0.05", "--miner", "circular",
+    ]);
+    assert!(ok, "{stderr}");
+    let headline = stdout.lines().next().unwrap_or_default();
+    assert!(
+        headline.starts_with("[circular] detected 100000 groups")
+            && headline.ends_with("; truncated: budget spent"),
+        "{stdout}"
+    );
 
     let (_, stderr, ok) = run(&["detect", "--scale", "0.1", "--miner", "zebra"]);
     assert!(!ok);

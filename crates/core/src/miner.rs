@@ -27,6 +27,7 @@ use crate::detector::{Detector, DetectorConfig};
 use crate::provenance::Provenance;
 use crate::result::{DetectionResult, GroupKind, SuspiciousGroup};
 use crate::table::{GroupHead, GroupRef, GroupTable};
+use std::ops::Range;
 use tpiin_fusion::{ArcColor, Tpiin, TpiinNode, TRADING_LANE};
 use tpiin_graph::{DiGraph, NodeId};
 use tpiin_obs::Span;
@@ -108,21 +109,26 @@ pub const CIRCULAR_MINER: &str = "circular";
 /// Table 1 denominators and the intra-syndicate trades that are
 /// suspicious by construction (§4.3).  Shared by every strategy that
 /// does not run through the detector's merge path, so the derived
-/// statistics stay consistent across miners.
-fn result_shell(tpiin: &Tpiin, overflowed: bool) -> DetectionResult {
-    let mut result = DetectionResult {
-        total_trading_arcs: tpiin.trading_arc_count + tpiin.intra_syndicate_trades.len(),
-        intra_syndicate_trades: tpiin.intra_syndicate_trades.len(),
-        overflowed,
-        ..DetectionResult::default()
-    };
-    for t in &tpiin.intra_syndicate_trades {
-        result.suspicious_trading_arcs.insert((
+/// statistics stay consistent across miners.  The suspicious-arc set is
+/// those trades plus the strategy's `arcs`, collected in one bulk build.
+fn result_shell(
+    tpiin: &Tpiin,
+    overflowed: bool,
+    arcs: impl IntoIterator<Item = (NodeId, NodeId)>,
+) -> DetectionResult {
+    let intra = tpiin.intra_syndicate_trades.iter().map(|t| {
+        (
             tpiin.company_node[t.seller.index()],
             tpiin.company_node[t.buyer.index()],
-        ));
+        )
+    });
+    DetectionResult {
+        total_trading_arcs: tpiin.trading_arc_count + tpiin.intra_syndicate_trades.len(),
+        intra_syndicate_trades: tpiin.intra_syndicate_trades.len(),
+        suspicious_trading_arcs: intra.chain(arcs).collect(),
+        overflowed,
+        ..DetectionResult::default()
     }
-    result
 }
 
 /// Builds a [`DetectionResult`] from an explicit group list (the
@@ -135,14 +141,13 @@ fn result_from_groups(
     overflowed: bool,
     collect_groups: bool,
 ) -> DetectionResult {
-    let mut result = result_shell(tpiin, overflowed);
+    let mut result = result_shell(tpiin, overflowed, groups.iter().map(|g| g.trading_arc));
     for g in groups {
         if g.simple {
             result.simple_group_count += 1;
         } else {
             result.complex_group_count += 1;
         }
-        result.suspicious_trading_arcs.insert(g.trading_arc);
     }
     if collect_groups {
         result.groups = GroupTable::from(groups);
@@ -225,8 +230,10 @@ impl GroupMiner for BaselineMiner {
 /// The walk from a start `s` enters a node only if `s` can still be
 /// reached from it within the arcs the ring has left: a reverse
 /// breadth-first search from `s`, `reach = max_cycle_len / 2` arcs deep,
-/// runs first and the walk consults it for its last `reach` arcs.  The
-/// work therefore follows the rings reported, not the
+/// runs first and the walk consults it for its last `reach` arcs.  On
+/// its last two levels the walk reads no row at all, only the few arcs
+/// of it that can still close a ring, copied out once per start and
+/// node.  The work therefore follows the rings reported, not the
 /// `degree ^ max_cycle_len` paths of the lane, and the output is that of
 /// the unpruned walk bit for bit (`tests/circular_oracle.rs` keeps that
 /// walk as the oracle).  Strongly connected components are not used:
@@ -274,14 +281,21 @@ impl CircularTradingMiner {
     /// — until the `max_cycles` budget is spent.
     ///
     /// Each ring is found exactly once, from its minimum node id `s`,
-    /// walking only through larger ids.  Before the walk, a reverse
-    /// breadth-first search from `s` over those larger ids stamps every
-    /// node within `reach = max_cycle_len / 2` arcs of `s` with its
-    /// distance; the walk then enters `w` only if the arcs the ring has
-    /// left are more than `reach` (the search cannot tell yet) or `w` is
-    /// stamped no farther from `s` than that.  Both halves cost
-    /// `O(degree ^ reach)` per start, and pruning never reorders what
-    /// survives, so the emission order is that of the unpruned walk.
+    /// walking only through larger ids, so a start with no arc to a
+    /// larger id, or none from one, is skipped.  Before the walk, a
+    /// reverse breadth-first search from `s` over those larger ids
+    /// stamps every node within `reach = max_cycle_len / 2` arcs of `s`
+    /// with its distance; the walk then enters `w` only if the arcs the
+    /// ring has left are more than `reach` (the search cannot tell yet)
+    /// or `w` is stamped no farther from `s` than that.  The search and
+    /// the walk's early levels cost `O(degree ^ reach)` per start.  The
+    /// last two levels read no row: with one arc left only an arc back
+    /// to `s` can act, with two left only that or an arc to a node one
+    /// arc from `s`.  Both sets depend on `(s, v)` alone, so the first
+    /// visit of `v` at either level copies them out of its row into
+    /// [`StartRuns`] and every later visit in the start walks those.
+    /// Pruning never reorders what survives, so the emission order is
+    /// that of the unpruned walk.
     fn enumerate(&self, tpiin: &Tpiin) -> RingArena {
         let mut rings = RingArena::default();
         if self.max_cycle_len < 2 {
@@ -298,13 +312,22 @@ impl CircularTradingMiner {
         // own entries, so no start has to clear the previous one's.
         let mut back = vec![(0u32, 0u32); n];
         let mut queue: Vec<u32> = Vec::new();
+        let mut runs = StartRuns::new(n);
         let mut on_path = vec![false; n];
         let mut path: Vec<u32> = Vec::new();
-        // `cursors[i]` is the CSR position of the next arc to try out
-        // of `path[i]`; the arc last taken is the one before it.
+        // `path[i]` still has the arcs `cursors[i]..ends[i]` to try; the
+        // one last taken is just before the cursor.  They are CSR
+        // positions below level `last_two`, `runs.arena` positions from
+        // it on (the ring's last two nodes).
+        let last_two = self.max_cycle_len - 2;
         let mut cursors: Vec<u32> = Vec::new();
+        let mut ends: Vec<u32> = Vec::new();
 
         'starts: for s in 0..n as u32 {
+            // A ring leaves its minimum node for a larger id.
+            if !csr.out(TRADING_LANE, s).iter().any(|&w| w > s) {
+                continue;
+            }
             let stamp = s + 1;
             queue.clear();
             queue.push(s);
@@ -330,27 +353,50 @@ impl CircularTradingMiner {
                 continue;
             }
 
+            runs.arena.clear();
+            // The arcs out of `v` to try when it is `path[level]`.
+            let arcs_of = |runs: &mut StartRuns, v: u32, level: usize| {
+                let row = offsets[v as usize]..offsets[v as usize + 1];
+                if level < last_two {
+                    return (row.start, row.end);
+                }
+                let [_, start, split, end] = runs.of(v, s, row, targets, &back);
+                if level == last_two {
+                    (start, split)
+                } else {
+                    (split, end)
+                }
+            };
+
             path.push(s);
-            cursors.push(offsets[s as usize]);
             on_path[s as usize] = true;
+            let (first, end) = arcs_of(&mut runs, s, 0);
+            cursors.push(first);
+            ends.push(end);
             while let Some(&v) = path.last() {
                 let top = cursors.len() - 1;
                 let cursor = cursors[top];
-                if cursor == offsets[v as usize + 1] {
+                if cursor == ends[top] {
                     on_path[v as usize] = false;
                     path.pop();
                     cursors.pop();
+                    ends.pop();
                     continue;
                 }
                 cursors[top] = cursor + 1;
-                let w = targets[cursor as usize];
+                let arc = if top < last_two {
+                    cursor
+                } else {
+                    runs.arena[cursor as usize]
+                };
+                let w = targets[arc as usize];
                 if w == s {
                     if path.len() >= 2 {
                         if rings.len() >= self.max_cycles {
                             rings.overflowed = true;
                             break 'starts;
                         }
-                        rings.push(&path, &cursors);
+                        rings.push(&path, &cursors, last_two, &runs.arena);
                     }
                 } else if w > s && !on_path[w as usize] {
                     // Arcs the ring may still spend getting from `w`
@@ -359,13 +405,71 @@ impl CircularTradingMiner {
                     let (stamped, dist) = back[w as usize];
                     if left > reach as usize || (stamped == stamp && dist as usize <= left) {
                         on_path[w as usize] = true;
+                        let (first, end) = arcs_of(&mut runs, w, path.len());
                         path.push(w);
-                        cursors.push(offsets[w as usize]);
+                        cursors.push(first);
+                        ends.push(end);
                     }
                 }
             }
         }
         rings
+    }
+}
+
+/// The arcs the ring walk may still use on its last two levels, per
+/// node of the current start `s`: at two arcs left the arcs of `v`'s row
+/// that return to `s` or reach a node one arc from it, at one arc left
+/// those that return to `s`.  Each run keeps its CSR positions in row
+/// order, one per arc, parallel arcs included.
+struct StartRuns {
+    /// `spans[v] == [s + 1, start, split, end]`: `arena[start..split]`
+    /// and `arena[split..end]` are `v`'s two runs for the start `s`.
+    /// The stamp marks them current, as in `back`, so no start clears
+    /// the previous one's.
+    spans: Vec<[u32; 4]>,
+    /// The current start's runs, in first-visit order.
+    arena: Vec<u32>,
+}
+
+impl StartRuns {
+    fn new(n: usize) -> StartRuns {
+        StartRuns {
+            spans: vec![[0; 4]; n],
+            arena: Vec::new(),
+        }
+    }
+
+    /// `v`'s span for the start `s`, whose row is the CSR positions
+    /// `row`; `back` holds the start's reverse-search stamps.  The
+    /// first call in a start builds both runs, later calls look them up.
+    fn of(
+        &mut self,
+        v: u32,
+        s: u32,
+        row: Range<u32>,
+        targets: &[u32],
+        back: &[(u32, u32)],
+    ) -> [u32; 4] {
+        let stamp = s + 1;
+        let span = &mut self.spans[v as usize];
+        if span[0] != stamp {
+            let start = self.arena.len();
+            self.arena.extend(row.filter(|&p| {
+                let w = targets[p as usize];
+                w == s || back[w as usize] == (stamp, 1)
+            }));
+            let split = self.arena.len();
+            for i in start..split {
+                let p = self.arena[i];
+                if targets[p as usize] == s {
+                    self.arena.push(p);
+                }
+            }
+            // Arena positions are bounded by the lane's arc count.
+            *span = [stamp, start as u32, split as u32, self.arena.len() as u32];
+        }
+        *span
     }
 }
 
@@ -398,10 +502,19 @@ impl RingArena {
     }
 
     /// Appends the ring the walk just closed: `path` is its nodes and
-    /// each of `cursors` stands one past the arc taken out of its node.
-    fn push(&mut self, path: &[u32], cursors: &[u32]) {
+    /// each of `cursors` stands one past the arc taken out of its node,
+    /// a CSR position below level `last_two` and a position in `runs`,
+    /// the walk's [`StartRuns`] arena, from it on.
+    fn push(&mut self, path: &[u32], cursors: &[u32], last_two: usize, runs: &[u32]) {
         self.nodes.extend_from_slice(path);
-        self.arcs.extend(cursors.iter().map(|c| c - 1));
+        self.arcs
+            .extend(cursors.iter().enumerate().map(|(level, &c)| {
+                if level < last_two {
+                    c - 1
+                } else {
+                    runs[c as usize - 1]
+                }
+            }));
         self.offsets.push(self.nodes.len());
     }
 
@@ -492,8 +605,6 @@ impl GroupMiner for CircularTradingMiner {
             order
         };
 
-        let mut result = result_shell(tpiin, rings.overflowed);
-        result.simple_group_count = order.len();
         // Unlike Rule 1/Rule 2 groups (one suspicious trading arc each),
         // every arc of a ring is suspicious.  Rings share arcs heavily,
         // so mark CSR positions and sweep the lane once.
@@ -504,12 +615,13 @@ impl GroupMiner for CircularTradingMiner {
                 flagged[position as usize] = true;
             }
         }
-        result.suspicious_trading_arcs.extend(
-            csr.lane_edges(TRADING_LANE)
-                .zip(flagged)
-                .filter(|&(_, hit)| hit)
-                .map(|((u, v), _)| (g(u), g(v))),
-        );
+        let flagged_arcs = csr
+            .lane_edges(TRADING_LANE)
+            .zip(flagged)
+            .filter(|&(_, hit)| hit)
+            .map(|((u, v), _)| (g(u), g(v)));
+        let mut result = result_shell(tpiin, rings.overflowed, flagged_arcs);
+        result.simple_group_count = order.len();
         // Free the positions before the groups, the largest allocation
         // of the run, are built: the two never coexist at the peak.
         rings.arcs = Vec::new();

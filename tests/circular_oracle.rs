@@ -26,7 +26,7 @@ use tpiin::detect::{
     CircularTradingMiner, DetectionResult, DetectorConfig, GroupKind, GroupMiner, GroupTable,
     MineContext, SuspiciousGroup,
 };
-use tpiin::fusion::{fuse, Tpiin, TpiinNode, TRADING_LANE};
+use tpiin::fusion::{fuse, ArcColor, Tpiin, TpiinArc, TpiinNode, TRADING_LANE};
 use tpiin::graph::NodeId;
 use tpiin::model::{
     CompanyId, InfluenceKind, InfluenceRecord, InvestmentRecord, Role, RoleSet, SourceRegistry,
@@ -325,6 +325,41 @@ fn ring_registry() -> SourceRegistry {
     r
 }
 
+/// [`ring_registry`]'s network with two of its planted 4-ring's arcs
+/// doubled: the one closing the ring into its minimum node and the one
+/// opposite it.  Fusion drops parallel trading arcs, but a network
+/// assembled from loaded lanes keeps them, so the doubles go in through
+/// `Tpiin::assemble` at the tail of the edge range, where trading arcs
+/// live.
+fn parallel_arc_network(registry: &SourceRegistry) -> Tpiin {
+    let tpiin = fused(registry);
+    let ring: Vec<NodeId> = (0..4).map(|c| tpiin.company_node[c]).collect();
+    let min = (0..4).min_by_key(|&i| ring[i]).expect("four nodes");
+    let closing = (ring[(min + 3) % 4], ring[min]);
+    let opposite = (ring[(min + 1) % 4], ring[(min + 2) % 4]);
+    let mut graph = tpiin.graph.clone();
+    for (u, v) in [closing, opposite] {
+        assert!(tpiin.find_arc(u, v, ArcColor::Trading).is_some());
+        graph.add_edge(
+            u,
+            v,
+            TpiinArc {
+                color: ArcColor::Trading,
+                weight: 1_000.0,
+            },
+        );
+    }
+    Tpiin::assemble(
+        graph,
+        tpiin.person_node.clone(),
+        tpiin.company_node.clone(),
+        tpiin.influence_arc_count,
+        tpiin.trading_arc_count + 2,
+        tpiin.intra_syndicate_trades.clone(),
+        tpiin.arc_sources.clone(),
+    )
+}
+
 /// The trading densities of the paper's Table 1 sweep and beyond, each
 /// with the province scale that keeps the *oracle* affordable: mean
 /// trading out-degree stays near five, scale at or below 0.1.
@@ -396,6 +431,28 @@ fn worked_examples_and_planted_rings_match_the_oracle() {
         check_caps_and_budgets(name, &tpiin, &rated(&registry), &CYCLE_LENS, 0.0);
         check_caps_and_budgets(name, &tpiin, &rated(&registry), &CYCLE_LENS, 0.3);
     }
+}
+
+/// The walk takes every arc of a row, so a ring through a doubled arc
+/// is reported once per copy, at every level the double can sit on.
+#[test]
+fn parallel_arcs_match_the_oracle() {
+    let registry = ring_registry();
+    let tpiin = parallel_arc_network(&registry);
+    check_caps_and_budgets(
+        "parallel arcs",
+        &tpiin,
+        &MineContext::default(),
+        &CYCLE_LENS,
+        0.0,
+    );
+    check_caps_and_budgets("parallel arcs", &tpiin, &rated(&registry), &CYCLE_LENS, 0.0);
+    // The doubles add rings, not just arcs: the 4-ring alone comes
+    // back four times.
+    let miner = CircularTradingMiner::default();
+    let ctx = MineContext::default();
+    let single = miner.mine(&fused(&registry), &ctx).group_count();
+    assert!(miner.mine(&tpiin, &ctx).group_count() >= single + 3);
 }
 
 #[test]
