@@ -18,8 +18,9 @@
 //! the moment its batch lands.  Because the controller already exists,
 //! the ring batch itself registers only companies and a trade — the
 //! id-stable *company-append* class the delta engine splices in place —
-//! while onboarding and churn batches add persons and exercise the
-//! re-contraction path.  Replaying the same stream (same config)
+//! while onboarding and churn batches add persons and take the
+//! re-fuse path, which replays every shard they leave alone from the
+//! shard cache.  Replaying the same stream (same config)
 //! always yields the same batches, so feeds can be archived and driven
 //! against a live daemon in CI.
 
@@ -125,7 +126,7 @@ pub fn generate_mutation_stream(config: &MutationStreamConfig) -> MutationStream
             // registers as a bare person on day one.  They hold no
             // companies until their ring lands, so the onboarding batch
             // adds no groups — but it does add persons, driving the
-            // engine through its re-contraction path.
+            // engine through its re-fuse path.
             for k in 0..config.planted_groups {
                 controllers.push(PersonId(np));
                 np += 1;
@@ -173,8 +174,7 @@ pub fn generate_mutation_stream(config: &MutationStreamConfig) -> MutationStream
         // Registry batches (plants, churn) stay pure: the feed models
         // the slow-moving antecedent extract and the high-volume
         // trading extract as separate drops, which is also what lets a
-        // single-batch registry delta measure the bounded incremental
-        // path alone.
+        // single-batch registry delta measure the re-fuse path alone.
         if mutations.is_empty() && nc >= 2 {
             for _ in 0..config.records_per_batch {
                 let seller = rng.gen_range(0..nc);
@@ -254,7 +254,14 @@ mod tests {
             trading_only < stream.batches.len(),
             "some batches mutate the registry"
         );
-        assert!(stream.batches.iter().all(|b| !b.renumbers_ids()));
+        assert!(stream
+            .batches
+            .iter()
+            .flat_map(|b| &b.mutations)
+            .all(|m| !matches!(
+                m,
+                Mutation::RemoveCompany { .. } | Mutation::RemovePerson { .. }
+            )));
     }
 
     #[test]

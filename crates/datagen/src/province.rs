@@ -383,9 +383,8 @@ mod tests {
             ..ProvinceConfig::scaled(0.1)
         };
         let r = generate_province(&config);
-        let all: Vec<u32> = (0..r.company_count() as u32).collect();
         let mut members = vec![0usize; r.company_count()];
-        for rep in tpiin_fusion::company_scc_reps(&r, &[], &all) {
+        for rep in tpiin_fusion::company_scc_reps(&r) {
             members[rep as usize] += 1;
         }
         let nontrivial = members.iter().filter(|&&m| m >= 2).count();

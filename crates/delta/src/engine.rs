@@ -11,36 +11,11 @@ use tpiin_core::{
     GroupKind, GroupRef, ShardOutcome, SubTpiin, SuspiciousGroup,
 };
 use tpiin_fusion::compact::{Label, Members};
-use tpiin_fusion::{
-    company_scc_reps, fuse_carrying, ArcColor, FusionError, IntraSyndicateTrade, Tpiin, TpiinArc,
-    TpiinNode,
-};
-use tpiin_graph::{NodeId, UnionFind};
+use tpiin_fusion::{fuse, ArcColor, FusionError, IntraSyndicateTrade, Tpiin, TpiinArc, TpiinNode};
+use tpiin_graph::NodeId;
 use tpiin_model::{
-    CompanyId, InfluenceRecord, ModelError, Mutation, MutationBatch, SourceRegistry, TradingRecord,
+    InfluenceRecord, ModelError, Mutation, MutationBatch, SourceRegistry, TradingRecord,
 };
-
-/// Engine configuration.  The shard cache has no knob here: the live
-/// network bounds it (one entry per distinct shard shape).
-#[derive(Clone, Copy, Debug)]
-pub struct DeltaConfig {
-    /// Fraction of all companies a single batch may mark dirty before
-    /// the incremental path gives up and re-fuses from scratch.  `0.0`
-    /// forces the fallback for every antecedent delta (useful for
-    /// benchmarking the escape hatch); `1.0` never falls back on size.
-    pub blast_radius: f64,
-    /// Mining configuration used for shard re-mining.
-    pub detector: DetectorConfig,
-}
-
-impl Default for DeltaConfig {
-    fn default() -> Self {
-        DeltaConfig {
-            blast_radius: 0.25,
-            detector: DetectorConfig::default(),
-        }
-    }
-}
 
 /// Which maintenance path absorbed a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,10 +27,11 @@ pub enum DeltaPath {
     /// any trading appends riding in the same batch).  No existing node
     /// id moves, so only the touched shards re-mine.
     CompanyAppend,
-    /// Bounded re-contraction: syndicate labels patched, only dirty weak
-    /// components re-ran Tarjan, network reassembled from labels.
-    Incremental,
-    /// From-scratch fuse (entity removal or blast radius exceeded).
+    /// From-scratch fuse of the mutated registry, for every other
+    /// registry mutation (persons, influence, investments,
+    /// interdependence, removals).  Node ids may move, but shards whose
+    /// local structure survived replay from the shard cache, so only
+    /// changed shards re-mine.
     FullRebuild,
 }
 
@@ -65,7 +41,6 @@ impl DeltaPath {
         match self {
             DeltaPath::TradingAppend => "trading_append",
             DeltaPath::CompanyAppend => "company_append",
-            DeltaPath::Incremental => "incremental",
             DeltaPath::FullRebuild => "full_rebuild",
         }
     }
@@ -125,9 +100,9 @@ pub struct ApplyOutcome {
     /// `CompanyAppend`) a group existed before iff the same kind,
     /// trading arc and trails — as node ids — were in the previous
     /// detection, which there holds exactly when its trading arc is not
-    /// one this batch appended.  On the renumbering paths (`Incremental`,
-    /// `FullRebuild`) ids mean nothing across the batch, so groups are
-    /// matched by the label sequences of those nodes instead.  With
+    /// one this batch appended.  On the renumbering path (`FullRebuild`)
+    /// ids mean nothing across the batch, so groups are matched by the
+    /// label sequences of those nodes instead.  With
     /// unique node labels (every generator and test in the tree) the two
     /// rules coincide; on a registry with duplicate labels the id rule is
     /// the definition — a group over different nodes is a different
@@ -139,7 +114,7 @@ pub struct ApplyOutcome {
     pub duplicates: usize,
     /// Trading records that fell inside a company syndicate.
     pub intra_syndicate: usize,
-    /// Arcs surgically appended (trading-append path only).
+    /// Arcs spliced in place (the two append paths only).
     pub arcs_patched: usize,
     /// SubTPIINs re-mined for this batch.
     pub shards_remined: usize,
@@ -203,55 +178,13 @@ fn group_class_key(class: &[u32], g: GroupRef<'_>, key: &mut Vec<u32>) {
     key.extend(g.trail_plain.iter().map(of));
 }
 
-/// Every company of `registry`: the dirty set of a from-scratch fusion.
-fn every_company(registry: &SourceRegistry) -> Vec<u32> {
-    (0..registry.company_count() as u32).collect()
-}
-
-/// Weak-component labels of the investment graph.  Returns
-/// `(labels, component_count)`.
-fn investment_wcc(registry: &SourceRegistry) -> (Vec<u32>, usize) {
-    let mut uf = UnionFind::new(registry.company_count());
-    for inv in registry.investments() {
-        uf.union(inv.investor.index(), inv.investee.index());
-    }
-    uf.into_labels()
-}
-
-/// The companies whose SCC membership an investment delta may have
-/// changed: every member of a *new* weak component containing a delta
-/// endpoint.  `endpoints` lists both companies of every added or removed
-/// investment record; out-of-range ids are ignored.  The result is
-/// ascending and closed under investment arcs, as
-/// [`company_scc_reps`] requires.
-///
-/// Every present investment record has both endpoints in one new weak
-/// component, and a removed record's endpoints land in (up to two) new
-/// components that are both marked dirty, so a clean new component has
-/// exactly the membership and internal arcs it had before the delta.
-fn dirty_companies(
-    wcc_labels: &[u32],
-    wcc_count: usize,
-    endpoints: impl IntoIterator<Item = CompanyId>,
-) -> Vec<u32> {
-    let mut dirty_wcc = vec![false; wcc_count];
-    for c in endpoints {
-        if let Some(&label) = wcc_labels.get(c.index()) {
-            dirty_wcc[label as usize] = true;
-        }
-    }
-    (0..wcc_labels.len() as u32)
-        .filter(|&c| dirty_wcc[wcc_labels[c as usize] as usize])
-        .collect()
-}
-
 /// Maintains a fused TPIIN and its detection result under a stream of
 /// [`MutationBatch`]es.
 ///
 /// Two construction modes exist:
 ///
 /// * **registry-backed** ([`DeltaEngine::new`] /
-///   [`DeltaEngine::from_fused`]) — the engine owns the
+///   [`DeltaEngine::with_config`]) — the engine owns the
 ///   [`SourceRegistry`] and accepts the full mutation vocabulary, with
 ///   the bit-identity guarantee against a from-scratch
 ///   [`tpiin_fusion::fuse`] of the equivalent registry;
@@ -266,9 +199,6 @@ pub struct DeltaEngine {
     /// a batch copies it on write (`Arc::make_mut`) only while a reader
     /// still holds the previous epoch's.
     detection: Arc<DetectionResult>,
-    /// Min-member SCC representative per company, carried across batches
-    /// so clean weak components skip Tarjan (registry mode only).
-    company_reps: Vec<u32>,
     /// Antecedent weak-component (shard) index per node, maintained
     /// across batches: full re-segmentations rebuild it, surgical
     /// appends extend it (a registered company joins its legal person's
@@ -284,7 +214,8 @@ pub struct DeltaEngine {
     shard_sig: Vec<Option<Signature>>,
     /// One mined outcome per distinct signature in `shard_sig`.
     cache: ShardCache,
-    config: DeltaConfig,
+    /// Mining configuration used for shard re-mining.
+    detector: DetectorConfig,
     stats: DeltaStats,
 }
 
@@ -308,55 +239,45 @@ struct SpliceDelta {
 }
 
 impl DeltaEngine {
-    /// Fuses `registry` and starts maintaining it (default config).
+    /// Fuses `registry` and starts maintaining it (default detector).
     pub fn new(registry: SourceRegistry) -> Result<DeltaEngine, DeltaError> {
-        DeltaEngine::with_config(registry, DeltaConfig::default())
+        DeltaEngine::with_config(registry, DetectorConfig::default())
     }
 
-    /// Fuses `registry` and starts maintaining it.
+    /// Fuses `registry` and starts maintaining it, mining with `detector`.
     pub fn with_config(
         registry: SourceRegistry,
-        config: DeltaConfig,
+        detector: DetectorConfig,
     ) -> Result<DeltaEngine, DeltaError> {
-        let (tpiin, _, reps) = fuse_carrying(&registry, &[], &every_company(&registry))?;
-        Ok(DeltaEngine::assemble(Some(registry), tpiin, reps, config))
-    }
-
-    /// Wraps an already-fused pair.  `tpiin` must be the fusion of
-    /// `registry` (the caller typically just ran the pipeline); the
-    /// engine trusts it without re-fusing.
-    pub fn from_fused(registry: SourceRegistry, tpiin: Tpiin, config: DeltaConfig) -> DeltaEngine {
-        let reps = company_scc_reps(&registry, &[], &every_company(&registry));
-        DeltaEngine::assemble(Some(registry), tpiin, reps, config)
+        let (tpiin, _) = fuse(&registry)?;
+        Ok(DeltaEngine::assemble(Some(registry), tpiin, detector))
     }
 
     /// Starts maintaining a bare TPIIN (e.g. restored from a snapshot).
     /// Only trading-append batches are accepted in this mode.
     pub fn from_tpiin(tpiin: Tpiin) -> DeltaEngine {
-        DeltaEngine::from_tpiin_with(tpiin, DeltaConfig::default())
+        DeltaEngine::from_tpiin_with(tpiin, DetectorConfig::default())
     }
 
-    /// [`DeltaEngine::from_tpiin`] with an explicit configuration.
-    pub fn from_tpiin_with(tpiin: Tpiin, config: DeltaConfig) -> DeltaEngine {
-        DeltaEngine::assemble(None, tpiin, Vec::new(), config)
+    /// [`DeltaEngine::from_tpiin`], mining with `detector`.
+    pub fn from_tpiin_with(tpiin: Tpiin, detector: DetectorConfig) -> DeltaEngine {
+        DeltaEngine::assemble(None, tpiin, detector)
     }
 
     fn assemble(
         registry: Option<SourceRegistry>,
         tpiin: Tpiin,
-        company_reps: Vec<u32>,
-        config: DeltaConfig,
+        detector: DetectorConfig,
     ) -> DeltaEngine {
         let mut engine = DeltaEngine {
             registry,
             tpiin,
             detection: Arc::default(),
-            company_reps,
             shard_of: Vec::new(),
             shard_overflow: Vec::new(),
             shard_sig: Vec::new(),
             cache: ShardCache::default(),
-            config,
+            detector,
             stats: DeltaStats::default(),
         };
         // Construction-time mining is not a batch: its tallies are dropped.
@@ -432,12 +353,10 @@ impl DeltaEngine {
             self.apply_trading(batch, false)?
         } else if batch.is_trading_only() {
             self.apply_trading(batch, true)?
-        } else if batch.renumbers_ids() {
-            self.apply_full(batch)?
         } else if batch.is_company_append() {
             self.apply_company_append(batch)?
         } else {
-            self.apply_incremental(batch)?
+            self.apply_refuse(batch)?
         };
         self.stats.batches_applied += 1;
         self.stats.shards_remined += outcome.shards_remined as u64;
@@ -625,8 +544,6 @@ impl DeltaEngine {
                         members: Members::from_slice(&[company]),
                     });
                     self.tpiin.company_node.push(node);
-                    // A company with no investments is its own SCC rep.
-                    self.company_reps.push(company.0);
                     let shard = self.shard_of[syndicate.index()];
                     self.shard_of.push(shard);
                     delta.dirty.insert(shard as usize);
@@ -673,61 +590,20 @@ impl DeltaEngine {
         Ok(outcome)
     }
 
-    /// Incremental path for antecedent mutations that keep entity ids:
-    /// re-fuse carrying the SCC representatives of every weak component
-    /// the batch left clean, so Tarjan re-runs only over the dirty ones.
-    /// (The fusion validates; the weak components need only the ids in
-    /// range, which applying the batch guarantees.)
-    fn apply_incremental(&mut self, batch: &MutationBatch) -> Result<ApplyOutcome, DeltaError> {
-        let mut next = self.registry.clone().expect("registry mode");
-        let applied = batch.apply_to_registry(&mut next)?;
-
-        let endpoints: Vec<CompanyId> = batch
-            .mutations
-            .iter()
-            .flat_map(|m| match m {
-                Mutation::AddInvestment(r) => vec![r.investor, r.investee],
-                Mutation::RemoveInvestment { investor, investee } => vec![*investor, *investee],
-                _ => Vec::new(),
-            })
-            .collect();
-        let (wcc, n_wcc) = investment_wcc(&next);
-        let dirty = dirty_companies(&wcc, n_wcc, endpoints);
-        let nc = next.company_count();
-        if nc > 0 && dirty.len() as f64 > self.config.blast_radius * nc as f64 {
-            return self.rebuild_from(next, applied);
-        }
-        let (tpiin, _, reps) = fuse_carrying(&next, &self.company_reps, &dirty)?;
-        let rerun: HashSet<u32> = dirty.iter().map(|&c| reps[c as usize]).collect();
-        self.stats.sccs_rerun += rerun.len() as u64;
-        self.stats.arcs_patched += applied as u64;
-        let mut outcome = ApplyOutcome::empty(DeltaPath::Incremental);
-        outcome.mutations_applied = applied;
-        self.refresh_detection(next, tpiin, reps, &mut outcome);
-        Ok(outcome)
-    }
-
-    /// Full-rebuild escape hatch for id-renumbering batches.
-    fn apply_full(&mut self, batch: &MutationBatch) -> Result<ApplyOutcome, DeltaError> {
-        let mut next = self.registry.clone().expect("registry mode");
-        let applied = batch.apply_to_registry(&mut next)?;
-        self.rebuild_from(next, applied)
-    }
-
-    /// From-scratch fuse over `next`; the shard cache is flushed so the
-    /// rebuild's mining cost is honest.
-    fn rebuild_from(
-        &mut self,
-        next: SourceRegistry,
-        applied: usize,
-    ) -> Result<ApplyOutcome, DeltaError> {
+    /// Every registry mutation other than an append: re-fuse the mutated
+    /// registry from scratch and re-mine it through the shard cache.  The
+    /// cache is keyed by each shard's local structure, not its node ids,
+    /// so every shard the batch left alone replays even though
+    /// re-contraction may renumber it; only changed shards re-mine.
+    fn apply_refuse(&mut self, batch: &MutationBatch) -> Result<ApplyOutcome, DeltaError> {
         let _span = tpiin_obs::Span::at("delta/refuse");
-        let (tpiin, _, reps) = fuse_carrying(&next, &[], &every_company(&next))?;
-        self.cache = ShardCache::default();
+        let mut next = self.registry.clone().expect("registry mode");
+        let applied = batch.apply_to_registry(&mut next)?;
+        let (tpiin, _) = fuse(&next)?;
         self.stats.full_rebuilds += 1;
         let mut outcome = ApplyOutcome::empty(DeltaPath::FullRebuild);
         outcome.mutations_applied = applied;
-        self.refresh_detection(next, tpiin, reps, &mut outcome);
+        self.refresh_detection(next, tpiin, &mut outcome);
         Ok(outcome)
     }
 
@@ -834,7 +710,7 @@ impl DeltaEngine {
         self.stats.groups_found += outcome.new_groups.len() as u64;
     }
 
-    /// Installs a re-fused network (the renumbering paths), re-mines it
+    /// Installs a re-fused network (the renumbering path), re-mines it
     /// through the shard cache and swaps the detection in.  Node ids do
     /// not survive re-contraction, so this is the one place that diffs
     /// by label: both networks' labels are interned into classes once
@@ -845,7 +721,6 @@ impl DeltaEngine {
         &mut self,
         registry: SourceRegistry,
         tpiin: Tpiin,
-        reps: Vec<u32>,
         outcome: &mut ApplyOutcome,
     ) {
         let (old_class, new_class) = label_classes(&self.tpiin, &tpiin);
@@ -869,7 +744,6 @@ impl DeltaEngine {
             .collect();
         self.registry = Some(registry);
         self.tpiin = tpiin;
-        self.company_reps = reps;
 
         let detection = self.remine(outcome);
         outcome.new_groups.extend(
@@ -943,9 +817,9 @@ impl DeltaEngine {
         }
         if self.registry.is_none() {
             outcome.shards_remined += 1;
-            return (Some(mine_shard(sub, &self.config.detector)), None);
+            return (Some(mine_shard(sub, &self.detector)), None);
         }
-        let (sig, hit) = self.cache.acquire(sub, &self.config.detector, carry);
+        let (sig, hit) = self.cache.acquire(sub, &self.detector, carry);
         if hit {
             outcome.cache_hits += 1;
         } else {
@@ -967,136 +841,5 @@ fn shard_outcome(
         (Some(out), _) => Cow::Owned(out),
         (None, Some(sig)) => Cow::Borrowed(cache.get(sig)),
         (None, None) => Cow::Owned(ShardOutcome::default()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tpiin_model::{
-        InfluenceKind, InterdependenceKind, InvestmentRecord, PersonId, Role, RoleSet,
-    };
-
-    /// Kin legal persons, a C3<->C4 investment cycle fed by C1,
-    /// external + intra-syndicate trading.
-    fn registry() -> SourceRegistry {
-        let mut r = SourceRegistry::new();
-        let l6 = r.add_person("L6", RoleSet::of(&[Role::Ceo]));
-        let lb = r.add_person("LB", RoleSet::of(&[Role::Ceo]));
-        let l9 = r.add_person("L9", RoleSet::of(&[Role::Chairman]));
-        let c1 = r.add_company("C1");
-        let c2 = r.add_company("C2");
-        let c3 = r.add_company("C3");
-        let c4 = r.add_company("C4");
-        for (p, c) in [(l6, c1), (lb, c2), (l9, c3), (l9, c4)] {
-            r.add_influence(InfluenceRecord {
-                person: p,
-                company: c,
-                kind: InfluenceKind::CeoOf,
-                is_legal_person: true,
-            });
-        }
-        r.add_interdependence(l6, lb, InterdependenceKind::Kinship);
-        for (s, t) in [(c3, c4), (c4, c3), (c1, c3)] {
-            r.add_investment(InvestmentRecord {
-                investor: s,
-                investee: t,
-                share: 0.7,
-            });
-        }
-        r.add_trading(TradingRecord {
-            seller: c1,
-            buyer: c2,
-            volume: 5.0,
-        });
-        r.add_trading(TradingRecord {
-            seller: c3,
-            buyer: c4,
-            volume: 7.0,
-        });
-        r
-    }
-
-    fn from_scratch(r: &SourceRegistry) -> Vec<u32> {
-        company_scc_reps(r, &[], &every_company(r))
-    }
-
-    #[test]
-    fn delta_reps_match_full_recompute_after_investment_changes() {
-        let mut r = registry();
-        let old_reps = from_scratch(&r);
-        // Grow the cycle: C2 joins via C4 -> C2 -> C3.
-        r.add_investment(InvestmentRecord {
-            investor: CompanyId(3),
-            investee: CompanyId(1),
-            share: 0.5,
-        });
-        r.add_investment(InvestmentRecord {
-            investor: CompanyId(1),
-            investee: CompanyId(2),
-            share: 0.5,
-        });
-        let (wcc, n_wcc) = investment_wcc(&r);
-        let dirty = dirty_companies(
-            &wcc,
-            n_wcc,
-            [CompanyId(3), CompanyId(1), CompanyId(1), CompanyId(2)],
-        );
-        let delta = company_scc_reps(&r, &old_reps, &dirty);
-        assert_eq!(delta, from_scratch(&r));
-        assert_eq!(delta[1], delta[2], "C2 merged into the syndicate");
-    }
-
-    #[test]
-    fn delta_reps_handle_scc_splits_on_removal() {
-        let mut r = registry();
-        let old_reps = from_scratch(&r);
-        assert_eq!(old_reps[2], old_reps[3]);
-        // Break the C3 <-> C4 cycle: the syndicate must split.
-        assert!(r.remove_investment(CompanyId(3), CompanyId(2)));
-        let (wcc, n_wcc) = investment_wcc(&r);
-        let dirty = dirty_companies(&wcc, n_wcc, [CompanyId(3), CompanyId(2)]);
-        let delta = company_scc_reps(&r, &old_reps, &dirty);
-        assert_eq!(delta, from_scratch(&r));
-        assert_ne!(delta[2], delta[3], "syndicate split");
-    }
-
-    #[test]
-    fn clean_components_are_not_re_traversed() {
-        let r = registry();
-        let old_reps = from_scratch(&r);
-        // A delta touching nothing: no dirty companies, reps carry over.
-        let (wcc, n_wcc) = investment_wcc(&r);
-        let dirty = dirty_companies(&wcc, n_wcc, std::iter::empty());
-        assert!(dirty.is_empty());
-        assert_eq!(company_scc_reps(&r, &old_reps, &dirty), old_reps);
-    }
-
-    #[test]
-    fn new_companies_default_to_singletons() {
-        let mut r = registry();
-        let old_reps = from_scratch(&r);
-        r.add_person("L5", RoleSet::of(&[Role::Ceo]));
-        let c5 = r.add_company("C5");
-        r.add_influence(InfluenceRecord {
-            person: PersonId(3),
-            company: c5,
-            kind: InfluenceKind::CeoOf,
-            is_legal_person: true,
-        });
-        let (wcc, n_wcc) = investment_wcc(&r);
-        let dirty = dirty_companies(&wcc, n_wcc, std::iter::empty());
-        let delta = company_scc_reps(&r, &old_reps, &dirty);
-        assert_eq!(delta, from_scratch(&r));
-        assert_eq!(delta[4], 4);
-    }
-
-    #[test]
-    fn dirty_set_is_closed_under_investment_arcs() {
-        let r = registry();
-        let (wcc, n_wcc) = investment_wcc(&r);
-        // Touching C3 pulls in its whole weak component {C1, C3, C4}.
-        let dirty = dirty_companies(&wcc, n_wcc, [CompanyId(2)]);
-        assert_eq!(dirty, vec![0, 2, 3]);
     }
 }

@@ -12,7 +12,7 @@
 //! **bit-identical** to a from-scratch `fuse` + `detect` over the
 //! equivalent registry.
 //!
-//! [`DeltaEngine`] routes each batch down one of four paths
+//! [`DeltaEngine`] routes each batch down one of three paths
 //! ([`DeltaPath`]):
 //!
 //! * **Trading append** — batches of `AddTrading` mutations patch arcs
@@ -23,15 +23,11 @@
 //!   trading) splice each new company node and its legal-person arc
 //!   into the frozen network: a new company is a singleton SCC with the
 //!   highest id, so no existing node id moves;
-//! * **Incremental** — other id-stable antecedent mutations re-fuse
-//!   through [`tpiin_fusion::fuse_carrying`], the assembler `fuse`
-//!   itself runs, carrying the SCC representatives of every weak
-//!   component of the investment graph the batch left clean, so Tarjan
-//!   re-runs only over the touched ones;
-//! * **Full rebuild** — the escape hatch for id-renumbering mutations
-//!   (entity removals) and for deltas whose blast radius exceeds
-//!   [`DeltaConfig::blast_radius`]: a from-scratch fusion, timed and
-//!   counted so the fallback stays honest.
+//! * **Full rebuild** — every other registry mutation (persons,
+//!   investments, interdependence, removals) re-fuses the mutated
+//!   registry from scratch with [`tpiin_fusion::fuse`] and re-mines
+//!   through the shard cache, which the re-fuse keeps: a shard the
+//!   batch left alone replays even when its node ids moved.
 //!
 //! Mining after a patch is shard-cached: subTPIINs are keyed by a
 //! 128-bit signature of their *local* structure, and shards untouched by
@@ -47,5 +43,5 @@ mod cache;
 mod engine;
 mod stats;
 
-pub use engine::{ApplyOutcome, DeltaConfig, DeltaEngine, DeltaError, DeltaPath};
+pub use engine::{ApplyOutcome, DeltaEngine, DeltaError, DeltaPath};
 pub use stats::DeltaStats;

@@ -7,8 +7,7 @@
 /// `ingest.intra_syndicate`, `ingest.arcs_added`, `ingest.groups`); the
 /// rest are the delta-maintenance counters surfaced by `GET /status`
 /// (`delta.batches`, `delta.arcs_patched`, `delta.company_appends`,
-/// `delta.sccs_rerun`, `delta.full_rebuilds`, `delta.shards_remined`,
-/// `delta.cache_hits`).
+/// `delta.full_rebuilds`, `delta.shards_remined`, `delta.cache_hits`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Trading records received (including duplicates).
@@ -23,17 +22,20 @@ pub struct DeltaStats {
     pub groups_found: u64,
     /// Mutation batches applied (all paths).
     pub batches_applied: u64,
-    /// Mutations absorbed by a bounded patch (trading appends plus
-    /// incremental-path registry changes) without a full rebuild.
+    /// Arcs spliced in place by the two append paths: appended trading
+    /// arcs and the legal-person arcs of registered companies.  A
+    /// re-fuse patches nothing and adds nothing here.
     pub arcs_patched: u64,
     /// Batches absorbed by the surgical company-append path (new company
     /// nodes spliced in place, only touched shards re-mined).
     pub company_appends: u64,
-    /// Strongly connected components re-run through Tarjan on the
-    /// incremental path (distinct representatives over dirty companies).
+    /// Always 0, and neither served nor published.  Kept only because
+    /// the frozen benchmark reads it; it goes when the benchmark's next
+    /// revision stops doing so.
     pub sccs_rerun: u64,
-    /// Batches that fell back to a from-scratch fuse (entity removals or
-    /// blast radius exceeded).
+    /// Batches re-fused from scratch: every batch with a registry
+    /// mutation other than a company append (persons, influence,
+    /// investments, interdependence, removals).
     pub full_rebuilds: u64,
     /// SubTPIINs re-mined because their local structure changed.
     pub shards_remined: u64,
@@ -54,7 +56,6 @@ impl DeltaStats {
         set("delta.batches", self.batches_applied);
         set("delta.arcs_patched", self.arcs_patched);
         set("delta.company_appends", self.company_appends);
-        set("delta.sccs_rerun", self.sccs_rerun);
         set("delta.full_rebuilds", self.full_rebuilds);
         set("delta.shards_remined", self.shards_remined);
         set("delta.cache_hits", self.shard_cache_hits);

@@ -4,7 +4,7 @@
 
 use tpiin_core::{detect, Provenance};
 use tpiin_datagen::{add_random_trading, generate_province, ProvinceConfig};
-use tpiin_delta::{DeltaConfig, DeltaEngine, DeltaError, DeltaPath};
+use tpiin_delta::{DeltaEngine, DeltaError, DeltaPath};
 use tpiin_fusion::fuse;
 use tpiin_model::{
     CompanyId, InfluenceKind, InfluenceRecord, InvestmentRecord, Mutation, MutationBatch, PersonId,
@@ -231,13 +231,12 @@ fn stats_accumulate_and_publish_gauges() {
     assert_eq!(registry.gauge("delta.batches").get(), 1.0);
 }
 
-/// Registry mutations through the incremental path match a from-scratch
-/// fuse + detect, and the blast-radius escape hatch stays honest.
+/// A batch that registers a person, links two others by kinship and
+/// closes an investment cycle re-fuses, and the result matches a
+/// from-scratch fuse + detect.
 #[test]
-fn incremental_path_matches_full_fuse() {
+fn person_registration_refuses_and_matches_full_fuse() {
     let mut r = SourceRegistry::new();
-    // Eight single-company components keep the two-company investment
-    // delta under the default 25% blast radius.
     for i in 0..8 {
         let p = r.add_person(format!("L{i}"), RoleSet::of(&[Role::Ceo]));
         let c = r.add_company(format!("C{i}"));
@@ -256,6 +255,10 @@ fn incremental_path_matches_full_fuse() {
     let mut engine = DeltaEngine::new(r.clone()).unwrap();
 
     let batch = MutationBatch::new(vec![
+        Mutation::AddPerson {
+            name: "L8".into(),
+            roles: RoleSet::of(&[Role::Ceo]),
+        },
         Mutation::AddInterdependence {
             a: PersonId(0),
             b: PersonId(1),
@@ -278,7 +281,7 @@ fn incremental_path_matches_full_fuse() {
         }),
     ]);
     let outcome = engine.apply(&batch).unwrap();
-    assert_eq!(outcome.path, DeltaPath::Incremental);
+    assert_eq!(outcome.path, DeltaPath::FullRebuild);
     assert!(!outcome.new_groups.is_empty(), "kin pair behind the trade");
 
     batch.apply_to_registry(&mut r).unwrap();
@@ -309,28 +312,6 @@ fn removals_fall_back_to_full_rebuild() {
     let (expected_tpiin, _) = fuse(&r).unwrap();
     assert_identical(engine.tpiin(), &expected_tpiin);
     assert_eq!(engine.detection().groups, detect(&expected_tpiin).groups);
-}
-
-#[test]
-fn zero_blast_radius_forces_the_fallback() {
-    let mut engine = DeltaEngine::with_config(
-        tpiin_datagen::case2_registry(),
-        DeltaConfig {
-            blast_radius: 0.0,
-            ..DeltaConfig::default()
-        },
-    )
-    .unwrap();
-    let outcome = engine
-        .apply(&MutationBatch::new(vec![Mutation::AddInvestment(
-            InvestmentRecord {
-                investor: CompanyId(0),
-                investee: CompanyId(1),
-                share: 0.5,
-            },
-        )]))
-        .unwrap();
-    assert_eq!(outcome.path, DeltaPath::FullRebuild);
 }
 
 #[test]

@@ -19,10 +19,9 @@
 //! the interdependence records, one Tarjan pass over the investment
 //! graph) and assembles the [`Tpiin`] from them once, returning it with a
 //! [`FusionReport`] of per-stage statistics (the numbers behind
-//! Figs. 11–16).  [`fuse_carrying`] is the same pipeline with the SCC
-//! representatives of untouched companies carried over from an earlier
-//! run, which is how the delta engine re-fuses.  [`verify_tpiin`] audits
-//! the Appendix A properties of a finished network.
+//! Figs. 11–16).  The delta engine re-fuses through the same [`fuse`].
+//! [`verify_tpiin`] audits the Appendix A properties of a finished
+//! network.
 
 pub mod compact;
 
@@ -31,7 +30,7 @@ mod report;
 mod tpiin;
 mod verify;
 
-pub use pipeline::{company_scc_reps, fuse, fuse_carrying, fuse_with, FuseOptions, FusionError};
+pub use pipeline::{company_scc_reps, fuse, fuse_with, FuseOptions, FusionError};
 pub use report::{FusionReport, StageTiming};
 pub use tpiin::{
     ArcColor, IntraSyndicateTrade, NodeColor, Tpiin, TpiinArc, TpiinNode, INFLUENCE_LANE,

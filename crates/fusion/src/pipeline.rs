@@ -61,9 +61,31 @@ impl FuseOptions {
     }
 }
 
-/// Fuses the source records of `registry` into a [`Tpiin`]: the
-/// from-scratch [`fuse_carrying`], with nothing carried and every
-/// company dirty.
+/// Fuses the source records of `registry` into a [`Tpiin`].
+///
+/// Pipeline (Section 4.1), each stage timed into
+/// [`FusionReport::stage_timings`]:
+/// 1. `validate` the registry;
+/// 2. `contract_persons`: union–find over the interdependence edges
+///    (`G12 -> G12'`);
+/// 3. `contract_sccs`: company SCC representatives, syndicates numbered
+///    by first appearance of their representative over `CompanyId`
+///    order (`G_B -> G123`), then the influence partition — influence
+///    records, then investment records offset past them, investments
+///    internal to a syndicate dropped;
+/// 4. `attach_trading`: the trading partition (`G4`); a trade internal
+///    to a company syndicate is diverted into
+///    [`Tpiin::intra_syndicate_trades`] before dedup, so it never
+///    shadows an external arc;
+/// 5. `freeze`: the two-lane CSR the mining phase iterates
+///    ([`Tpiin::csr`]);
+/// 6. `verify_dag`: the antecedent network is a DAG (Appendix A), read
+///    off the frozen influence lane.
+///
+/// Influence arcs occupy edge ids `0..influence_arc_count` and trading
+/// arcs the remainder, matching the edge-list layout of Algorithm 1.
+/// Parallel arcs of one colour keep their first record: its weight, its
+/// sequence number in [`Tpiin::arc_sources`], and its position.
 ///
 /// # Example
 ///
@@ -90,52 +112,6 @@ impl FuseOptions {
 /// assert_eq!(report.trading_arcs, 1);
 /// ```
 pub fn fuse(registry: &SourceRegistry) -> Result<(Tpiin, FusionReport), FusionError> {
-    let every: Vec<u32> = (0..registry.company_count() as u32).collect();
-    let (tpiin, report, _) = fuse_carrying(registry, &[], &every)?;
-    Ok((tpiin, report))
-}
-
-/// [`fuse`]; `options` is ignored (see [`FuseOptions`]).
-pub fn fuse_with(
-    registry: &SourceRegistry,
-    _options: FuseOptions,
-) -> Result<(Tpiin, FusionReport), FusionError> {
-    fuse(registry)
-}
-
-/// Fuses the source records of `registry` into a [`Tpiin`], taking the
-/// SCC representatives of the companies outside `dirty` from
-/// `carried_reps` (see [`company_scc_reps`]).  Returns the
-/// representatives with the network, so the next call can carry them.
-///
-/// Pipeline (Section 4.1), each stage timed into
-/// [`FusionReport::stage_timings`]:
-/// 1. `validate` the registry;
-/// 2. `contract_persons`: union–find over the interdependence edges
-///    (`G12 -> G12'`);
-/// 3. `contract_sccs`: company SCC representatives, syndicates numbered
-///    by first appearance of their representative over `CompanyId`
-///    order (`G_B -> G123`), then the influence partition — influence
-///    records, then investment records offset past them, investments
-///    internal to a syndicate dropped;
-/// 4. `attach_trading`: the trading partition (`G4`); a trade internal
-///    to a company syndicate is diverted into
-///    [`Tpiin::intra_syndicate_trades`] before dedup, so it never
-///    shadows an external arc;
-/// 5. `freeze`: the two-lane CSR the mining phase iterates
-///    ([`Tpiin::csr`]);
-/// 6. `verify_dag`: the antecedent network is a DAG (Appendix A), read
-///    off the frozen influence lane.
-///
-/// Influence arcs occupy edge ids `0..influence_arc_count` and trading
-/// arcs the remainder, matching the edge-list layout of Algorithm 1.
-/// Parallel arcs of one colour keep their first record: its weight, its
-/// sequence number in [`Tpiin::arc_sources`], and its position.
-pub fn fuse_carrying(
-    registry: &SourceRegistry,
-    carried_reps: &[u32],
-    dirty: &[u32],
-) -> Result<(Tpiin, FusionReport, Vec<u32>), FusionError> {
     let whole = TimedScope::start();
     let mut stage_timings = Vec::with_capacity(6);
     let mut time_stage = |stage: &str, scope: TimedScope| {
@@ -174,7 +150,7 @@ pub fn fuse_carrying(
     // network (nodes + influence/investment arcs). ---
     let scope = TimedScope::start();
     let nc = registry.company_count();
-    let reps = company_scc_reps(registry, carried_reps, dirty);
+    let reps = company_scc_reps(registry);
     let mut rank = vec![u32::MAX; nc];
     let mut company_node: Vec<NodeId> = Vec::with_capacity(nc);
     let mut company_members: Vec<Vec<CompanyId>> = Vec::new();
@@ -350,32 +326,22 @@ pub fn fuse_carrying(
         report.influence_arcs + report.trading_arcs,
         total
     );
-    Ok((tpiin, report, reps))
+    Ok((tpiin, report))
+}
+
+/// [`fuse`]; `options` is ignored (see [`FuseOptions`]).
+pub fn fuse_with(
+    registry: &SourceRegistry,
+    _options: FuseOptions,
+) -> Result<(Tpiin, FusionReport), FusionError> {
+    fuse(registry)
 }
 
 /// Min-member SCC representative of every company of the investment
-/// graph: `carried_reps` for companies outside `dirty` (a company past
-/// its end is a singleton), one Tarjan pass ([`SccScratch`]) over
-/// `dirty`.  A from-scratch call carries nothing and passes every
-/// company.
-///
-/// `dirty` must be closed under investment arcs — a union of weak
-/// components of the investment graph, such as every company of each
-/// component an edit touched.  A clean component then has the
-/// membership and internal arcs it had when `carried_reps` was
-/// computed, so its representatives carry over unchanged.
-pub fn company_scc_reps(
-    registry: &SourceRegistry,
-    carried_reps: &[u32],
-    dirty: &[u32],
-) -> Vec<u32> {
+/// graph, from one Tarjan pass ([`SccScratch`]) over every company.
+pub fn company_scc_reps(registry: &SourceRegistry) -> Vec<u32> {
     let nc = registry.company_count();
-    let mut reps: Vec<u32> = (0..nc as u32)
-        .map(|c| carried_reps.get(c as usize).copied().unwrap_or(c))
-        .collect();
-    if dirty.is_empty() {
-        return reps;
-    }
+    let mut reps = vec![0u32; nc];
     // Flat CSR of the investment graph (counting sort over sources).
     let investments = registry.investments();
     let mut offsets = vec![0u32; nc + 1];
@@ -392,7 +358,8 @@ pub fn company_scc_reps(
         targets[cursor[s] as usize] = inv.investee.0;
         cursor[s] += 1;
     }
-    SccScratch::new(nc).run(&offsets, &targets, dirty, |v, rep| reps[v as usize] = rep);
+    let all: Vec<u32> = (0..nc as u32).collect();
+    SccScratch::new(nc).run(&offsets, &targets, &all, |v, rep| reps[v as usize] = rep);
     reps
 }
 

@@ -13,19 +13,18 @@ const UNVISITED: u32 = u32::MAX;
 /// CSR adjacency (`offsets`/`targets` arrays, as produced by edge
 /// counting + prefix sum).
 ///
-/// Fusion runs it over every company of the investment graph; the delta
-/// engine runs it over only the weak components an edit touched.
-/// Because a weak component is closed under edges, Tarjan never leaves
-/// the subset it was started on.  The scratch arrays are sized for the
-/// full graph but never reset between calls: each node belongs to at
-/// most one subset, so its `visited` slot is written at most once over
-/// the scratch's lifetime.
+/// Fusion and [`crate::CsrGraph::tarjan_scc`] run it over every node; a
+/// subset may also be one weak component at a time.  Because a weak
+/// component is closed under edges, Tarjan never leaves the subset it
+/// was started on.  The scratch arrays are sized for the full graph but
+/// never reset between calls: each node belongs to at most one subset,
+/// so its `visited` slot is written at most once over the scratch's
+/// lifetime.
 ///
 /// For every node of the subset the callback receives `(node, rep)`
 /// where `rep` is the **minimum member** of the node's SCC.  Minimum-
 /// member representatives depend only on the component's membership,
-/// never on traversal order, so a representative computed by an earlier
-/// run over an unchanged component can be carried over as is.
+/// never on traversal order or on how the nodes were split into subsets.
 #[derive(Debug)]
 pub struct SccScratch {
     index: Vec<u32>,

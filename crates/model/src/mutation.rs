@@ -122,15 +122,6 @@ impl Mutation {
         matches!(self, Mutation::AddCompany { .. } | Mutation::AddTrading(_))
     }
 
-    /// Whether this mutation renumbers entity ids (company/person
-    /// removal) — the class no bounded incremental path can absorb.
-    pub fn renumbers_ids(&self) -> bool {
-        matches!(
-            self,
-            Mutation::RemoveCompany { .. } | Mutation::RemovePerson { .. }
-        )
-    }
-
     /// Applies the mutation to `registry`.  Additions with out-of-range
     /// endpoint ids fail without touching the registry; removals that
     /// match no record are no-ops reported as `Ok(false)`.  `Ok(true)`
@@ -268,11 +259,6 @@ impl MutationBatch {
                 .any(|m| matches!(m, Mutation::AddCompany { .. }))
     }
 
-    /// Whether any mutation renumbers entity ids.
-    pub fn renumbers_ids(&self) -> bool {
-        self.mutations.iter().any(Mutation::renumbers_ids)
-    }
-
     /// Applies every mutation in order to `registry`; stops at the first
     /// failure.  Returns how many mutations *changed* the registry
     /// (no-op removals don't count).
@@ -347,7 +333,6 @@ mod tests {
             }),
         ]);
         assert!(!batch.is_trading_only());
-        assert!(!batch.renumbers_ids());
         assert_eq!(batch.apply_to_registry(&mut r).unwrap(), 5);
         assert_eq!(r.person_count(), 3);
         assert_eq!(r.company_count(), 3);

@@ -16,9 +16,6 @@
 //! * [`SloKind::RateRatio`] — the observed bad-event fraction
 //!   (Δbad / Δtotal over the window) divided by the error budget.
 //!   A 1% budget with 2% observed errors burns at 2.0.
-//! * [`SloKind::EventRate`] — the observed events-per-tick rate
-//!   divided by the budgeted rate (the delta engine's `full_rebuilds`
-//!   objective: rebuilds are budgeted, a rebuild storm burns).
 //!
 //! A window with no data burns at 0 — an idle daemon is healthy, and a
 //! latency SLO cannot page on the absence of traffic.
@@ -57,13 +54,6 @@ pub enum SloKind {
         /// Budgeted bad fraction, e.g. `0.01` for a 1% error budget.
         budget: f64,
     },
-    /// Events-per-tick of one counter/gauge against a budgeted rate.
-    EventRate {
-        /// Counter or gauge metric name (e.g. `delta.full_rebuilds`).
-        metric: String,
-        /// Budgeted events per tick; the rate burns relative to this.
-        per_tick_budget: f64,
-    },
 }
 
 /// One declarative objective plus its window and hysteresis policy.
@@ -88,48 +78,31 @@ pub struct SloSpec {
 impl SloSpec {
     /// A latency-p99 objective with the default windows and policy.
     pub fn latency_p99(name: &str, metric: &str, threshold_ns: f64) -> SloSpec {
-        SloSpec {
-            name: name.to_string(),
-            kind: SloKind::LatencyP99 {
+        SloSpec::with_policy_defaults(
+            name,
+            SloKind::LatencyP99 {
                 metric: metric.to_string(),
                 threshold_ns,
             },
-            ..SloSpec::policy_defaults(name)
-        }
+        )
     }
 
     /// A bad-fraction objective with the default windows and policy.
     pub fn rate_ratio(name: &str, bad: &[&str], total: &[&str], budget: f64) -> SloSpec {
-        SloSpec {
-            name: name.to_string(),
-            kind: SloKind::RateRatio {
+        SloSpec::with_policy_defaults(
+            name,
+            SloKind::RateRatio {
                 bad: bad.iter().map(|s| s.to_string()).collect(),
                 total: total.iter().map(|s| s.to_string()).collect(),
                 budget,
             },
-            ..SloSpec::policy_defaults(name)
-        }
+        )
     }
 
-    /// An events-per-tick objective with the default windows and policy.
-    pub fn event_rate(name: &str, metric: &str, per_tick_budget: f64) -> SloSpec {
+    fn with_policy_defaults(name: &str, kind: SloKind) -> SloSpec {
         SloSpec {
             name: name.to_string(),
-            kind: SloKind::EventRate {
-                metric: metric.to_string(),
-                per_tick_budget,
-            },
-            ..SloSpec::policy_defaults(name)
-        }
-    }
-
-    fn policy_defaults(name: &str) -> SloSpec {
-        SloSpec {
-            name: name.to_string(),
-            kind: SloKind::EventRate {
-                metric: String::new(),
-                per_tick_budget: 1.0,
-            },
+            kind,
             short_ticks: 60,
             long_ticks: 300,
             warn_burn: 1.0,
@@ -151,10 +124,6 @@ impl SloSpec {
                 total.join("+"),
                 budget * 100.0
             ),
-            SloKind::EventRate {
-                metric,
-                per_tick_budget,
-            } => format!("rate({metric}) <= {per_tick_budget:.3}/tick"),
         }
     }
 
@@ -181,18 +150,6 @@ impl SloSpec {
                     return 0.0;
                 }
                 (bad_delta / total_delta) / budget
-            }
-            SloKind::EventRate {
-                metric,
-                per_tick_budget,
-            } => {
-                let Some((delta, span)) = timeline.window_delta(metric, window, now) else {
-                    return 0.0;
-                };
-                if span == 0 || *per_tick_budget <= 0.0 {
-                    return 0.0;
-                }
-                (delta.max(0.0) / span as f64) / per_tick_budget
             }
         }
     }
@@ -527,32 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn event_rate_burns_against_budgeted_rate() {
-        let registry = MetricsRegistry::new();
-        let timeline = timeline();
-        let spec = SloSpec {
-            short_ticks: 2,
-            long_ticks: 4,
-            ..SloSpec::event_rate("rebuilds", "delta.full_rebuilds", 0.5)
-        };
-        let engine = SloEngine::new(vec![spec]);
-        let gauge = registry.gauge("delta.full_rebuilds");
-        gauge.set(0.0);
-        timeline.sample(1, &registry);
-        gauge.set(4.0); // 4 rebuilds in one tick against 0.5/tick
-        timeline.sample(2, &registry);
-        let status = &engine.evaluate(2, &timeline)[0];
-        assert!(status.burn_short >= 8.0 - 1e-9, "{}", status.burn_short);
-        assert_eq!(status.state, AlertState::Page);
-    }
-
-    #[test]
     fn worst_reports_highest_severity_across_specs() {
         let registry = MetricsRegistry::new();
         let timeline = timeline();
         let engine = SloEngine::new(vec![
             tight_latency_spec(),
-            SloSpec::event_rate("quiet", "nothing", 1.0),
+            SloSpec::rate_ratio("quiet", &["nope"], &["nothing."], 0.01),
         ]);
         let h = registry.histogram("lat");
         let mut tick = 0;

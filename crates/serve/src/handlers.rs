@@ -334,7 +334,6 @@ fn status(state: &ServerState) -> Response {
         batches_applied: registry.gauge("delta.batches").get() as u64,
         arcs_patched: registry.gauge("delta.arcs_patched").get() as u64,
         company_appends: registry.gauge("delta.company_appends").get() as u64,
-        sccs_rerun: registry.gauge("delta.sccs_rerun").get() as u64,
         full_rebuilds: registry.gauge("delta.full_rebuilds").get() as u64,
         shards_remined: registry.gauge("delta.shards_remined").get() as u64,
         shard_cache_hits: registry.gauge("delta.cache_hits").get() as u64,

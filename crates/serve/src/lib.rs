@@ -23,10 +23,10 @@
 //! * **Delta ingest**: `POST /ingest` feeds mutation batches (trading
 //!   records or full registry mutations) through a
 //!   [`tpiin_delta::DeltaEngine`] and answers with only the *new*
-//!   suspicious groups — trading arcs are patched surgically, registry
-//!   deltas re-run only the touched SCCs and re-mine only the
-//!   invalidated subTPIINs, never a blanket re-fuse unless the delta's
-//!   blast radius forces one.
+//!   suspicious groups — trading arcs and company registrations are
+//!   patched surgically, every other registry delta re-fuses, and
+//!   either way only the changed subTPIINs re-mine: the rest replay
+//!   from the engine's shard cache.
 //! * **Per-request tracing**: every request gets its own
 //!   [`tpiin_obs::TraceContext`]; the trace id comes back in the
 //!   `x-tpiin-trace` response header and `GET /trace/{id}` replays the

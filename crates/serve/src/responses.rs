@@ -220,7 +220,6 @@ pub fn ingest_json(tpiin: &Tpiin, epoch: u64, outcome: &ApplyOutcome, stats: &De
                 ("batches", num(stats.batches_applied as usize)),
                 ("arcs_patched", num(stats.arcs_patched as usize)),
                 ("company_appends", num(stats.company_appends as usize)),
-                ("sccs_rerun", num(stats.sccs_rerun as usize)),
                 ("full_rebuilds", num(stats.full_rebuilds as usize)),
                 ("shards_remined", num(stats.shards_remined as usize)),
                 ("cache_hits", num(stats.shard_cache_hits as usize)),
@@ -360,14 +359,12 @@ pub struct StatusReport {
     pub snapshot_load_ms: f64,
     /// Mutation batches the delta engine applied since start.
     pub batches_applied: u64,
-    /// Trading arcs surgically patched into the TPIIN (no re-fuse).
+    /// Arcs spliced in place by the append paths (no re-fuse).
     pub arcs_patched: u64,
     /// Batches absorbed by the surgical company-append path.
     pub company_appends: u64,
-    /// Company SCCs re-run by bounded re-Tarjan under investment deltas.
-    pub sccs_rerun: u64,
-    /// Times a delta exceeded the blast radius (or removed entities)
-    /// and fell back to a full re-fuse.
+    /// Batches re-fused from scratch: every registry mutation other
+    /// than a company append.
     pub full_rebuilds: u64,
     /// SubTPIINs re-mined across all applied batches.
     pub shards_remined: u64,
@@ -446,7 +443,6 @@ pub fn status_json(snapshot: &ServeSnapshot, report: &StatusReport) -> Json {
                     "company_appends",
                     Json::Number(report.company_appends as f64),
                 ),
-                ("sccs_rerun", Json::Number(report.sccs_rerun as f64)),
                 ("full_rebuilds", Json::Number(report.full_rebuilds as f64)),
                 ("shards_remined", Json::Number(report.shards_remined as f64)),
                 ("cache_hits", Json::Number(report.shard_cache_hits as f64)),

@@ -92,11 +92,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// The built-in serve objectives: per-endpoint p99 latency, error and
-/// shed fractions, reload latency, and the delta engine's full-rebuild
-/// rate.  Windows assume the default 1 s tick (short 60 ticks / long
-/// 300 ticks); thresholds are deliberately loose — they are floors for
-/// "something is clearly wrong", not tuning targets.
+/// The built-in serve objectives: per-endpoint p99 latency (reload
+/// included), and the error and shed fractions.  A re-fuse is the delta
+/// engine's ordinary path for every person registration, so its rate is
+/// no objective; `serve.ingest.p99` bounds what it costs.  Windows
+/// assume the default 1 s tick (short 60 ticks / long 300 ticks);
+/// thresholds are deliberately loose — they are floors for "something
+/// is clearly wrong", not tuning targets.
 pub fn default_slos() -> Vec<tpiin_obs::SloSpec> {
     use tpiin_obs::SloSpec;
     vec![
@@ -125,10 +127,6 @@ pub fn default_slos() -> Vec<tpiin_obs::SloSpec> {
             &["serve.responses.", "serve.shed"],
             0.01,
         ),
-        // The delta engine budgets one full rebuild per minute of
-        // ticks; a rebuild storm means the surgical paths stopped
-        // absorbing the feed.
-        SloSpec::event_rate("delta.full_rebuilds", "delta.full_rebuilds", 1.0 / 60.0),
     ]
 }
 

@@ -784,9 +784,8 @@ fn registry_backed_daemon_applies_mutation_batches() {
     assert!(body.contains("\"path\":\"trading_append\""), "{body}");
     assert!(body.contains("\"new_group_count\":1"), "{body}");
 
-    // A registry delta (new person + their company) rides the
-    // incremental path: no investment arcs moved, so no SCC re-runs and
-    // no full rebuild.
+    // A registry delta that adds a person renumbers every company node,
+    // so it re-fuses; the shards it left alone replay from the cache.
     let batch = format!(
         "{{\"mutations\": [{{\"op\":\"add_person\",\"name\":\"PX\",\"roles\":\"CEO\"}},\
          {{\"op\":\"add_company\",\"name\":\"CX\",\"legal_person\":{next_person},\"kind\":\"ceo\"}}]}}"
@@ -795,7 +794,7 @@ fn registry_backed_daemon_applies_mutation_batches() {
     replay(&batch);
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     assert!(body.contains("\"epoch\":3"), "{body}");
-    assert!(body.contains("\"path\":\"incremental\""), "{body}");
+    assert!(body.contains("\"path\":\"full_rebuild\""), "{body}");
     let (status, body) = get(addr, "/company/CX");
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
 
@@ -846,7 +845,8 @@ fn registry_backed_daemon_applies_mutation_batches() {
     let (_, body) = get(addr, "/healthz");
     assert!(body.contains("\"epoch\":4"), "{body}");
 
-    // `/status` surfaces the delta counters.
+    // `/status` surfaces the delta counters; the rejected batch counts
+    // as no re-fuse.
     let (status, body) = get(addr, "/status");
     assert_eq!(status, "HTTP/1.1 200 OK");
     let json = tpiin_io::json::Json::parse(&body).expect("status is JSON");
@@ -860,7 +860,7 @@ fn registry_backed_daemon_applies_mutation_batches() {
     assert!(field("batches") >= 3.0, "{body}");
     assert!(field("arcs_patched") >= 1.0, "{body}");
     assert_eq!(field("company_appends"), 1.0, "{body}");
-    assert_eq!(field("full_rebuilds"), 0.0, "{body}");
+    assert_eq!(field("full_rebuilds"), 1.0, "{body}");
     handle.shutdown();
 }
 

@@ -180,16 +180,15 @@ impl<'a> Pipeline<'a> {
         if self.log_level.is_some() {
             tpiin_obs::log::set_level(self.log_level);
         }
-        let mut config = tpiin_delta::DeltaConfig::default();
-        config.detector = self.config;
-        config.detector.collect_groups = true;
-        tpiin_delta::DeltaEngine::with_config(self.registry.clone(), config).map_err(
-            |err| match err {
+        let mut detector = self.config;
+        detector.collect_groups = true;
+        tpiin_delta::DeltaEngine::with_config(self.registry.clone(), detector).map_err(|err| {
+            match err {
                 tpiin_delta::DeltaError::Fusion(e) => Error::from(e),
                 tpiin_delta::DeltaError::Mutation(e) => Error::Model(vec![e]),
                 other => Error::Usage(other.to_string()),
-            },
-        )
+            }
+        })
     }
 
     /// Fuses the registry and mines suspicious groups with every

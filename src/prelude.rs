@@ -15,7 +15,7 @@ pub use tpiin_core::{
     GroupKind, GroupMiner, GroupRef, GroupScore, GroupTable, MineContext, MinerRegistry,
     Rule12Miner, SuspiciousGroup, WindowedMiner,
 };
-pub use tpiin_delta::{ApplyOutcome, DeltaConfig, DeltaEngine, DeltaPath};
+pub use tpiin_delta::{ApplyOutcome, DeltaEngine, DeltaPath};
 pub use tpiin_fusion::{FusionReport, Tpiin};
 pub use tpiin_model::{
     CompanyId, InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Mutation,

@@ -437,8 +437,7 @@ fn fused_shape(tpiin: &Tpiin) -> Shape {
 fn check(what: &str, registry: &SourceRegistry) -> Option<FusionReport> {
     // The SCC pass first: a wrong one can fail fusion's own DAG check,
     // and then no network is left to compare.
-    let all: Vec<u32> = (0..registry.company_count() as u32).collect();
-    let reps = company_scc_reps(registry, &[], &all);
+    let reps = company_scc_reps(registry);
     for (c, syndicate) in naive_company_syndicates(registry).iter().enumerate() {
         assert_eq!(reps[c], syndicate[0], "{what}: SCC representative of C{c}");
     }

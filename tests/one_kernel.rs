@@ -18,7 +18,8 @@ use tpiin::detect::{
 };
 use tpiin::fusion::{fuse, Tpiin};
 use tpiin::model::{
-    CompanyId, InvestmentRecord, Mutation, MutationBatch, SourceRegistry, TradingRecord,
+    CompanyId, InfluenceKind, InvestmentRecord, Mutation, MutationBatch, PersonId, Role, RoleSet,
+    SourceRegistry, TradingRecord,
 };
 
 /// fig7 plus three small provinces.  Each province also gets one
@@ -234,6 +235,84 @@ fn company_append_keeps_on_demand_provenance_in_step() {
         shifted_in_untouched_shards > 0,
         "no group outside the touched shard cites an investment record: shift unexercised"
     );
+}
+
+/// Every registry mutation other than an append re-fuses from scratch,
+/// and node ids may move with it; the shard cache is keyed by each
+/// shard's local structure, so every shard the batch left alone still
+/// replays from it.  Each batch must re-mine or replay exactly the live
+/// shards with a trading arc, and on a province (many shards, one
+/// touched) replay some.
+#[test]
+fn every_refuse_replays_surviving_shards_from_the_cache() {
+    for (name, mut registry) in registries() {
+        let mut engine = DeltaEngine::new(registry.clone()).unwrap();
+        let (np, nc) = (
+            registry.person_count() as u32,
+            registry.company_count() as u32,
+        );
+        let batches = [
+            (
+                "new person and company",
+                vec![
+                    Mutation::AddPerson {
+                        name: "refused-P".to_string(),
+                        roles: RoleSet::of(&[Role::Ceo]),
+                    },
+                    Mutation::AddCompany {
+                        name: "refused-C".to_string(),
+                        legal_person: PersonId(np),
+                        kind: InfluenceKind::CeoOf,
+                    },
+                ],
+            ),
+            (
+                "investment",
+                vec![Mutation::AddInvestment(InvestmentRecord {
+                    investor: CompanyId(2),
+                    investee: CompanyId(3),
+                    share: 0.4,
+                })],
+            ),
+            (
+                "company removal",
+                vec![Mutation::RemoveCompany {
+                    company: CompanyId(nc / 2),
+                }],
+            ),
+        ];
+        for (what, mutations) in batches {
+            let batch = MutationBatch::new(mutations);
+            let outcome = engine.apply(&batch).unwrap();
+            assert_eq!(outcome.path, DeltaPath::FullRebuild, "{name}: {what}");
+
+            batch.apply_to_registry(&mut registry).unwrap();
+            let (fresh, _) = fuse(&registry).unwrap();
+            assert_identical(
+                &name,
+                what,
+                (engine.tpiin(), engine.detection()),
+                (&fresh, &detect(&fresh)),
+            );
+            let minable = segment_tpiin(&fresh)
+                .iter()
+                .filter(|sub| sub.trading_arc_count > 0)
+                .count();
+            assert_eq!(
+                outcome.shards_remined + outcome.cache_hits,
+                minable,
+                "{name}: {what}: every shard with a trading arc is re-mined or replayed"
+            );
+            if name != "fig7" {
+                assert!(
+                    outcome.cache_hits > 0,
+                    "{name}: {what}: no shard replayed ({} re-mined)",
+                    outcome.shards_remined
+                );
+            }
+        }
+        assert_eq!(engine.stats().full_rebuilds, 3, "{name}");
+    }
 }
 
 /// What the engine keeps is bounded by the network it maintains, not by
