@@ -40,9 +40,6 @@ pub struct Options {
     /// Dataset for `serve`/`save-snapshot` without a snapshot file:
     /// `fig7` or `province`.
     pub dataset: Option<String>,
-    /// Snapshot encoding for `save-snapshot`: `text` (default) or `bin`
-    /// (the zero-copy binary format).  Readers auto-detect by magic.
-    pub format: String,
     /// Watch the snapshot file and hot-reload on change (`serve`).
     pub watch: bool,
     /// Explicit log level (overrides the `TPIIN_LOG` environment variable).
@@ -88,7 +85,6 @@ impl Default for Options {
             telemetry_tick_ms: 1000,
             no_telemetry: false,
             dataset: None,
-            format: "text".to_string(),
             watch: false,
             log_level: None,
             profile: false,
@@ -185,13 +181,6 @@ impl Options {
                         return Err(format!("--dataset must be fig7 or province, got `{name}`"));
                     }
                     opts.dataset = Some(name);
-                }
-                "--format" => {
-                    let name = value("--format")?;
-                    if name != "text" && name != "bin" {
-                        return Err(format!("--format must be text or bin, got `{name}`"));
-                    }
-                    opts.format = name;
                 }
                 "--watch" => opts.watch = true,
                 "--verify" => opts.verify = true,
@@ -296,8 +285,6 @@ mod tests {
             "--no-telemetry",
             "--dataset",
             "fig7",
-            "--format",
-            "bin",
             "--watch",
             "--log-level",
             "debug",
@@ -336,7 +323,6 @@ mod tests {
         assert_eq!(opts.telemetry_tick_ms, 200);
         assert!(opts.no_telemetry);
         assert_eq!(opts.dataset.as_deref(), Some("fig7"));
-        assert_eq!(opts.format, "bin");
         assert!(opts.watch);
         assert_eq!(opts.sweep_probs(), vec![0.01, 0.02]);
         assert_eq!(opts.log_level, Some(tpiin_obs::Level::Debug));
@@ -367,9 +353,6 @@ mod tests {
         assert!(parse(&["--dataset", "mars"])
             .unwrap_err()
             .contains("fig7 or province"));
-        assert!(parse(&["--format", "xml"])
-            .unwrap_err()
-            .contains("text or bin"));
         assert!(parse(&["--workers", "many"])
             .unwrap_err()
             .contains("--workers"));

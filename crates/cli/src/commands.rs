@@ -11,7 +11,7 @@ use tpiin_datagen::{
     add_random_trading, case1_registry, case2_registry, case3_registry, fig7_registry,
     generate_province, ProvinceConfig,
 };
-use tpiin_fusion::{fuse, ArcColor, NodeColor, Tpiin};
+use tpiin_fusion::{fuse, Tpiin};
 use tpiin_model::SourceRegistry;
 
 pub const HELP: &str = "\
@@ -76,8 +76,6 @@ SERVING (`serve` / `save-snapshot`):
   --dir PATH    serve a CSV registry registry-backed: POST /ingest
                 accepts the full mutation vocabulary (e.g. the feed
                 `mutation-stream` writes), not just trading appends
-  --format F    save-snapshot encoding: text | bin (zero-copy binary;
-                readers auto-detect either format by magic bytes)
   --watch       poll the snapshot file and hot-reload on change
                 (on `health`: keep polling the daemon every 2s)
   --slowlog-threshold-ms N  requests slower than this land in the
@@ -424,27 +422,12 @@ pub fn export_dot(opts: &Options) -> Result<(), tpiin::Error> {
     let p = *opts.sweep_probs().first().unwrap_or(&0.002);
     add_random_trading(&mut registry, p, opts.seed);
     let (tpiin, _) = fuse(&registry)?;
-    let text = render_dot(&tpiin);
+    let text = tpiin_io::groupviz::tpiin_dot(&tpiin);
     match &opts.out {
         Some(path) => std::fs::write(path, text).map_err(|e| tpiin::Error::file(path, e))?,
         None => print!("{text}"),
     }
     Ok(())
-}
-
-fn render_dot(tpiin: &Tpiin) -> String {
-    let style = tpiin_graph::DotStyle {
-        node_label: Box::new(|_, n: &tpiin_fusion::TpiinNode| n.label().to_string()),
-        node_attrs: Box::new(|_, n| match n.color() {
-            NodeColor::Company => "color=red".to_string(),
-            NodeColor::Person => "color=black".to_string(),
-        }),
-        edge_attrs: Box::new(|arc: &tpiin_fusion::TpiinArc| match arc.color {
-            ArcColor::Influence => "color=blue".to_string(),
-            ArcColor::Trading => "color=black".to_string(),
-        }),
-    };
-    tpiin_graph::dot(&tpiin.graph, &style)
 }
 
 /// `tpiin save-province` — write the synthetic registry as CSV files.
@@ -700,14 +683,10 @@ pub fn save_snapshot(opts: &Options) -> Result<(), tpiin::Error> {
         .as_deref()
         .ok_or_else(|| tpiin::Error::Usage("save-snapshot requires --out".into()))?;
     let tpiin = serving_tpiin(opts)?;
-    let bytes = match opts.format.as_str() {
-        "bin" => tpiin_io::snapshot_bin::write_snapshot_bin(&tpiin),
-        _ => tpiin_io::snapshot::write_snapshot(&tpiin).into_bytes(),
-    };
+    let bytes = tpiin_io::snapshot_bin::write_snapshot_bin(&tpiin);
     std::fs::write(out, bytes).map_err(|e| tpiin::Error::file(out, e))?;
     println!(
-        "wrote {} snapshot of {} nodes / {} trading arcs to {out}",
-        opts.format,
+        "wrote snapshot of {} nodes / {} trading arcs to {out}",
         tpiin.node_count(),
         tpiin.trading_arc_count
     );

@@ -78,6 +78,32 @@ fn save_then_import_roundtrip() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `save-snapshot` writes a TPIINBIN file; a line-oriented text file
+/// from an older build is refused when `serve` starts, with the typed
+/// reader error and the file-trouble exit code, before anything binds.
+#[test]
+fn snapshots_are_tpiinbin_and_serve_refuses_a_text_file() {
+    let dir = std::env::temp_dir().join(format!("tpiin-cli-snapshot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fig7 = dir.join("fig7.tpiin");
+    let (stdout, stderr, ok) = run(&["save-snapshot", "--out", fig7.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("wrote snapshot of 15 nodes"), "{stdout}");
+    assert!(std::fs::read(&fig7).unwrap().starts_with(b"TPIINBIN"));
+
+    let legacy = dir.join("legacy.tpiin");
+    std::fs::write(&legacy, "nodes 1\nP L1 0\narcs 0 0\nintra 0\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tpiin"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--snapshot"])
+        .arg(&legacy)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("not a TPIINBIN snapshot"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn export_graphml_emits_xml() {
     let (stdout, _, ok) = run(&["export-graphml", "--scale", "0.05"]);

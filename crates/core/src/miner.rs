@@ -658,8 +658,8 @@ impl GroupMiner for CircularTradingMiner {
 /// rebuilds the network keeping every influence arc but only the
 /// trading arcs whose winning source record falls in `[start, end)`,
 /// refreezes the CSR and runs the inner miner on that view.  Arcs with
-/// no recorded source (`u32::MAX`: pre-v2 snapshots, streamed ingest)
-/// have unknown time and are excluded from every window.
+/// no recorded source (`u32::MAX`: arcs streamed in without a source
+/// registry) have unknown time and are excluded from every window.
 ///
 /// The windowed view keeps the full node set, so group node ids remain
 /// valid in the original network and provenance delegates to the inner

@@ -70,7 +70,7 @@ pub struct ArcProvenance {
     /// The winning source-record sequence from fusion's first-wins
     /// dedup: influence arcs index the combined influence+investment
     /// feed, trading arcs the trading feed.  `None` when no source was
-    /// recorded (pre-v2 snapshots, streamed ingest) or when the
+    /// recorded (arcs streamed in without a source registry) or when the
     /// contraction dropped the physical arc (intra-syndicate trades
     /// referenced by circle groups).
     pub source_record: Option<u32>,
@@ -465,7 +465,8 @@ mod tests {
     #[test]
     fn unknown_sources_become_none() {
         let (mut tpiin, _) = tpiin_fusion::fuse(&case1_registry()).unwrap();
-        // Blank out provenance, as a v1 snapshot load would.
+        // Blank out provenance, as arcs streamed in without a source
+        // registry carry none.
         for s in tpiin.arc_sources.iter_mut() {
             *s = u32::MAX;
         }

@@ -2,6 +2,7 @@
 
 use crate::compact::{Label, Members};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use tpiin_graph::{CsrGraph, DiGraph, EdgeId, NodeId};
 use tpiin_model::{CompanyId, PersonId};
 
@@ -154,7 +155,7 @@ pub struct Tpiin {
     /// source-record sequence number whose arc survived first-wins
     /// dedup (influence/investment records index the influence feed,
     /// trading records the trading feed).  `u32::MAX` marks an arc with
-    /// no recorded source (pre-v2 snapshots, streamed ingest).
+    /// no recorded source (arcs streamed in without a source registry).
     pub arc_sources: Vec<u32>,
     /// Frozen CSR snapshot of `graph`, with one lane per arc color
     /// ([`TRADING_LANE`], [`INFLUENCE_LANE`]).  The mining hot path
@@ -163,11 +164,6 @@ pub struct Tpiin {
     /// graph keeps no adjacency of its own.  Kept private so it can only
     /// be set by [`Tpiin::assemble`] / [`Tpiin::refreeze`].
     csr: CsrGraph,
-    /// Bytes of any flat snapshot buffer still backing this network
-    /// (zero-copy binary loads); `0` for networks assembled from parsed
-    /// records.  Counted by [`Tpiin::approx_heap_bytes`] so `/status`
-    /// stays honest about what the served snapshot pins in memory.
-    backing_bytes: u64,
 }
 
 impl Tpiin {
@@ -195,7 +191,6 @@ impl Tpiin {
             intra_syndicate_trades,
             arc_sources,
             csr,
-            backing_bytes: 0,
         }
     }
 
@@ -225,20 +220,7 @@ impl Tpiin {
             intra_syndicate_trades,
             arc_sources,
             csr,
-            backing_bytes: 0,
         }
-    }
-
-    /// Records that `bytes` of a flat snapshot buffer remain alive backing
-    /// this network (zero-copy loads keep the file image mapped so slice
-    /// views stay valid).  Reported through [`Tpiin::approx_heap_bytes`].
-    pub fn set_backing_bytes(&mut self, bytes: u64) {
-        self.backing_bytes = bytes;
-    }
-
-    /// Bytes of retained snapshot buffer (see [`Tpiin::set_backing_bytes`]).
-    pub fn backing_bytes(&self) -> u64 {
-        self.backing_bytes
     }
 
     fn freeze_graph(graph: &DiGraph<TpiinNode, TpiinArc>) -> CsrGraph {
@@ -310,18 +292,21 @@ impl Tpiin {
     /// The paper's `r x 3` edge-list rendering (`0` = trading, `1` =
     /// influence), antecedent rows first.
     pub fn edge_list(&self) -> String {
-        tpiin_graph::edge_list(&self.graph, |arc| arc.color.code())
+        let mut out = String::with_capacity(self.graph.edge_count() * 12);
+        for e in self.graph.edges() {
+            let _ = writeln!(out, "{}\t{}\t{}", e.source, e.target, e.weight.color.code());
+        }
+        out
     }
 
     /// This network's heap footprint in bytes: the graph's node and edge
     /// slots (exact via [`DiGraph::heap_bytes`]), spilled label/member
     /// allocations, the frozen CSR lanes — the only adjacency — (exact
-    /// via [`CsrGraph::heap_bytes`]), provenance side tables, and any
-    /// retained zero-copy snapshot buffer.  The `/status` endpoint
-    /// reports it so operators can see how much of the process RSS the
-    /// served snapshot accounts for.  "Approx" survives in the name only
-    /// because `Vec` capacities can exceed lengths; every component is
-    /// otherwise measured, not estimated.
+    /// via [`CsrGraph::heap_bytes`]) and the provenance side tables.  The
+    /// `/status` endpoint reports it so operators can see how much of the
+    /// process RSS the served snapshot accounts for.  "Approx" survives in
+    /// the name only because `Vec` capacities can exceed lengths; every
+    /// component is otherwise measured, not estimated.
     pub fn approx_heap_bytes(&self) -> u64 {
         let spilled_payloads: usize = self.graph.nodes().map(|(_, n)| n.spilled_bytes()).sum();
         let side_tables = self.person_node.len() * std::mem::size_of::<NodeId>()
@@ -329,7 +314,6 @@ impl Tpiin {
             + self.arc_sources.len() * std::mem::size_of::<u32>()
             + self.intra_syndicate_trades.len() * std::mem::size_of::<IntraSyndicateTrade>();
         (self.graph.heap_bytes() + spilled_payloads + self.csr.heap_bytes() + side_tables) as u64
-            + self.backing_bytes
     }
 
     /// Mean arcs-per-node, the "average node degree" column of Table 1.
@@ -349,6 +333,16 @@ mod tests {
     fn arc_color_codes_match_the_paper() {
         assert_eq!(ArcColor::Trading.code(), 0, "black");
         assert_eq!(ArcColor::Influence.code(), 1, "blue");
+    }
+
+    #[test]
+    fn fig7_edge_list_is_pinned() {
+        let (tpiin, _) = crate::fuse(&tpiin_datagen::fig7_registry()).unwrap();
+        let expected = "0\t7\t1\n0\t8\t1\n1\t9\t1\n0\t10\t1\n2\t11\t1\n3\t12\t1\n\
+                        3\t13\t1\n4\t14\t1\n5\t11\t1\n5\t12\t1\n6\t13\t1\n6\t14\t1\n\
+                        7\t9\t1\n8\t11\t1\n9\t11\t0\n11\t12\t0\n11\t13\t0\n13\t14\t0\n\
+                        14\t10\t0\n";
+        assert_eq!(tpiin.edge_list(), expected);
     }
 
     #[test]

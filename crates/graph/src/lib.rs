@@ -5,10 +5,9 @@
 //! adjacency for every neighbour question, Tarjan's
 //! strongly-connected-components algorithm (used to contract mutual
 //! investment structures), weakly-connected components
-//! (used to segment a TPIIN into `subTPIIN`s), a DAG check for the
-//! antecedent network, and DOT export for inspection.  None of the
-//! offline dependency set provides these, so this crate implements them
-//! directly.
+//! (used to segment a TPIIN into `subTPIIN`s) and a DAG check for the
+//! antecedent network.  None of the offline dependency set provides
+//! these, so this crate implements them directly.
 //!
 //! [`DiGraph`] is an append-only directed multigraph holding only its
 //! node and edge columns: append-only storage keeps node and edge
@@ -34,14 +33,12 @@
 
 mod csr;
 mod digraph;
-mod export;
 mod ids;
 mod scc;
 mod unionfind;
 
 pub use csr::{csr_index, CsrGraph, CsrLaneParts};
 pub use digraph::{DiGraph, EdgeRef};
-pub use export::{dot, edge_list, DotStyle, EdgeRender, NodeRender};
 pub use ids::{EdgeId, NodeId};
 pub use scc::SccScratch;
 pub use unionfind::UnionFind;

@@ -5,12 +5,12 @@
 //! antecedent network while other rows … belong to a trading network";
 //! the color column uses `1` for influence (blue) and `0` for trading
 //! (black).  [`parse_edge_list`] reads that format into a
-//! [`tpiin_core::SubTpiin`] so the detector can run directly on a file,
-//! and [`render_edge_list`] writes a TPIIN back out.
+//! [`tpiin_core::SubTpiin`] so the detector can run directly on a file;
+//! [`Tpiin::edge_list`](tpiin_fusion::Tpiin::edge_list) writes a TPIIN
+//! back out.
 
 use crate::error::IoError;
 use tpiin_core::SubTpiin;
-use tpiin_fusion::Tpiin;
 
 /// One arc of a parsed edge list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,12 +105,6 @@ pub fn parse_edge_list(text: &str, context: &str) -> Result<SubTpiin, IoError> {
     ))
 }
 
-/// Renders a fused TPIIN in the paper's format (antecedent rows first,
-/// which [`tpiin_fusion::fuse`] guarantees by construction).
-pub fn render_edge_list(tpiin: &Tpiin) -> String {
-    tpiin.edge_list()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +153,7 @@ mod tests {
         let (tpiin, _) = tpiin_fusion::fuse(&tpiin_datagen::fig7_registry()).unwrap();
         let direct = detect(&tpiin);
 
-        let text = render_edge_list(&tpiin);
+        let text = tpiin.edge_list();
         let sub = parse_edge_list(&text, "fig8").unwrap();
         assert_eq!(sub.node_count(), tpiin.node_count());
         assert_eq!(sub.influence_arc_count(), tpiin.influence_arc_count);

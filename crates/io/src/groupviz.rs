@@ -1,15 +1,42 @@
-//! Visualization of a single suspicious group — the drill-down view the
-//! Servyou monitoring system shows an investigator (Figs. 17–19): the
-//! group's members, the two relationship trails, and the
-//! interest-affiliated transaction highlighted.
+//! Graphviz DOT views of a TPIIN: the whole network coloured like the
+//! paper's figures (Figs. 11–16), and a single suspicious group — the
+//! drill-down view the Servyou monitoring system shows an investigator
+//! (Figs. 17–19): the group's members, the two relationship trails, and
+//! the interest-affiliated transaction highlighted.
 
 use std::fmt::Write as _;
 use tpiin_core::GroupRef;
-use tpiin_fusion::{NodeColor, Tpiin};
+use tpiin_fusion::{ArcColor, NodeColor, Tpiin};
 use tpiin_graph::NodeId;
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Renders the whole network as a Graphviz DOT document coloured like
+/// the paper's figures: red companies, black persons, blue influence
+/// arcs, black trading arcs.
+pub fn tpiin_dot(tpiin: &Tpiin) -> String {
+    let mut out =
+        String::with_capacity(64 + tpiin.node_count() * 24 + tpiin.graph.edge_count() * 16);
+    out.push_str("digraph tpiin {\n");
+    for (id, node) in tpiin.graph.nodes() {
+        let color = match node.color() {
+            NodeColor::Company => "red",
+            NodeColor::Person => "black",
+        };
+        let label = escape(node.label());
+        let _ = writeln!(out, "  n{id} [label=\"{label}\", color={color}];");
+    }
+    for e in tpiin.graph.edges() {
+        let color = match e.weight.color {
+            ArcColor::Influence => "blue",
+            ArcColor::Trading => "black",
+        };
+        let _ = writeln!(out, "  n{} -> n{} [color={color}];", e.source, e.target);
+    }
+    out.push_str("}\n");
+    out
 }
 
 /// Renders one group as a Graphviz DOT document: members only, influence
@@ -60,6 +87,69 @@ pub fn group_dot(tpiin: &Tpiin, group: GroupRef<'_>) -> String {
 mod tests {
     use super::*;
     use tpiin_core::detect;
+
+    #[test]
+    fn fig7_network_dot_is_pinned() {
+        let (tpiin, _) = tpiin_fusion::fuse(&tpiin_datagen::fig7_registry()).unwrap();
+        let expected = "digraph tpiin {
+  n0 [label=\"L6+LB\", color=black];
+  n1 [label=\"L2\", color=black];
+  n2 [label=\"L3\", color=black];
+  n3 [label=\"L4\", color=black];
+  n4 [label=\"L5\", color=black];
+  n5 [label=\"B1\", color=black];
+  n6 [label=\"B5+B6\", color=black];
+  n7 [label=\"C1\", color=red];
+  n8 [label=\"C2\", color=red];
+  n9 [label=\"C3\", color=red];
+  n10 [label=\"C4\", color=red];
+  n11 [label=\"C5\", color=red];
+  n12 [label=\"C6\", color=red];
+  n13 [label=\"C7\", color=red];
+  n14 [label=\"C8\", color=red];
+  n0 -> n7 [color=blue];
+  n0 -> n8 [color=blue];
+  n1 -> n9 [color=blue];
+  n0 -> n10 [color=blue];
+  n2 -> n11 [color=blue];
+  n3 -> n12 [color=blue];
+  n3 -> n13 [color=blue];
+  n4 -> n14 [color=blue];
+  n5 -> n11 [color=blue];
+  n5 -> n12 [color=blue];
+  n6 -> n13 [color=blue];
+  n6 -> n14 [color=blue];
+  n7 -> n9 [color=blue];
+  n8 -> n11 [color=blue];
+  n9 -> n11 [color=black];
+  n11 -> n12 [color=black];
+  n11 -> n13 [color=black];
+  n13 -> n14 [color=black];
+  n14 -> n10 [color=black];
+}
+";
+        assert_eq!(tpiin_dot(&tpiin), expected);
+    }
+
+    #[test]
+    fn network_dot_escapes_quotes_and_backslashes() {
+        use tpiin_model::{InfluenceKind, InfluenceRecord, Role, RoleSet};
+        let mut r = tpiin_model::SourceRegistry::new();
+        let p = r.add_person("L1", RoleSet::of(&[Role::Ceo]));
+        let c = r.add_company(r#"Acme "Q" \ Co"#);
+        r.add_influence(InfluenceRecord {
+            person: p,
+            company: c,
+            kind: InfluenceKind::CeoOf,
+            is_legal_person: true,
+        });
+        let (tpiin, _) = tpiin_fusion::fuse(&r).unwrap();
+        let dot = tpiin_dot(&tpiin);
+        assert!(
+            dot.contains(r#"n1 [label="Acme \"Q\" \\ Co", color=red];"#),
+            "{dot}"
+        );
+    }
 
     #[test]
     fn renders_the_case1_group() {

@@ -23,10 +23,9 @@
 //!   screens of the Servyou system, Fig. 19);
 //! * [`company_tree`] — the Fig. 17/18 investment-tree view of one
 //!   company and its controlling persons;
-//! * [`snapshot`] — a fused-TPIIN snapshot format ("fuse nightly, detect
-//!   all day");
-//! * [`snapshot_bin`] — the binary zero-copy variant of the snapshot,
-//!   sized for nation-scale hot reloads;
+//! * [`snapshot_bin`] — the fused-TPIIN snapshot ("fuse nightly, detect
+//!   all day"): a binary zero-copy image sized for nation-scale hot
+//!   reloads;
 //! * [`json`] — a minimal JSON value model, writer and parser used by
 //!   the reports.
 
@@ -40,7 +39,6 @@ pub mod json;
 pub mod mutation_feed;
 pub mod registry_csv;
 pub mod reports;
-pub mod snapshot;
 pub mod snapshot_bin;
 
 mod error;

@@ -1,20 +1,21 @@
-//! Binary zero-copy snapshot format for a fused TPIIN.
+//! The fused-TPIIN snapshot file.
 //!
-//! The text snapshot (see [`crate::snapshot`]) re-parses every record on
-//! load: each arc line costs several integer/float parses and each label
-//! an unescape pass.  At nation scale (10⁵–10⁶ companies) that parse
-//! dominates `serve --watch` hot-swap latency.  This module defines a
-//! versioned, magic-tagged flat layout where loading is one bulk read
-//! into an 8-byte-aligned buffer plus cheap section-slice views — no
-//! per-record parsing — and the frozen CSR lanes travel inside the file
-//! so materialization skips the freeze counting sort too.
+//! Fusion runs nightly against the master data; detection, queries and
+//! streaming ingestion happen all day.  A snapshot lets those processes
+//! share the fused network without re-running fusion.  Loading one is a
+//! bulk read into an 8-byte-aligned buffer plus cheap section-slice views
+//! — no per-record parsing — and the frozen CSR lanes travel inside the
+//! file so materialization skips the freeze counting sort too.  The file
+//! is derived data: `tpiin save-snapshot` rebuilds it from the registry,
+//! and the edge list, GraphML, DOT and registry CSV are the
+//! human-readable views of the same network.
 //!
 //! ## Layout (all integers little-endian)
 //!
 //! ```text
 //! magic     8 bytes   "TPIINBIN"
 //! version   u32       1
-//! sections  u32       section count (17 + 5 per CSR lane)
+//! sections  u32       section count: 17 + 5 per CSR lane, 2 lanes = 27
 //! table     sections × (offset u64, len u64)   byte ranges, 8-aligned
 //! payload   the sections, each padded to an 8-byte boundary
 //! ```
@@ -23,7 +24,7 @@
 //!
 //! | # | section | contents |
 //! |---|---------|----------|
-//! | 0 | header  | `[u64; 8]`: nodes, influence arcs, trading arcs, edges, intra trades, person-table len, company-table len, lane count |
+//! | 0 | header  | `[u64; 8]`: nodes, influence arcs, trading arcs, edges, intra trades, person-table len, company-table len, lane count (2) |
 //! | 1 | label arena | concatenated UTF-8 label bytes (validated once) |
 //! | 2 | label offsets | `u32[n+1]` byte offsets into the arena |
 //! | 3 | node tags | `u8[n]`, `0` person / `1` company |
@@ -33,14 +34,15 @@
 //! | 11–14 | intra trades, columnar | `u32[] seller`, `u32[] buyer`, `u32[] syndicate`, `f64[] volume` |
 //! | 15 | person table | `u32[]` TPIIN node per source person |
 //! | 16 | company table | `u32[]` TPIIN node per source company |
-//! | 17+ | CSR lanes | per lane: `u32[n+1] out_offsets`, `u32[] out_targets`, `u32[] out_edge_ids`, `u32[n+1] in_offsets`, `u32[] in_sources` |
+//! | 17–26 | CSR lanes | trading lane, then influence lane; per lane: `u32[n+1] out_offsets`, `u32[] out_targets`, `u32[] out_edge_ids`, `u32[n+1] in_offsets`, `u32[] in_sources` |
 //!
 //! ## Versioning policy
 //!
 //! The magic never changes; `version` bumps on any layout change and the
 //! reader rejects versions it does not know (no silent reinterpretation).
-//! New optional sections append to the table — a reader may ignore
-//! trailing sections of a version it understands, but never reorder.
+//! A new section is a layout change too: it appends to the table (never
+//! reorders it) and bumps the version, because the reader checks the
+//! exact section count.
 //!
 //! Every section view is bounds- and alignment-checked before use;
 //! malformed input yields a typed [`IoError`], never a panic.
@@ -57,17 +59,22 @@ use tpiin_model::{CompanyId, PersonId};
 #[cfg(target_endian = "big")]
 compile_error!("the binary snapshot reader assumes a little-endian host");
 
-/// Leading magic bytes of a binary snapshot.  Distinct in the first byte
-/// from the text format's `tpiin-snapshot` header, so readers can
-/// auto-detect the format from the first eight bytes.
+/// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"TPIINBIN";
 /// Current format version.
 pub const VERSION: u32 = 1;
 
+/// CSR lanes of a TPIIN: trading and influence.
+const LANES: usize = 2;
 /// Sections before the per-lane CSR arrays.
 const FIXED_SECTIONS: usize = 17;
 /// Sections per CSR lane.
 const LANE_SECTIONS: usize = 5;
+/// Sections of a TPIIN image.
+const SECTIONS: usize = FIXED_SECTIONS + LANE_SECTIONS * LANES;
+/// End of the preamble (magic, version, section count) and the section
+/// table.
+const TABLE_END: usize = 16 + SECTIONS * 16;
 /// `u64` fields in the header section.
 const HEADER_FIELDS: usize = 8;
 
@@ -151,33 +158,15 @@ impl SectionWriter {
         }
     }
 
-    fn section(&mut self, bytes: &[u8]) {
-        self.table.push((self.buf.len() as u64, bytes.len() as u64));
-        self.buf.extend_from_slice(bytes);
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
-        }
-    }
-
-    fn section_u32s(&mut self, values: impl Iterator<Item = u32>) {
+    /// Appends one section: the concatenated `chunks` (raw bytes, or
+    /// the little-endian encodings of its elements), then padding.
+    fn section<B: AsRef<[u8]>>(&mut self, chunks: impl IntoIterator<Item = B>) {
         let start = self.buf.len();
-        for v in values {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        for chunk in chunks {
+            self.buf.extend_from_slice(chunk.as_ref());
         }
-        let len = self.buf.len() - start;
-        self.table.push((start as u64, len as u64));
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
-        }
-    }
-
-    fn section_f64s(&mut self, values: impl Iterator<Item = f64>) {
-        let start = self.buf.len();
-        for v in values {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        let len = self.buf.len() - start;
-        self.table.push((start as u64, len as u64));
+        self.table
+            .push((start as u64, (self.buf.len() - start) as u64));
         while !self.buf.len().is_multiple_of(8) {
             self.buf.push(0);
         }
@@ -203,20 +192,19 @@ pub fn write_snapshot_bin(tpiin: &Tpiin) -> Vec<u8> {
     let mut w = SectionWriter::new(FIXED_SECTIONS + LANE_SECTIONS * lanes);
 
     // 0: header.
-    let mut header = Vec::with_capacity(HEADER_FIELDS * 8);
-    for v in [
-        n as u64,
-        tpiin.influence_arc_count as u64,
-        tpiin.trading_arc_count as u64,
-        edges as u64,
-        tpiin.intra_syndicate_trades.len() as u64,
-        tpiin.person_node.len() as u64,
-        tpiin.company_node.len() as u64,
-        lanes as u64,
-    ] {
-        header.extend_from_slice(&v.to_le_bytes());
-    }
-    w.section(&header);
+    w.section(
+        [
+            n,
+            tpiin.influence_arc_count,
+            tpiin.trading_arc_count,
+            edges,
+            tpiin.intra_syndicate_trades.len(),
+            tpiin.person_node.len(),
+            tpiin.company_node.len(),
+            lanes,
+        ]
+        .map(|v| (v as u64).to_le_bytes()),
+    );
 
     // 1–2: label arena + offsets.
     let mut arena = String::new();
@@ -230,8 +218,9 @@ pub fn write_snapshot_bin(tpiin: &Tpiin) -> Vec<u8> {
         );
         label_offsets.push(arena.len() as u32);
     }
-    w.section(arena.as_bytes());
-    w.section_u32s(label_offsets.into_iter());
+    let le = u32::to_le_bytes;
+    w.section([arena]);
+    w.section(label_offsets.into_iter().map(le));
 
     // 3–5: node tags, member offsets, flat members.
     let mut tags = Vec::with_capacity(n);
@@ -251,40 +240,40 @@ pub fn write_snapshot_bin(tpiin: &Tpiin) -> Vec<u8> {
         }
         member_offsets.push(members.len() as u32);
     }
-    w.section(&tags);
-    w.section_u32s(member_offsets.into_iter());
-    w.section_u32s(members.into_iter());
+    w.section([tags]);
+    w.section(member_offsets.into_iter().map(le));
+    w.section(members.into_iter().map(le));
 
     // 6–10: columnar arcs, insertion (edge-id) order.
-    w.section_u32s(tpiin.graph.edges().map(|e| e.source.index() as u32));
-    w.section_u32s(tpiin.graph.edges().map(|e| e.target.index() as u32));
-    let colors: Vec<u8> = tpiin
-        .graph
-        .edges()
-        .map(|e| e.weight.color.code() as u8)
-        .collect();
-    w.section(&colors);
-    w.section_f64s(tpiin.graph.edges().map(|e| e.weight.weight));
-    w.section_u32s((0..edges).map(|i| tpiin.arc_sources.get(i).copied().unwrap_or(u32::MAX)));
+    let arcs = || tpiin.graph.edges();
+    w.section(arcs().map(|e| le(e.source.index() as u32)));
+    w.section(arcs().map(|e| le(e.target.index() as u32)));
+    w.section(arcs().map(|e| [e.weight.color.code() as u8]));
+    w.section(arcs().map(|e| e.weight.weight.to_le_bytes()));
+    w.section((0..edges).map(|i| le(tpiin.arc_sources.get(i).copied().unwrap_or(u32::MAX))));
 
     // 11–14: columnar intra-syndicate trades.
     let intra = &tpiin.intra_syndicate_trades;
-    w.section_u32s(intra.iter().map(|t| t.seller.0));
-    w.section_u32s(intra.iter().map(|t| t.buyer.0));
-    w.section_u32s(intra.iter().map(|t| t.syndicate.index() as u32));
-    w.section_f64s(intra.iter().map(|t| t.volume));
+    w.section(intra.iter().map(|t| le(t.seller.0)));
+    w.section(intra.iter().map(|t| le(t.buyer.0)));
+    w.section(intra.iter().map(|t| le(t.syndicate.index() as u32)));
+    w.section(intra.iter().map(|t| t.volume.to_le_bytes()));
 
     // 15–16: dense member -> node lookup tables.
-    w.section_u32s(tpiin.person_node.iter().map(|v| v.index() as u32));
-    w.section_u32s(tpiin.company_node.iter().map(|v| v.index() as u32));
+    w.section(tpiin.person_node.iter().map(|v| le(v.index() as u32)));
+    w.section(tpiin.company_node.iter().map(|v| le(v.index() as u32)));
 
     // 17+: the frozen CSR lanes, verbatim.
     for lane in 0..lanes {
-        w.section_u32s(csr.lane_out_offsets(lane).iter().copied());
-        w.section_u32s(csr.lane_out_targets(lane).iter().copied());
-        w.section_u32s(csr.lane_out_edge_ids(lane).iter().map(|e| e.index() as u32));
-        w.section_u32s(csr.lane_in_offsets(lane).iter().copied());
-        w.section_u32s(csr.lane_in_sources(lane).iter().copied());
+        w.section(csr.lane_out_offsets(lane).iter().map(|&v| le(v)));
+        w.section(csr.lane_out_targets(lane).iter().map(|&v| le(v)));
+        w.section(
+            csr.lane_out_edge_ids(lane)
+                .iter()
+                .map(|e| le(e.index() as u32)),
+        );
+        w.section(csr.lane_in_offsets(lane).iter().map(|&v| le(v)));
+        w.section(csr.lane_in_sources(lane).iter().map(|&v| le(v)));
     }
     w.finish()
 }
@@ -299,16 +288,16 @@ struct Header {
     intra: usize,
     persons: usize,
     companies: usize,
-    lanes: usize,
 }
 
 /// A validated view over an in-memory binary snapshot.
 ///
 /// Construction ([`SnapshotView::parse`]) checks the magic, version and
 /// the whole section table (bounds, 8-byte alignment, expected count)
-/// plus every per-section shape invariant, so the section accessors and
-/// [`SnapshotView::materialize`] cannot read out of bounds or panic on
-/// malformed input.  The buffer is copied once into aligned storage at
+/// plus every per-section shape invariant outside the CSR lanes, whose
+/// own invariants [`CsrGraph::from_raw_lanes`] checks as it adopts them,
+/// so the section accessors and [`SnapshotView::materialize`] cannot
+/// read out of bounds or panic on malformed input.  The buffer is copied once into aligned storage at
 /// parse time; all section views borrow it in place.
 struct SnapshotView {
     buf: AlignedBuf,
@@ -319,11 +308,13 @@ struct SnapshotView {
 impl SnapshotView {
     /// Parses and validates a binary snapshot image.
     fn parse(bytes: &[u8]) -> Result<SnapshotView, IoError> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(bin_err("file shorter than preamble"));
+        if !bytes.starts_with(&MAGIC) {
+            return Err(bin_err(
+                "bad magic bytes: not a TPIINBIN snapshot; re-run `tpiin save-snapshot`",
+            ));
         }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(bin_err("bad magic bytes"));
+        if bytes.len() < TABLE_END {
+            return Err(bin_err("file shorter than its preamble and section table"));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         if version != VERSION {
@@ -332,28 +323,17 @@ impl SnapshotView {
             )));
         }
         let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        if section_count < FIXED_SECTIONS {
+        if section_count != SECTIONS {
             return Err(bin_err(format!(
-                "section count {section_count} below the fixed minimum {FIXED_SECTIONS}"
-            )));
-        }
-        let table_end = 16usize
-            .checked_add(
-                section_count
-                    .checked_mul(16)
-                    .ok_or_else(|| bin_err(format!("section count {section_count} overflows")))?,
-            )
-            .ok_or_else(|| bin_err("section table overflows"))?;
-        if table_end > bytes.len() {
-            return Err(bin_err(format!(
-                "section table ({section_count} entries) is truncated"
+                "{section_count} sections, expected {SECTIONS} ({FIXED_SECTIONS} + \
+                 {LANE_SECTIONS} per CSR lane)"
             )));
         }
 
         let buf = AlignedBuf::from_bytes(bytes);
         let data = buf.bytes();
-        let mut sections = Vec::with_capacity(section_count);
-        for i in 0..section_count {
+        let mut sections = Vec::with_capacity(SECTIONS);
+        for i in 0..SECTIONS {
             let at = 16 + i * 16;
             let offset = u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
             let len = u64::from_le_bytes(data[at + 8..at + 16].try_into().unwrap());
@@ -380,29 +360,12 @@ impl SnapshotView {
             sections.push(offset..end);
         }
 
+        let header = read_header(&buf.bytes()[sections[0].clone()])?;
         let view = SnapshotView {
             buf,
             sections,
-            header: Header {
-                nodes: 0,
-                influence_arcs: 0,
-                trading_arcs: 0,
-                edges: 0,
-                intra: 0,
-                persons: 0,
-                companies: 0,
-                lanes: 0,
-            },
+            header,
         };
-        let h = view.read_header()?;
-        if section_count != FIXED_SECTIONS + LANE_SECTIONS * h.lanes {
-            return Err(bin_err(format!(
-                "expected {} sections for {} lanes, found {section_count}",
-                FIXED_SECTIONS + LANE_SECTIONS * h.lanes,
-                h.lanes
-            )));
-        }
-        let view = SnapshotView { header: h, ..view };
         view.validate_shapes()?;
         Ok(view)
     }
@@ -421,46 +384,9 @@ impl SnapshotView {
             .ok_or_else(|| bin_err(format!("{what} (section {i}) is not an f64 array")))
     }
 
-    fn read_header(&self) -> Result<Header, IoError> {
-        let words =
-            view_u64(self.section_bytes(0)).ok_or_else(|| bin_err("header is not a u64 array"))?;
-        if words.len() != HEADER_FIELDS {
-            return Err(bin_err(format!(
-                "header holds {} fields, expected {HEADER_FIELDS}",
-                words.len()
-            )));
-        }
-        let field = |i: usize, what: &str| -> Result<usize, IoError> {
-            usize::try_from(words[i]).map_err(|_| bin_err(format!("{what} count overflows")))
-        };
-        let h = Header {
-            nodes: field(0, "node")?,
-            influence_arcs: field(1, "influence-arc")?,
-            trading_arcs: field(2, "trading-arc")?,
-            edges: field(3, "edge")?,
-            intra: field(4, "intra-trade")?,
-            persons: field(5, "person")?,
-            companies: field(6, "company")?,
-            lanes: field(7, "lane")?,
-        };
-        if h.influence_arcs.checked_add(h.trading_arcs) != Some(h.edges) {
-            return Err(bin_err(format!(
-                "arc counts {} + {} do not sum to edge count {}",
-                h.influence_arcs, h.trading_arcs, h.edges
-            )));
-        }
-        if h.nodes > u32::MAX as usize || h.edges > u32::MAX as usize {
-            return Err(bin_err("node or edge count exceeds u32 index space"));
-        }
-        if h.lanes == 0 || h.lanes > 16 {
-            return Err(bin_err(format!("implausible lane count {}", h.lanes)));
-        }
-        Ok(h)
-    }
-
-    /// Cross-checks every section's length against the header counts and
-    /// the offset arrays' CSR-style invariants, so `materialize` can
-    /// trust the shapes.
+    /// Cross-checks every non-lane section's length against the header
+    /// counts and the offset arrays' CSR-style invariants, plus the lane
+    /// edge ids' range, so `materialize` can trust the shapes.
     fn validate_shapes(&self) -> Result<(), IoError> {
         let h = &self.header;
         let arena_len = self.section_bytes(1).len();
@@ -515,28 +441,11 @@ impl SnapshotView {
                 )));
             }
         }
-        for lane in 0..h.lanes {
-            let base = FIXED_SECTIONS + lane * LANE_SECTIONS;
-            // Only the offset-array shape is checked here; the CSR
-            // invariants proper are re-validated by `from_raw_lanes`.
-            let targets = self.section_u32s(base + 1, "lane out targets")?.len();
-            check_offset_array(
-                self.section_u32s(base, "lane out offsets")?,
-                h.nodes,
-                targets,
-                "lane out offsets",
-            )?;
-            let sources = self.section_u32s(base + 4, "lane in sources")?.len();
-            check_offset_array(
-                self.section_u32s(base + 3, "lane in offsets")?,
-                h.nodes,
-                sources,
-                "lane in offsets",
-            )?;
-            let ids = self.section_u32s(base + 2, "lane edge ids")?;
-            if ids.len() != targets {
-                return Err(bin_err("lane edge ids length mismatch"));
-            }
+        // The lanes' CSR invariants are checked by `from_raw_lanes`; the
+        // edge ids it cannot see are checked here.
+        for lane in 0..LANES {
+            let ids =
+                self.section_u32s(FIXED_SECTIONS + lane * LANE_SECTIONS + 2, "lane edge ids")?;
             if ids.iter().any(|&id| id as usize >= h.edges) {
                 return Err(bin_err("lane edge id out of range"));
             }
@@ -640,8 +549,8 @@ impl SnapshotView {
         let person_node = node_table(15, "person table")?;
         let company_node = node_table(16, "company table")?;
 
-        let mut lanes = Vec::with_capacity(h.lanes);
-        for lane in 0..h.lanes {
+        let mut lanes = Vec::with_capacity(LANES);
+        for lane in 0..LANES {
             let base = FIXED_SECTIONS + lane * LANE_SECTIONS;
             lanes.push(CsrLaneParts {
                 out_offsets: self.section_u32s(base, "lane out offsets")?.to_vec(),
@@ -671,6 +580,46 @@ impl SnapshotView {
             csr,
         ))
     }
+}
+
+/// Reads and checks the header section's scalar counts.
+fn read_header(section: &[u8]) -> Result<Header, IoError> {
+    let words = view_u64(section).ok_or_else(|| bin_err("header is not a u64 array"))?;
+    if words.len() != HEADER_FIELDS {
+        return Err(bin_err(format!(
+            "header holds {} fields, expected {HEADER_FIELDS}",
+            words.len()
+        )));
+    }
+    let field = |i: usize, what: &str| -> Result<usize, IoError> {
+        usize::try_from(words[i]).map_err(|_| bin_err(format!("{what} count overflows")))
+    };
+    let h = Header {
+        nodes: field(0, "node")?,
+        influence_arcs: field(1, "influence-arc")?,
+        trading_arcs: field(2, "trading-arc")?,
+        edges: field(3, "edge")?,
+        intra: field(4, "intra-trade")?,
+        persons: field(5, "person")?,
+        companies: field(6, "company")?,
+    };
+    if h.influence_arcs.checked_add(h.trading_arcs) != Some(h.edges) {
+        return Err(bin_err(format!(
+            "arc counts {} + {} do not sum to edge count {}",
+            h.influence_arcs, h.trading_arcs, h.edges
+        )));
+    }
+    if h.nodes > u32::MAX as usize || h.edges > u32::MAX as usize {
+        return Err(bin_err("node or edge count exceeds u32 index space"));
+    }
+    // A `Tpiin` reads exactly its trading and influence lanes.
+    if words[7] != LANES as u64 {
+        return Err(bin_err(format!(
+            "lane count {} (a TPIIN has {LANES})",
+            words[7]
+        )));
+    }
+    Ok(h)
 }
 
 /// Checks the CSR-style shape of an offset array: `n + 1` entries,
@@ -714,7 +663,6 @@ pub fn read_snapshot_bin(bytes: &[u8]) -> Result<Tpiin, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::write_snapshot;
 
     fn fig7() -> Tpiin {
         tpiin_fusion::fuse(&tpiin_datagen::fig7_registry())
@@ -722,35 +670,48 @@ mod tests {
             .0
     }
 
+    /// A network whose CSR carries only its trading lane encodes, but a
+    /// `Tpiin` reads two lanes, so the reader refuses the file instead of
+    /// handing the detector a network it would index out of bounds.
     #[test]
-    fn round_trip_preserves_everything() {
+    fn one_lane_file_is_rejected() {
         let tpiin = fig7();
-        let bytes = write_snapshot_bin(&tpiin);
-        let restored = read_snapshot_bin(&bytes).expect("binary snapshot parses");
-        assert_eq!(restored.node_count(), tpiin.node_count());
-        assert_eq!(restored.influence_arc_count, tpiin.influence_arc_count);
-        assert_eq!(restored.trading_arc_count, tpiin.trading_arc_count);
-        assert_eq!(restored.person_node, tpiin.person_node);
-        assert_eq!(restored.company_node, tpiin.company_node);
-        assert_eq!(restored.arc_sources, tpiin.arc_sources);
-        // The text writer is the canonical full-state rendering; equal
-        // text means equal graph payloads, labels and members.
-        assert_eq!(write_snapshot(&restored), write_snapshot(&tpiin));
-    }
+        let csr = tpiin.csr();
+        let lane = tpiin_fusion::TRADING_LANE;
+        let parts = CsrLaneParts {
+            out_offsets: csr.lane_out_offsets(lane).to_vec(),
+            out_targets: csr.lane_out_targets(lane).to_vec(),
+            out_edge_ids: csr
+                .lane_out_edge_ids(lane)
+                .iter()
+                .map(|e| e.index() as u32)
+                .collect(),
+            in_offsets: csr.lane_in_offsets(lane).to_vec(),
+            in_sources: csr.lane_in_sources(lane).to_vec(),
+        };
+        let one_lane = CsrGraph::from_raw_lanes(tpiin.node_count(), vec![parts]).unwrap();
+        let broken = Tpiin::assemble_frozen(
+            tpiin.graph.clone(),
+            tpiin.person_node.clone(),
+            tpiin.company_node.clone(),
+            tpiin.influence_arc_count,
+            tpiin.trading_arc_count,
+            tpiin.intra_syndicate_trades.clone(),
+            tpiin.arc_sources.clone(),
+            one_lane,
+        );
+        let err = read_snapshot_bin(&write_snapshot_bin(&broken)).unwrap_err();
+        assert!(
+            err.to_string().contains("22 sections, expected 27"),
+            "{err}"
+        );
 
-    #[test]
-    fn csr_lanes_are_adopted_not_refrozen() {
-        let tpiin = fig7();
-        let restored = read_snapshot_bin(&write_snapshot_bin(&tpiin)).unwrap();
-        let (a, b) = (tpiin.csr(), restored.csr());
-        assert_eq!(a.lane_count(), b.lane_count());
-        for lane in 0..a.lane_count() {
-            assert_eq!(a.lane_out_offsets(lane), b.lane_out_offsets(lane));
-            assert_eq!(a.lane_out_targets(lane), b.lane_out_targets(lane));
-            assert_eq!(a.lane_out_edge_ids(lane), b.lane_out_edge_ids(lane));
-            assert_eq!(a.lane_in_offsets(lane), b.lane_in_offsets(lane));
-            assert_eq!(a.lane_in_sources(lane), b.lane_in_sources(lane));
-        }
+        // A full-size image whose header claims one lane is refused too.
+        let mut bytes = write_snapshot_bin(&tpiin);
+        let header = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        bytes[header + 56..header + 64].copy_from_slice(&1u64.to_le_bytes());
+        let err = read_snapshot_bin(&bytes).unwrap_err();
+        assert!(err.to_string().contains("lane count 1"), "{err}");
     }
 
     #[test]
@@ -768,7 +729,11 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         let err = read_snapshot_bin(&wrong_magic).unwrap_err().to_string();
-        assert!(err.contains("bad magic"), "{err}");
+        assert!(err.contains("re-run `tpiin save-snapshot`"), "{err}");
+        // A line-oriented text file from an older build gets the same
+        // typed error.
+        let err = read_snapshot_bin(b"nodes 1\nP L1 0\narcs 0 0\nintra 0\n").unwrap_err();
+        assert!(err.to_string().contains("not a TPIINBIN snapshot"), "{err}");
         bytes[8] = 0xFF; // version LSB
         let err = read_snapshot_bin(&bytes).unwrap_err().to_string();
         assert!(err.contains("unsupported version"), "{err}");

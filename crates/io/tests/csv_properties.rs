@@ -146,12 +146,6 @@ mod edgelist_fuzz {
             let _ = tpiin_io::edgelist::parse_edge_list(&text, "fuzz");
         }
 
-        /// The snapshot reader never panics on arbitrary input.
-        #[test]
-        fn snapshot_reader_never_panics(text in ".*") {
-            let _ = tpiin_io::snapshot::read_snapshot(&text);
-        }
-
         /// The JSON parser never panics on arbitrary input.
         #[test]
         fn json_parser_never_panics(text in ".*") {

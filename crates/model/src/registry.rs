@@ -425,16 +425,9 @@ impl SourceRegistry {
     ///   designated person's role set admits the position;
     /// * investment shares lie in `(0, 1]`.
     ///
-    /// The check is split per record type ([`validate_interdependencies`],
-    /// [`validate_influences`], [`validate_investments`],
-    /// [`validate_tradings`]) so the fusion front-end can run the four
-    /// sweeps on separate threads; this method concatenates their error
-    /// lists in that fixed order, so the report is the same either way.
-    ///
-    /// [`validate_interdependencies`]: SourceRegistry::validate_interdependencies
-    /// [`validate_influences`]: SourceRegistry::validate_influences
-    /// [`validate_investments`]: SourceRegistry::validate_investments
-    /// [`validate_tradings`]: SourceRegistry::validate_tradings
+    /// Errors come grouped by record type in a fixed order —
+    /// interdependences, influences (legal-person gaps last), investments,
+    /// tradings — each group in record order.
     pub fn validate(&self) -> Result<(), Vec<ModelError>> {
         let mut errors = self.validate_interdependencies();
         errors.extend(self.validate_influences());
@@ -448,7 +441,7 @@ impl SourceRegistry {
     }
 
     /// Violations among person–person interdependence edges only.
-    pub fn validate_interdependencies(&self) -> Vec<ModelError> {
+    fn validate_interdependencies(&self) -> Vec<ModelError> {
         let mut errors = Vec::new();
         let np = self.persons.len() as u32;
         for i in &self.interdependencies {
@@ -466,7 +459,7 @@ impl SourceRegistry {
 
     /// Violations among influence arcs, including the legal-person
     /// constraints (exactly one admissible LP per company).
-    pub fn validate_influences(&self) -> Vec<ModelError> {
+    fn validate_influences(&self) -> Vec<ModelError> {
         let mut errors = Vec::new();
         let np = self.persons.len() as u32;
         let nc = self.companies.len() as u32;
@@ -510,7 +503,7 @@ impl SourceRegistry {
     }
 
     /// Violations among company–company investment arcs only.
-    pub fn validate_investments(&self) -> Vec<ModelError> {
+    fn validate_investments(&self) -> Vec<ModelError> {
         let mut errors = Vec::new();
         let nc = self.companies.len() as u32;
         for inv in &self.investments {
@@ -534,7 +527,7 @@ impl SourceRegistry {
     }
 
     /// Violations among company–company trading arcs only.
-    pub fn validate_tradings(&self) -> Vec<ModelError> {
+    fn validate_tradings(&self) -> Vec<ModelError> {
         let mut errors = Vec::new();
         let nc = self.companies.len() as u32;
         for tr in &self.tradings {
@@ -797,24 +790,34 @@ mod tests {
     }
 
     #[test]
-    fn per_type_validators_concatenate_to_validate() {
+    fn validate_reports_errors_in_record_type_order() {
         let mut r = valid_registry();
-        r.add_interdependence(PersonId(0), PersonId(0), InterdependenceKind::Kinship);
-        r.add_investment(InvestmentRecord {
-            investor: CompanyId(9),
-            investee: CompanyId(0),
-            share: 2.0,
-        });
         r.add_trading(TradingRecord {
             seller: CompanyId(1),
             buyer: CompanyId(1),
             volume: 1.0,
         });
-        let mut split = r.validate_interdependencies();
-        split.extend(r.validate_influences());
-        split.extend(r.validate_investments());
-        split.extend(r.validate_tradings());
-        assert_eq!(r.validate().unwrap_err(), split);
+        r.add_investment(InvestmentRecord {
+            investor: CompanyId(9),
+            investee: CompanyId(0),
+            share: 2.0,
+        });
+        let lp_less = r.add_company("no LP");
+        r.add_interdependence(PersonId(0), PersonId(0), InterdependenceKind::Kinship);
+        assert_eq!(
+            r.validate().unwrap_err(),
+            vec![
+                ModelError::SelfInterdependence(PersonId(0)),
+                ModelError::MissingLegalPerson(lp_less),
+                ModelError::UnknownCompany(CompanyId(9)),
+                ModelError::InvalidShare {
+                    investor: CompanyId(9),
+                    investee: CompanyId(0),
+                    share: 2.0,
+                },
+                ModelError::SelfCompanyArc(CompanyId(1)),
+            ]
+        );
     }
 
     #[test]

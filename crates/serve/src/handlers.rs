@@ -578,11 +578,9 @@ pub fn reload(state: &ServerState) -> Result<u64, (u16, String)> {
     };
     let span = Span::at("serve.reload");
     let load_started = Instant::now();
-    // Bytes, not a string: the file may be the binary zero-copy format,
-    // which `read_snapshot_bytes` auto-detects by its magic prefix.
     let bytes =
         std::fs::read(path).map_err(|err| (500, format!("reading {}: {err}", path.display())))?;
-    let tpiin = tpiin_io::snapshot::read_snapshot_bytes(&bytes)
+    let tpiin = tpiin_io::snapshot_bin::read_snapshot_bin(&bytes)
         .map_err(|err| (400, format!("parsing {}: {err}", path.display())))?;
     let load_micros = load_started.elapsed().as_micros() as u64;
 

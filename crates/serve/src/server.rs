@@ -180,16 +180,13 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// Loads and parses a snapshot file (CLI and daemon startup).  The
-/// format is auto-detected: files starting with the `TPIINBIN` magic
-/// take the zero-copy binary path, everything else parses as the text
-/// `tpiin-snapshot` format.
+/// Loads and parses a TPIINBIN snapshot file (CLI and daemon startup).
 pub fn load_snapshot_file(path: &std::path::Path) -> Result<Tpiin, ServeError> {
     let bytes = std::fs::read(path).map_err(|source| ServeError::File {
         path: path.to_path_buf(),
         source,
     })?;
-    tpiin_io::snapshot::read_snapshot_bytes(&bytes).map_err(ServeError::Snapshot)
+    tpiin_io::snapshot_bin::read_snapshot_bin(&bytes).map_err(ServeError::Snapshot)
 }
 
 /// A running daemon; dropping it (or calling [`ServerHandle::shutdown`])

@@ -111,7 +111,8 @@ fn concurrent_clients_survive_hot_reload_without_lost_responses() {
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::write(&path, tpiin_io::snapshot::write_snapshot(&tpiin)).expect("write snapshot");
+    std::fs::write(&path, tpiin_io::snapshot_bin::write_snapshot_bin(&tpiin))
+        .expect("write snapshot");
 
     let config = ServeConfig {
         workers: 4,
@@ -471,7 +472,8 @@ fn reload_mid_window_resets_latency_window_series() {
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::write(&path, tpiin_io::snapshot::write_snapshot(&tpiin)).expect("write snapshot");
+    std::fs::write(&path, tpiin_io::snapshot_bin::write_snapshot_bin(&tpiin))
+        .expect("write snapshot");
     let config = ServeConfig {
         snapshot_path: Some(path.clone()),
         ..ServeConfig::default()
@@ -522,32 +524,30 @@ fn reload_mid_window_resets_latency_window_series() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A binary zero-copy snapshot hot-swaps exactly like a text one: the
-/// watcher-facing `/reload` auto-detects the format by magic, the epoch
-/// advances, `/status` reports the load time, and the served groups are
-/// identical to what the text snapshot produces.
+/// A snapshot hot swap serves what the in-memory bind served: the
+/// watcher-facing `/reload` reads the file, the epoch advances,
+/// `/status` reports the load time, and `/groups` is identical to the
+/// bound network's bar the epoch tags.
 #[test]
-fn binary_snapshot_hot_swap_matches_text() {
+fn snapshot_reload_serves_the_in_memory_groups() {
     let tpiin = fig7();
     let path: PathBuf = std::env::temp_dir().join(format!(
         "tpiin-serve-bin-{}-{:?}.tpiin",
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::write(&path, tpiin_io::snapshot::write_snapshot(&tpiin)).expect("write snapshot");
+    std::fs::write(&path, tpiin_io::snapshot_bin::write_snapshot_bin(&tpiin))
+        .expect("write snapshot");
     let config = ServeConfig {
         snapshot_path: Some(path.clone()),
         ..ServeConfig::default()
     };
-    let handle = ServerHandle::bind(tpiin.clone(), config).expect("bind");
+    let handle = ServerHandle::bind(tpiin, config).expect("bind");
     let addr = handle.addr();
-    let (_, text_groups) = get(addr, "/groups");
+    let (_, bound_groups) = get(addr, "/groups");
 
-    // Overwrite the watched file with the binary encoding and reload.
-    std::fs::write(&path, tpiin_io::snapshot_bin::write_snapshot_bin(&tpiin))
-        .expect("write binary snapshot");
     let (status, body) = post(addr, "/reload", "");
-    assert_eq!(status, "HTTP/1.1 200 OK", "binary reload failed: {body}");
+    assert_eq!(status, "HTTP/1.1 200 OK", "reload failed: {body}");
     assert!(body.contains("\"epoch\":2"), "epoch advanced: {body}");
 
     let (status, body) = get(addr, "/status");
@@ -564,14 +564,46 @@ fn binary_snapshot_hot_swap_matches_text() {
         "load time reported: {body}"
     );
 
-    // The binary epoch serves bit-identical groups (bar the epoch tags:
-    // the served one and the one the result was mined at).
-    let (status, bin_groups) = get(addr, "/groups");
+    // The reloaded epoch serves bit-identical groups (bar the epoch
+    // tags: the served one and the one the result was mined at).
+    let (status, reloaded_groups) = get(addr, "/groups");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(
-        bin_groups.replace("epoch\":2", "epoch\":1"),
-        text_groups,
-        "binary snapshot served different groups"
+        reloaded_groups.replace("epoch\":2", "epoch\":1"),
+        bound_groups,
+        "reloaded snapshot served different groups"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A line-oriented text snapshot left over from an older build is not
+/// a TPIINBIN file: `/reload` answers 400 with the typed reader error
+/// and the daemon keeps serving the epoch it had.
+#[test]
+fn legacy_text_snapshot_reload_is_a_400() {
+    let tpiin = fig7();
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "tpiin-serve-legacy-{}-{:?}.tpiin",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, "nodes 1\nP L1 0\narcs 0 0\nintra 0\n").expect("write text file");
+    let config = ServeConfig {
+        snapshot_path: Some(path.clone()),
+        ..ServeConfig::default()
+    };
+    let handle = ServerHandle::bind(tpiin, config).expect("bind");
+    let addr = handle.addr();
+
+    let (status, body) = post(addr, "/reload", "");
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("not a TPIINBIN snapshot"), "{body}");
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(
+        body.contains("\"epoch\":1"),
+        "old epoch still served: {body}"
     );
     handle.shutdown();
     let _ = std::fs::remove_file(&path);
@@ -588,7 +620,8 @@ fn carried_miners_report_the_epoch_they_were_mined_at() {
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::write(&path, tpiin_io::snapshot::write_snapshot(&tpiin)).expect("write snapshot");
+    std::fs::write(&path, tpiin_io::snapshot_bin::write_snapshot_bin(&tpiin))
+        .expect("write snapshot");
     let config = ServeConfig {
         snapshot_path: Some(path.clone()),
         ..ServeConfig::default()

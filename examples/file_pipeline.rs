@@ -11,7 +11,7 @@
 use tpiin::datagen::{add_random_trading, generate_province, ProvinceConfig};
 use tpiin::detect::detect;
 use tpiin::fusion::fuse;
-use tpiin::io::{edgelist, graphml, registry_csv, reports};
+use tpiin::io::{graphml, registry_csv, reports};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workdir = std::env::temp_dir().join("tpiin-file-pipeline");
@@ -49,10 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Also export the interchange formats: the r x 3 edge list the
     //    paper's Algorithm 1 consumes, and GraphML for Gephi.
-    std::fs::write(
-        workdir.join("tpiin.edgelist"),
-        edgelist::render_edge_list(&tpiin),
-    )?;
+    std::fs::write(workdir.join("tpiin.edgelist"), tpiin.edge_list())?;
     std::fs::write(
         workdir.join("tpiin.graphml"),
         graphml::tpiin_graphml(&tpiin),

@@ -9,7 +9,7 @@ use tpiin::delta::DeltaEngine;
 use tpiin::detect::{detect, groups_behind_arc};
 use tpiin::fusion::fuse;
 use tpiin::io::json::Json;
-use tpiin::io::{registry_csv, reports, snapshot};
+use tpiin::io::{registry_csv, reports, snapshot_bin};
 use tpiin::model::TradingRecord;
 
 #[test]
@@ -30,7 +30,8 @@ fn full_workflow_round_trip() {
 
     // Fuse once, snapshot, restore — detection agrees across the boundary.
     let (tpiin, _) = fuse(&loaded).unwrap();
-    let restored = snapshot::read_snapshot(&snapshot::write_snapshot(&tpiin)).unwrap();
+    let restored =
+        snapshot_bin::read_snapshot_bin(&snapshot_bin::write_snapshot_bin(&tpiin)).unwrap();
     let result = detect(&tpiin);
     let result_restored = detect(&restored);
     assert_eq!(result.group_count(), result_restored.group_count());
