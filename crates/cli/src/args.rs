@@ -232,6 +232,12 @@ impl Options {
             self.probs.clone()
         }
     }
+
+    /// The trading probability of a single-network command: the first
+    /// value of [`Options::sweep_probs`].
+    pub fn trading_prob(&self) -> f64 {
+        self.probs.first().copied().unwrap_or(PAPER_PROBS[0])
+    }
 }
 
 #[cfg(test)]

@@ -113,6 +113,15 @@ fn province(opts: &Options) -> (SourceRegistry, ProvinceConfig) {
     (generate_province(&config), config)
 }
 
+/// The generated province with random trading at the first `--probs`
+/// value, seeded by `--seed`: the one network every single-network
+/// command reads.
+fn traded_province(opts: &Options) -> (SourceRegistry, ProvinceConfig) {
+    let (mut registry, config) = province(opts);
+    add_random_trading(&mut registry, opts.trading_prob(), opts.seed);
+    (registry, config)
+}
+
 fn detector(collect: bool) -> Detector {
     Detector::new(DetectorConfig {
         collect_groups: collect,
@@ -207,11 +216,12 @@ pub fn table1(opts: &Options) -> Result<(), tpiin::Error> {
 /// `tpiin stats` — the fusion report (Figs. 11–16 numbers) plus
 /// segmentation statistics.
 pub fn stats(opts: &Options) -> Result<(), tpiin::Error> {
-    let (mut registry, config) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, config) = traded_province(opts);
     let (tpiin, report) = fuse(&registry)?;
-    println!("# Network construction (Figs. 11-16), trading probability {p}");
+    println!(
+        "# Network construction (Figs. 11-16), trading probability {}",
+        opts.trading_prob()
+    );
     println!("{}", report.summary());
     let subs = segment_tpiin(&tpiin);
     let with_trades = subs.iter().filter(|s| s.trading_arc_count > 0).count();
@@ -298,9 +308,7 @@ pub fn cases() -> Result<(), tpiin::Error> {
 /// `--miner` strategy (default: rules), top groups printed per miner.
 pub fn detect_one(opts: &Options) -> Result<(), tpiin::Error> {
     let miners = miner_registry(opts)?;
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     let (tpiin, _) = fuse(&registry)?;
     let ctx = MineContext {
         config: DetectorConfig::default(),
@@ -418,9 +426,7 @@ pub fn explain(opts: &Options) -> Result<(), tpiin::Error> {
 /// like the paper's figures (red companies, black persons, blue influence
 /// arcs, black trading arcs).
 pub fn export_dot(opts: &Options) -> Result<(), tpiin::Error> {
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     let (tpiin, _) = fuse(&registry)?;
     let text = tpiin_io::groupviz::tpiin_dot(&tpiin);
     match &opts.out {
@@ -436,9 +442,7 @@ pub fn save_province(opts: &Options) -> Result<(), tpiin::Error> {
         .dir
         .as_deref()
         .ok_or_else(|| tpiin::Error::Usage("save-province requires --dir".into()))?;
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     tpiin_io::registry_csv::save_registry(&registry, std::path::Path::new(dir))?;
     println!(
         "wrote {} persons, {} companies, {} trading records to {dir}/",
@@ -503,9 +507,7 @@ pub fn report(opts: &Options) -> Result<(), tpiin::Error> {
         .dir
         .as_deref()
         .ok_or_else(|| tpiin::Error::Usage("report requires --dir".into()))?;
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     let (tpiin, _) = fuse(&registry)?;
     let result = detector(true).detect(&tpiin);
     let files = tpiin_io::reports::write_reports(&tpiin, &result, std::path::Path::new(dir))?;
@@ -524,9 +526,7 @@ pub fn query(opts: &Options) -> Result<(), tpiin::Error> {
         .arc
         .as_ref()
         .ok_or_else(|| tpiin::Error::Usage("query requires --arc SELLER,BUYER".into()))?;
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     let (tpiin, _) = fuse(&registry)?;
     let find = |label: &str| {
         tpiin
@@ -561,9 +561,7 @@ pub fn query(opts: &Options) -> Result<(), tpiin::Error> {
 
 /// `tpiin export-graphml` — Gephi-compatible export.
 pub fn export_graphml(opts: &Options) -> Result<(), tpiin::Error> {
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     let (tpiin, _) = fuse(&registry)?;
     let text = tpiin_io::graphml::tpiin_graphml(&tpiin);
     match &opts.out {
@@ -575,9 +573,7 @@ pub fn export_graphml(opts: &Options) -> Result<(), tpiin::Error> {
 
 /// `tpiin two-phase` — the full Fig. 4 pipeline with evaluation.
 pub fn two_phase(opts: &Options) -> Result<(), tpiin::Error> {
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     let (tpiin, _) = fuse(&registry)?;
     let msg = detector(false).detect(&tpiin);
     println!(
@@ -630,9 +626,7 @@ fn serving_tpiin(opts: &Options) -> Result<Tpiin, tpiin::Error> {
     match opts.dataset.as_deref().unwrap_or("fig7") {
         "fig7" => Ok(fuse(&fig7_registry()).map(|(t, _)| t)?),
         "province" => {
-            let (mut registry, _) = province(opts);
-            let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-            add_random_trading(&mut registry, p, opts.seed);
+            let (registry, _) = traded_province(opts);
             Ok(fuse(&registry).map(|(t, _)| t)?)
         }
         other => Err(tpiin::Error::Usage(format!(
@@ -954,9 +948,7 @@ pub fn analyze(opts: &Options) -> Result<(), tpiin::Error> {
         .company
         .as_deref()
         .ok_or_else(|| tpiin::Error::Usage("analyze requires --company LABEL".into()))?;
-    let (mut registry, _) = province(opts);
-    let p = *opts.sweep_probs().first().unwrap_or(&0.002);
-    add_random_trading(&mut registry, p, opts.seed);
+    let (registry, _) = traded_province(opts);
     let company_id = registry
         .company_by_name(label)
         .ok_or_else(|| tpiin::Error::Usage(format!("no company named `{label}`")))?;

@@ -194,35 +194,6 @@ impl Tpiin {
         }
     }
 
-    /// Like [`Tpiin::assemble`], but adopts an already-frozen CSR snapshot
-    /// instead of re-running the counting sort.  Used by the binary
-    /// snapshot loader, which ships the frozen lanes inside the file; the
-    /// caller is responsible for `csr` actually matching `graph` (the
-    /// loader cross-checks node and per-lane edge counts).
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_frozen(
-        graph: DiGraph<TpiinNode, TpiinArc>,
-        person_node: Vec<NodeId>,
-        company_node: Vec<NodeId>,
-        influence_arc_count: usize,
-        trading_arc_count: usize,
-        intra_syndicate_trades: Vec<IntraSyndicateTrade>,
-        mut arc_sources: Vec<u32>,
-        csr: CsrGraph,
-    ) -> Tpiin {
-        arc_sources.resize(graph.edge_count(), u32::MAX);
-        Tpiin {
-            graph,
-            person_node,
-            company_node,
-            influence_arc_count,
-            trading_arc_count,
-            intra_syndicate_trades,
-            arc_sources,
-            csr,
-        }
-    }
-
     fn freeze_graph(graph: &DiGraph<TpiinNode, TpiinArc>) -> CsrGraph {
         graph.freeze_lanes(2, |_, arc| arc.color.code() as usize)
     }

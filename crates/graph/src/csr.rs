@@ -59,106 +59,7 @@ pub struct CsrGraph {
     lanes: Vec<Lane>,
 }
 
-/// Owned raw arrays of one CSR lane, for serializing a frozen graph and
-/// rebuilding it without re-running the counting sort.  Edge ids travel
-/// as their dense `u32` indices (see [`EdgeId::index`]).
-#[derive(Clone, Debug, Default)]
-pub struct CsrLaneParts {
-    /// Forward offsets, length `node_count + 1`, monotone, first `0`.
-    pub out_offsets: Vec<u32>,
-    /// Arc heads grouped by source, length `out_offsets[node_count]`.
-    pub out_targets: Vec<u32>,
-    /// Dense edge indices parallel to `out_targets`.
-    pub out_edge_ids: Vec<u32>,
-    /// Reverse offsets, same shape contract as `out_offsets`.
-    pub in_offsets: Vec<u32>,
-    /// Arc tails grouped by target, length `in_offsets[node_count]`.
-    pub in_sources: Vec<u32>,
-}
-
-fn check_offsets(name: &str, offsets: &[u32], n: usize, entries: usize) -> Result<(), String> {
-    if offsets.len() != n + 1 {
-        return Err(format!(
-            "{name}: expected {} offsets for {n} nodes, got {}",
-            n + 1,
-            offsets.len()
-        ));
-    }
-    if offsets[0] != 0 {
-        return Err(format!("{name}: first offset is {}, not 0", offsets[0]));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(format!("{name}: offsets are not monotone"));
-    }
-    if offsets[n] as usize != entries {
-        return Err(format!(
-            "{name}: final offset {} does not match {entries} entries",
-            offsets[n]
-        ));
-    }
-    Ok(())
-}
-
 impl CsrGraph {
-    /// Reassembles a frozen graph from per-lane raw arrays, validating the
-    /// CSR invariants (offset shape/monotonicity, entry counts, node
-    /// bounds) instead of trusting the caller.  The inverse of reading the
-    /// arrays back via [`CsrGraph::lane_out_offsets`] and friends; lets a
-    /// binary snapshot skip the freeze counting sort entirely.
-    pub fn from_raw_lanes(node_count: usize, parts: Vec<CsrLaneParts>) -> Result<CsrGraph, String> {
-        let mut lanes = Vec::with_capacity(parts.len());
-        for (i, p) in parts.into_iter().enumerate() {
-            check_offsets(
-                &format!("lane {i} out_offsets"),
-                &p.out_offsets,
-                node_count,
-                p.out_targets.len(),
-            )?;
-            check_offsets(
-                &format!("lane {i} in_offsets"),
-                &p.in_offsets,
-                node_count,
-                p.in_sources.len(),
-            )?;
-            if p.out_edge_ids.len() != p.out_targets.len() {
-                return Err(format!(
-                    "lane {i}: {} edge ids for {} targets",
-                    p.out_edge_ids.len(),
-                    p.out_targets.len()
-                ));
-            }
-            if p.out_targets.len() != p.in_sources.len() {
-                return Err(format!(
-                    "lane {i}: {} out entries but {} in entries",
-                    p.out_targets.len(),
-                    p.in_sources.len()
-                ));
-            }
-            let bound = node_count as u32;
-            if p.out_targets
-                .iter()
-                .chain(p.in_sources.iter())
-                .any(|&v| v >= bound)
-            {
-                return Err(format!(
-                    "lane {i}: node index out of range (n = {node_count})"
-                ));
-            }
-            lanes.push(Lane {
-                out_offsets: p.out_offsets,
-                out_targets: p.out_targets,
-                out_edge_ids: p
-                    .out_edge_ids
-                    .into_iter()
-                    .map(|id| EdgeId::from_index(id as usize))
-                    .collect(),
-                in_offsets: p.in_offsets,
-                in_sources: p.in_sources,
-            });
-        }
-        Ok(CsrGraph { node_count, lanes })
-    }
-
     /// Forward offset array of `lane` (length `node_count + 1`).
     #[inline]
     pub fn lane_out_offsets(&self, lane: usize) -> &[u32] {
@@ -605,69 +506,6 @@ mod tests {
         let csr = g.freeze_lanes(2, |_, &w| w as usize);
         assert!(!csr.is_acyclic(0));
         assert!(csr.is_acyclic(1));
-    }
-
-    #[test]
-    fn raw_lane_round_trip_rebuilds_identical_csr() {
-        let g = graph_from(&[(0, 1), (0, 2), (1, 2), (2, 0)], 3);
-        let csr = g.freeze_lanes(2, |_, &w| w as usize);
-        let parts: Vec<CsrLaneParts> = (0..csr.lane_count())
-            .map(|lane| CsrLaneParts {
-                out_offsets: csr.lane_out_offsets(lane).to_vec(),
-                out_targets: csr.lane_out_targets(lane).to_vec(),
-                out_edge_ids: csr
-                    .lane_out_edge_ids(lane)
-                    .iter()
-                    .map(|e| e.index() as u32)
-                    .collect(),
-                in_offsets: csr.lane_in_offsets(lane).to_vec(),
-                in_sources: csr.lane_in_sources(lane).to_vec(),
-            })
-            .collect();
-        let rebuilt = CsrGraph::from_raw_lanes(csr.node_count(), parts).expect("valid parts");
-        assert_eq!(rebuilt.node_count(), csr.node_count());
-        for lane in 0..csr.lane_count() {
-            for v in 0..csr.node_count() as u32 {
-                assert_eq!(rebuilt.out(lane, v), csr.out(lane, v));
-                assert_eq!(rebuilt.out_edge_ids(lane, v), csr.out_edge_ids(lane, v));
-                assert_eq!(rebuilt.sources(lane, v), csr.sources(lane, v));
-            }
-        }
-        assert_eq!(rebuilt.heap_bytes(), csr.heap_bytes());
-    }
-
-    #[test]
-    fn raw_lanes_reject_malformed_arrays() {
-        let ok = || CsrLaneParts {
-            out_offsets: vec![0, 1, 1],
-            out_targets: vec![1],
-            out_edge_ids: vec![0],
-            in_offsets: vec![0, 0, 1],
-            in_sources: vec![0],
-        };
-        assert!(CsrGraph::from_raw_lanes(2, vec![ok()]).is_ok());
-        let mut short = ok();
-        short.out_offsets.pop();
-        assert!(CsrGraph::from_raw_lanes(2, vec![short]).is_err());
-        let mut nonmono = ok();
-        nonmono.out_offsets = vec![0, 2, 1];
-        assert!(CsrGraph::from_raw_lanes(2, vec![nonmono]).is_err());
-        let mut bad_total = ok();
-        bad_total.out_offsets = vec![0, 1, 2];
-        assert!(CsrGraph::from_raw_lanes(2, vec![bad_total]).is_err());
-        let mut oob = ok();
-        oob.out_targets = vec![7];
-        assert!(CsrGraph::from_raw_lanes(2, vec![oob]).is_err());
-        let mut lopsided = ok();
-        lopsided.in_offsets = vec![0, 0, 0];
-        lopsided.in_sources = vec![];
-        assert!(CsrGraph::from_raw_lanes(2, vec![lopsided]).is_err());
-        let mut ids = ok();
-        ids.out_edge_ids = vec![0, 1];
-        assert!(CsrGraph::from_raw_lanes(2, vec![ids]).is_err());
-        let mut nonzero = ok();
-        nonzero.out_offsets = vec![1, 1, 1];
-        assert!(CsrGraph::from_raw_lanes(2, vec![nonzero]).is_err());
     }
 
     #[test]

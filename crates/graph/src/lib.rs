@@ -37,7 +37,7 @@ mod ids;
 mod scc;
 mod unionfind;
 
-pub use csr::{csr_index, CsrGraph, CsrLaneParts};
+pub use csr::{csr_index, CsrGraph};
 pub use digraph::{DiGraph, EdgeRef};
 pub use ids::{EdgeId, NodeId};
 pub use scc::SccScratch;

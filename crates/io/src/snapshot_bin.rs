@@ -4,37 +4,47 @@
 //! streaming ingestion happen all day.  A snapshot lets those processes
 //! share the fused network without re-running fusion.  Loading one is a
 //! bulk read into an 8-byte-aligned buffer plus cheap section-slice views
-//! — no per-record parsing — and the frozen CSR lanes travel inside the
-//! file so materialization skips the freeze counting sort too.  The file
-//! is derived data: `tpiin save-snapshot` rebuilds it from the registry,
-//! and the edge list, GraphML, DOT and registry CSV are the
-//! human-readable views of the same network.
+//! — no per-record parsing.  The file stores each arc once, in the
+//! columnar edge list; the loader freezes the CSR lanes from it with the
+//! same counting sort fusion runs, so a loaded network's adjacency is
+//! always the freeze of its own arcs.  The file is derived data: `tpiin
+//! save-snapshot` rebuilds it from the registry, and the edge list,
+//! GraphML, DOT and registry CSV are the human-readable views of the
+//! same network.
 //!
 //! ## Layout (all integers little-endian)
 //!
 //! ```text
 //! magic     8 bytes   "TPIINBIN"
-//! version   u32       1
-//! sections  u32       section count: 17 + 5 per CSR lane, 2 lanes = 27
+//! version   u32       2
+//! sections  u32       section count: 17
 //! table     sections × (offset u64, len u64)   byte ranges, 8-aligned
 //! payload   the sections, each padded to an 8-byte boundary
 //! ```
 //!
-//! Fixed section indices (element types in brackets):
+//! Section indices (element types in brackets):
 //!
 //! | # | section | contents |
 //! |---|---------|----------|
-//! | 0 | header  | `[u64; 8]`: nodes, influence arcs, trading arcs, edges, intra trades, person-table len, company-table len, lane count (2) |
+//! | 0 | header  | `[u64; 7]`: nodes, influence arcs, trading arcs, edges, intra trades, person-table len, company-table len |
 //! | 1 | label arena | concatenated UTF-8 label bytes (validated once) |
 //! | 2 | label offsets | `u32[n+1]` byte offsets into the arena |
 //! | 3 | node tags | `u8[n]`, `0` person / `1` company |
 //! | 4 | member offsets | `u32[n+1]` into the flat member array |
 //! | 5 | members | `u32[]` source person/company ids, grouped by node |
-//! | 6–10 | arcs, columnar | `u32[] src`, `u32[] dst`, `u8[] color`, `f64[] weight`, `u32[] source-seq` |
+//! | 6–10 | arcs, columnar, edge-id order: influence arcs, then trading arcs | `u32[] src`, `u32[] dst`, `u8[] color`, `f64[] weight`, `u32[] source-seq` |
 //! | 11–14 | intra trades, columnar | `u32[] seller`, `u32[] buyer`, `u32[] syndicate`, `f64[] volume` |
 //! | 15 | person table | `u32[]` TPIIN node per source person |
 //! | 16 | company table | `u32[]` TPIIN node per source company |
-//! | 17–26 | CSR lanes | trading lane, then influence lane; per lane: `u32[n+1] out_offsets`, `u32[] out_targets`, `u32[] out_edge_ids`, `u32[n+1] in_offsets`, `u32[] in_sources` |
+//!
+//! Version 1 also stored the two frozen CSR lanes (ten more sections and
+//! a header lane count): a second copy of every arc, which the reader
+//! never checked against the columns.  Without it the bench nation image
+//! shrinks from 7.07 to 4.46 MB (dense province 4.36 → 2.76 MB) and
+//! `write_snapshot_bin` from 7.9 to 5.9 ms, while the load, which now
+//! runs the freeze, stays near 12 ms (one traced `bench_e2e` run per
+//! version on a 2-vCPU host; DESIGN §14 has the table).  The reader
+//! refuses version 1 as an unknown version.
 //!
 //! ## Versioning policy
 //!
@@ -44,14 +54,17 @@
 //! reorders it) and bumps the version, because the reader checks the
 //! exact section count.
 //!
-//! Every section view is bounds- and alignment-checked before use;
-//! malformed input yields a typed [`IoError`], never a panic.
+//! Every section view is bounds- and alignment-checked before use, and
+//! the arcs must keep the influence-then-trading edge-id order and leave
+//! the influence arcs acyclic; malformed input yields a typed
+//! [`IoError`], never a panic and never a network fusion could not have
+//! built.
 
 use crate::error::IoError;
 use std::ops::Range;
 use tpiin_fusion::compact::Label;
-use tpiin_fusion::{ArcColor, IntraSyndicateTrade, Tpiin, TpiinArc, TpiinNode};
-use tpiin_graph::{CsrGraph, CsrLaneParts, DiGraph, NodeId};
+use tpiin_fusion::{ArcColor, IntraSyndicateTrade, Tpiin, TpiinArc, TpiinNode, INFLUENCE_LANE};
+use tpiin_graph::{DiGraph, NodeId};
 use tpiin_model::{CompanyId, PersonId};
 
 // The on-disk layout is little-endian and the reader reinterprets the
@@ -62,21 +75,15 @@ compile_error!("the binary snapshot reader assumes a little-endian host");
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"TPIINBIN";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
-/// CSR lanes of a TPIIN: trading and influence.
-const LANES: usize = 2;
-/// Sections before the per-lane CSR arrays.
-const FIXED_SECTIONS: usize = 17;
-/// Sections per CSR lane.
-const LANE_SECTIONS: usize = 5;
 /// Sections of a TPIIN image.
-const SECTIONS: usize = FIXED_SECTIONS + LANE_SECTIONS * LANES;
+const SECTIONS: usize = 17;
 /// End of the preamble (magic, version, section count) and the section
 /// table.
 const TABLE_END: usize = 16 + SECTIONS * 16;
 /// `u64` fields in the header section.
-const HEADER_FIELDS: usize = 8;
+const HEADER_FIELDS: usize = 7;
 
 fn bin_err(message: impl Into<String>) -> IoError {
     IoError::parse("snapshot-bin", 0, message)
@@ -142,19 +149,16 @@ struct SectionWriter {
 }
 
 impl SectionWriter {
-    fn new(section_count: usize) -> SectionWriter {
-        let mut buf = Vec::new();
+    fn new() -> SectionWriter {
+        let mut buf = Vec::with_capacity(TABLE_END);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&(section_count as u32).to_le_bytes());
-        // Reserve the table; patched in `finish`.
-        buf.resize(buf.len() + section_count * 16, 0);
-        while buf.len() % 8 != 0 {
-            buf.push(0);
-        }
+        buf.extend_from_slice(&(SECTIONS as u32).to_le_bytes());
+        // Reserve the table (already 8-aligned); patched in `finish`.
+        buf.resize(TABLE_END, 0);
         SectionWriter {
             buf,
-            table: Vec::with_capacity(section_count),
+            table: Vec::with_capacity(SECTIONS),
         }
     }
 
@@ -187,9 +191,7 @@ impl SectionWriter {
 pub fn write_snapshot_bin(tpiin: &Tpiin) -> Vec<u8> {
     let n = tpiin.graph.node_count();
     let edges = tpiin.graph.edge_count();
-    let csr = tpiin.csr();
-    let lanes = csr.lane_count();
-    let mut w = SectionWriter::new(FIXED_SECTIONS + LANE_SECTIONS * lanes);
+    let mut w = SectionWriter::new();
 
     // 0: header.
     w.section(
@@ -201,7 +203,6 @@ pub fn write_snapshot_bin(tpiin: &Tpiin) -> Vec<u8> {
             tpiin.intra_syndicate_trades.len(),
             tpiin.person_node.len(),
             tpiin.company_node.len(),
-            lanes,
         ]
         .map(|v| (v as u64).to_le_bytes()),
     );
@@ -262,19 +263,6 @@ pub fn write_snapshot_bin(tpiin: &Tpiin) -> Vec<u8> {
     // 15–16: dense member -> node lookup tables.
     w.section(tpiin.person_node.iter().map(|v| le(v.index() as u32)));
     w.section(tpiin.company_node.iter().map(|v| le(v.index() as u32)));
-
-    // 17+: the frozen CSR lanes, verbatim.
-    for lane in 0..lanes {
-        w.section(csr.lane_out_offsets(lane).iter().map(|&v| le(v)));
-        w.section(csr.lane_out_targets(lane).iter().map(|&v| le(v)));
-        w.section(
-            csr.lane_out_edge_ids(lane)
-                .iter()
-                .map(|e| le(e.index() as u32)),
-        );
-        w.section(csr.lane_in_offsets(lane).iter().map(|&v| le(v)));
-        w.section(csr.lane_in_sources(lane).iter().map(|&v| le(v)));
-    }
     w.finish()
 }
 
@@ -294,10 +282,9 @@ struct Header {
 ///
 /// Construction ([`SnapshotView::parse`]) checks the magic, version and
 /// the whole section table (bounds, 8-byte alignment, expected count)
-/// plus every per-section shape invariant outside the CSR lanes, whose
-/// own invariants [`CsrGraph::from_raw_lanes`] checks as it adopts them,
-/// so the section accessors and [`SnapshotView::materialize`] cannot
-/// read out of bounds or panic on malformed input.  The buffer is copied once into aligned storage at
+/// plus every per-section shape invariant, so the section accessors and
+/// [`SnapshotView::materialize`] cannot read out of bounds or panic on
+/// malformed input.  The buffer is copied once into aligned storage at
 /// parse time; all section views borrow it in place.
 struct SnapshotView {
     buf: AlignedBuf,
@@ -325,8 +312,7 @@ impl SnapshotView {
         let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         if section_count != SECTIONS {
             return Err(bin_err(format!(
-                "{section_count} sections, expected {SECTIONS} ({FIXED_SECTIONS} + \
-                 {LANE_SECTIONS} per CSR lane)"
+                "{section_count} sections, expected {SECTIONS}"
             )));
         }
 
@@ -384,9 +370,9 @@ impl SnapshotView {
             .ok_or_else(|| bin_err(format!("{what} (section {i}) is not an f64 array")))
     }
 
-    /// Cross-checks every non-lane section's length against the header
-    /// counts and the offset arrays' CSR-style invariants, plus the lane
-    /// edge ids' range, so `materialize` can trust the shapes.
+    /// Cross-checks every section's length against the header counts and
+    /// the offset arrays' CSR-style invariants, so `materialize` can trust
+    /// the shapes.
     fn validate_shapes(&self) -> Result<(), IoError> {
         let h = &self.header;
         let arena_len = self.section_bytes(1).len();
@@ -441,24 +427,15 @@ impl SnapshotView {
                 )));
             }
         }
-        // The lanes' CSR invariants are checked by `from_raw_lanes`; the
-        // edge ids it cannot see are checked here.
-        for lane in 0..LANES {
-            let ids =
-                self.section_u32s(FIXED_SECTIONS + lane * LANE_SECTIONS + 2, "lane edge ids")?;
-            if ids.iter().any(|&id| id as usize >= h.edges) {
-                return Err(bin_err("lane edge id out of range"));
-            }
-        }
         Ok(())
     }
 
     /// Materializes the [`Tpiin`] the detector and serve paths consume.
     ///
     /// Labels are sliced out of the one-time-validated arena (no
-    /// unescaping), arcs come straight from the columnar arrays (no
-    /// number parsing) and the CSR is adopted from the stored lanes (no
-    /// freeze counting sort).
+    /// unescaping) and arcs come straight from the columnar arrays (no
+    /// number parsing); [`Tpiin::assemble`] then freezes the CSR lanes
+    /// from those arcs, as fusion does.
     fn materialize(&self) -> Result<Tpiin, IoError> {
         let h = &self.header;
         let arena = std::str::from_utf8(self.section_bytes(1))
@@ -500,10 +477,21 @@ impl SnapshotView {
             if srcs[i] as usize >= h.nodes || dsts[i] as usize >= h.nodes {
                 return Err(bin_err(format!("arc {i} endpoint out of range")));
             }
-            let color = match colors[i] {
-                0 => ArcColor::Trading,
-                1 => ArcColor::Influence,
-                other => return Err(bin_err(format!("bad arc color {other} at arc {i}"))),
+            // Edge ids `0..influence_arcs` are the influence arcs and the
+            // rest the trading arcs, the layout `Tpiin` documents and the
+            // delta engine's splice relies on.  Holding it also sizes
+            // each frozen lane to its header count.
+            let color = match (colors[i], i < h.influence_arcs) {
+                (1, true) => ArcColor::Influence,
+                (0, false) => ArcColor::Trading,
+                (0 | 1, _) => {
+                    return Err(bin_err(format!(
+                        "arc {i} breaks the influence-then-trading edge order \
+                         ({} influence arcs)",
+                        h.influence_arcs
+                    )))
+                }
+                (other, _) => return Err(bin_err(format!("bad arc color {other} at arc {i}"))),
             };
             edge_list.push((
                 NodeId::from_index(srcs[i] as usize),
@@ -515,8 +503,7 @@ impl SnapshotView {
             ));
         }
         // Bulk construction: the edge column is built at its exact final
-        // size instead of growing push by push.  The graph keeps no
-        // adjacency; the frozen lanes below are read straight from the file.
+        // size instead of growing push by push.
         let graph = DiGraph::from_edge_list(nodes, edge_list);
 
         let sellers = self.section_u32s(11, "intra sellers")?;
@@ -549,27 +536,7 @@ impl SnapshotView {
         let person_node = node_table(15, "person table")?;
         let company_node = node_table(16, "company table")?;
 
-        let mut lanes = Vec::with_capacity(LANES);
-        for lane in 0..LANES {
-            let base = FIXED_SECTIONS + lane * LANE_SECTIONS;
-            lanes.push(CsrLaneParts {
-                out_offsets: self.section_u32s(base, "lane out offsets")?.to_vec(),
-                out_targets: self.section_u32s(base + 1, "lane out targets")?.to_vec(),
-                out_edge_ids: self.section_u32s(base + 2, "lane edge ids")?.to_vec(),
-                in_offsets: self.section_u32s(base + 3, "lane in offsets")?.to_vec(),
-                in_sources: self.section_u32s(base + 4, "lane in sources")?.to_vec(),
-            });
-        }
-        let csr = CsrGraph::from_raw_lanes(h.nodes, lanes).map_err(bin_err)?;
-        if csr.total_edge_count() != h.edges {
-            return Err(bin_err(format!(
-                "CSR lanes hold {} edges, header says {}",
-                csr.total_edge_count(),
-                h.edges
-            )));
-        }
-
-        Ok(Tpiin::assemble_frozen(
+        let tpiin = Tpiin::assemble(
             graph,
             person_node,
             company_node,
@@ -577,8 +544,13 @@ impl SnapshotView {
             h.trading_arcs,
             intra,
             self.section_u32s(10, "arc source-seqs")?.to_vec(),
-            csr,
-        ))
+        );
+        // Appendix A: the antecedent network is a DAG.  Fusion refuses a
+        // cyclic one, and so does the loader.
+        if !tpiin.csr().is_acyclic(INFLUENCE_LANE) {
+            return Err(bin_err("influence arcs form a cycle"));
+        }
+        Ok(tpiin)
     }
 }
 
@@ -611,13 +583,6 @@ fn read_header(section: &[u8]) -> Result<Header, IoError> {
     }
     if h.nodes > u32::MAX as usize || h.edges > u32::MAX as usize {
         return Err(bin_err("node or edge count exceeds u32 index space"));
-    }
-    // A `Tpiin` reads exactly its trading and influence lanes.
-    if words[7] != LANES as u64 {
-        return Err(bin_err(format!(
-            "lane count {} (a TPIIN has {LANES})",
-            words[7]
-        )));
     }
     Ok(h)
 }
@@ -670,48 +635,59 @@ mod tests {
             .0
     }
 
-    /// A network whose CSR carries only its trading lane encodes, but a
-    /// `Tpiin` reads two lanes, so the reader refuses the file instead of
-    /// handing the detector a network it would index out of bounds.
+    /// Byte offset of section `i`'s payload, from the section table.
+    fn section_start(bytes: &[u8], i: usize) -> usize {
+        let at = 16 + i * 16;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    /// A one-arc edit of the `dst` column that closes an influence
+    /// 2-cycle is refused: fusion could never have built that network,
+    /// and its detection would silently miss groups.
     #[test]
-    fn one_lane_file_is_rejected() {
+    fn cyclic_influence_arcs_are_rejected() {
         let tpiin = fig7();
-        let csr = tpiin.csr();
-        let lane = tpiin_fusion::TRADING_LANE;
-        let parts = CsrLaneParts {
-            out_offsets: csr.lane_out_offsets(lane).to_vec(),
-            out_targets: csr.lane_out_targets(lane).to_vec(),
-            out_edge_ids: csr
-                .lane_out_edge_ids(lane)
-                .iter()
-                .map(|e| e.index() as u32)
-                .collect(),
-            in_offsets: csr.lane_in_offsets(lane).to_vec(),
-            in_sources: csr.lane_in_sources(lane).to_vec(),
+        let arc = |i: usize| {
+            let e = tpiin.graph.edges().nth(i).unwrap();
+            (e.source.index(), e.target.index(), e.weight.color)
         };
-        let one_lane = CsrGraph::from_raw_lanes(tpiin.node_count(), vec![parts]).unwrap();
-        let broken = Tpiin::assemble_frozen(
-            tpiin.graph.clone(),
-            tpiin.person_node.clone(),
-            tpiin.company_node.clone(),
-            tpiin.influence_arc_count,
-            tpiin.trading_arc_count,
-            tpiin.intra_syndicate_trades.clone(),
-            tpiin.arc_sources.clone(),
-            one_lane,
-        );
-        let err = read_snapshot_bin(&write_snapshot_bin(&broken)).unwrap_err();
+        assert_eq!(arc(0), (0, 7, ArcColor::Influence));
+        assert_eq!(arc(12), (7, 9, ArcColor::Influence));
+        let mut bytes = write_snapshot_bin(&tpiin);
+        let at = section_start(&bytes, 7) + 12 * 4;
+        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes()); // 7 -> 0
+        let err = read_snapshot_bin(&bytes).unwrap_err().to_string();
+        assert!(err.contains("influence arcs form a cycle"), "{err}");
+    }
+
+    /// Arc colours must follow the influence-then-trading edge-id order
+    /// and agree with the header's per-colour counts, so each frozen lane
+    /// holds exactly the arcs the header promises.
+    #[test]
+    fn arcs_out_of_colour_order_are_rejected() {
+        let tpiin = fig7();
+        let (influence, trading) = (tpiin.influence_arc_count, tpiin.trading_arc_count);
+        let good = write_snapshot_bin(&tpiin);
+
+        // The first arc recoloured as trading.
+        let mut bytes = good.clone();
+        bytes[section_start(&good, 8)] = 0;
+        let err = read_snapshot_bin(&bytes).unwrap_err().to_string();
         assert!(
-            err.to_string().contains("22 sections, expected 27"),
+            err.contains("arc 0 breaks the influence-then-trading"),
             "{err}"
         );
 
-        // A full-size image whose header claims one lane is refused too.
-        let mut bytes = write_snapshot_bin(&tpiin);
-        let header = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        bytes[header + 56..header + 64].copy_from_slice(&1u64.to_le_bytes());
-        let err = read_snapshot_bin(&bytes).unwrap_err();
-        assert!(err.to_string().contains("lane count 1"), "{err}");
+        // Header counts moved by one arc, their sum intact.
+        let mut bytes = good;
+        let header = section_start(&bytes, 0);
+        bytes[header + 8..header + 16].copy_from_slice(&(influence as u64 - 1).to_le_bytes());
+        bytes[header + 16..header + 24].copy_from_slice(&(trading as u64 + 1).to_le_bytes());
+        let err = read_snapshot_bin(&bytes).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("arc {} breaks", influence - 1)),
+            "{err}"
+        );
     }
 
     #[test]
@@ -760,7 +736,7 @@ mod tests {
         let good = write_snapshot_bin(&fig7());
         // Header section: first table entry points at it; flip each
         // header field to a huge value and expect a typed error.
-        let header_off = u64::from_le_bytes(good[16..24].try_into().unwrap()) as usize;
+        let header_off = section_start(&good, 0);
         for field in 0..HEADER_FIELDS {
             let mut bad = good.clone();
             let at = header_off + field * 8;

@@ -5,11 +5,14 @@
 //!   network field by field and re-encodes to the same bytes.
 //! * Damage: truncations, byte flips (header and section table
 //!   included) and arbitrary bytes after a valid preamble make the
-//!   reader return `Ok` or `Err`, never panic.
+//!   reader return `Ok` or `Err`, never panic, and never a torn network:
+//!   whatever loads has the CSR lanes of its own arcs and an acyclic
+//!   antecedent network.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tpiin_fusion::Tpiin;
+use tpiin_fusion::{Tpiin, INFLUENCE_LANE};
+use tpiin_graph::CsrGraph;
 use tpiin_io::snapshot_bin::{read_snapshot_bin, write_snapshot_bin};
 use tpiin_model::{
     InfluenceKind, InfluenceRecord, InvestmentRecord, Role, RoleSet, SourceRegistry, TradingRecord,
@@ -98,7 +101,12 @@ fn assert_same_network(source: &Tpiin, restored: &Tpiin) -> Result<(), TestCaseE
     );
     prop_assert_eq!(&restored.person_node, &source.person_node);
     prop_assert_eq!(&restored.company_node, &source.company_node);
-    let (a, b) = (source.csr(), restored.csr());
+    assert_same_lanes(source.csr(), restored.csr())
+}
+
+/// Two frozen CSRs hold the same lanes, array by array.
+fn assert_same_lanes(a: &CsrGraph, b: &CsrGraph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.node_count(), b.node_count());
     prop_assert_eq!(a.lane_count(), b.lane_count());
     for lane in 0..a.lane_count() {
         prop_assert_eq!(a.lane_out_offsets(lane), b.lane_out_offsets(lane));
@@ -167,9 +175,28 @@ fn images() -> &'static [Vec<u8>; 2] {
     })
 }
 
-/// Preamble (magic, version, section count) plus the 27-entry section
-/// table: the bytes every later check trusts.
-const HEAD_BYTES: usize = 16 + 27 * 16;
+/// Preamble (magic, version, section count) plus the section table a
+/// valid `image` declares: the bytes every later check trusts.
+fn head_bytes(image: &[u8]) -> usize {
+    16 + 16 * u32::from_le_bytes(image[12..16].try_into().unwrap()) as usize
+}
+
+/// A damaged image the reader accepted is still a network fusion could
+/// have built: its CSR is the freeze of its own arcs, lane by lane, and
+/// its influence arcs are acyclic.
+fn assert_not_torn(read: Result<Tpiin, tpiin_io::IoError>) -> Result<(), TestCaseError> {
+    if let Ok(tpiin) = read {
+        let frozen = tpiin
+            .graph
+            .freeze_lanes(2, |_, arc| arc.color.code() as usize);
+        assert_same_lanes(&frozen, tpiin.csr())?;
+        prop_assert!(
+            tpiin.csr().is_acyclic(INFLUENCE_LANE),
+            "cyclic antecedent network loaded"
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -214,11 +241,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
-    /// Damaged images make the reader return `Ok` or `Err`, never panic:
-    /// a truncation at a random length, a handful of byte flips (half of
-    /// them aimed at the preamble and section table), and arbitrary
-    /// bytes after a valid magic and version (and, in half the cases,
-    /// the valid section count too).
+    /// Damaged images make the reader return `Ok` or `Err`, never panic
+    /// and never a torn network: a truncation at a random length, a
+    /// handful of byte flips (half of them aimed at the preamble and
+    /// section table), and arbitrary bytes after a valid magic and
+    /// version (and, in half the cases, the valid section count too).
     #[test]
     fn reader_never_panics_on_damaged_images(
         image in 0usize..2,
@@ -229,17 +256,17 @@ proptest! {
     ) {
         let good = &images()[image];
 
-        let _ = read_snapshot_bin(&good[..cut % (good.len() + 1)]);
+        assert_not_torn(read_snapshot_bin(&good[..cut % (good.len() + 1)]))?;
 
         let mut flipped = good.clone();
         for &(at, in_head, mask) in &flips {
-            let span = if in_head { HEAD_BYTES } else { flipped.len() };
+            let span = if in_head { head_bytes(good) } else { flipped.len() };
             flipped[at % span] ^= mask;
         }
-        let _ = read_snapshot_bin(&flipped);
+        assert_not_torn(read_snapshot_bin(&flipped))?;
 
         let mut appended = good[..if keep_count { 16 } else { 12 }].to_vec();
         appended.extend_from_slice(&tail);
-        let _ = read_snapshot_bin(&appended);
+        assert_not_torn(read_snapshot_bin(&appended))?;
     }
 }
