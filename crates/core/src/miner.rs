@@ -415,6 +415,55 @@ impl CircularTradingMiner {
         }
         rings
     }
+
+    /// The row ids of `rings` scoring at least `min_differential`, in
+    /// the rank that `mine` documents.
+    fn rank(&self, tpiin: &Tpiin, ctx: &MineContext, rings: &RingArena) -> Vec<u32> {
+        // Row ids are `u32`, like the arena's nodes and arc positions.
+        let rows = u32::try_from(rings.len()).expect("ring count fits u32");
+        // The counting sort by `last` rests on this order.  A
+        // length-first enumeration (ROADMAP.md item 9 (a)) breaks it and
+        // would need a stable pass by `first` before the one by `last`.
+        debug_assert!(
+            (1..rows).all(|row| rings.ring(row - 1)[0] <= rings.ring(row)[0]),
+            "the walk emits rings in ascending start id"
+        );
+        let last = |row: u32| rings.closing_arc(row).0;
+        // After the prefix sum, `slots[v]` is where the next ring
+        // closing from `v` goes.
+        let mut slots = vec![0u32; tpiin.node_count() + 1];
+        for row in 0..rows {
+            slots[last(row) as usize + 1] += 1;
+        }
+        for v in 1..slots.len() {
+            slots[v] += slots[v - 1];
+        }
+        let mut order = vec![0u32; rows as usize];
+        for row in 0..rows {
+            let slot = &mut slots[last(row) as usize];
+            order[*slot as usize] = row;
+            *slot += 1;
+        }
+        for run in order.chunk_by_mut(|&a, &b| rings.closing_arc(a) == rings.closing_arc(b)) {
+            run.sort_by(|&a, &b| rings.ring(a).cmp(rings.ring(b)));
+        }
+
+        let scores: Vec<f64> = (0..rows)
+            .map(|row| {
+                let ring = rings.ring(row).iter();
+                ring_score(tpiin, ctx, ring.map(|&v| NodeId::from_index(v as usize)))
+            })
+            .collect();
+        let score = |row: u32| scores[row as usize];
+        order.retain(|&row| score(row) >= self.min_differential);
+        if order
+            .windows(2)
+            .any(|pair| score(pair[0]).total_cmp(&score(pair[1])).is_ne())
+        {
+            order.sort_by(|&a, &b| score(b).total_cmp(&score(a)));
+        }
+        order
+    }
 }
 
 /// The arcs the ring walk may still use on its last two levels, per
@@ -518,12 +567,22 @@ impl RingArena {
         self.offsets.push(self.nodes.len());
     }
 
-    fn ring(&self, row: usize) -> &[u32] {
-        &self.nodes[self.offsets[row]..self.offsets[row + 1]]
+    fn span(&self, row: u32) -> Range<usize> {
+        self.offsets[row as usize]..self.offsets[row as usize + 1]
     }
 
-    fn ring_arcs(&self, row: usize) -> &[u32] {
-        &self.arcs[self.offsets[row]..self.offsets[row + 1]]
+    fn ring(&self, row: u32) -> &[u32] {
+        &self.nodes[self.span(row)]
+    }
+
+    /// The trading arc that closes ring `row`, as `(last, first)`.
+    fn closing_arc(&self, row: u32) -> (u32, u32) {
+        let ring = self.ring(row);
+        (ring[ring.len() - 1], ring[0])
+    }
+
+    fn ring_arcs(&self, row: u32) -> &[u32] {
+        &self.arcs[self.span(row)]
     }
 }
 
@@ -553,10 +612,10 @@ fn ring_score(
 /// [`CircularTradingMiner::score`]).
 fn node_tax_rate(tpiin: &Tpiin, ctx: &MineContext, node: NodeId) -> f64 {
     let default = tpiin_model::DEFAULT_TAX_RATE;
-    let TpiinNode::Company { members, .. } = tpiin.graph.node(node) else {
+    let Some(rates) = &ctx.tax_rates else {
         return default;
     };
-    let Some(rates) = &ctx.tax_rates else {
+    let TpiinNode::Company { members, .. } = tpiin.graph.node(node) else {
         return default;
     };
     if members.is_empty() {
@@ -574,36 +633,26 @@ impl GroupMiner for CircularTradingMiner {
         CIRCULAR_MINER
     }
 
-    /// Enumerates into a flat ring arena, scores every ring once, sorts
-    /// row ids by `(score desc, key)` — the key read straight from the
-    /// arena, in [`GroupRef::cmp_key`] order — flags every arc of every
-    /// surviving ring, and only then copies the surviving ring slices,
-    /// in final order, into the result's [`GroupTable`] (one row and
-    /// `len + 1` arena nodes per ring).  A counting-only run
-    /// (`collect_groups: false`) writes no row and fills the same
-    /// counters and arc set.
+    /// Enumerates into a flat ring arena, ranks its row ids, flags
+    /// every arc of every surviving ring, and only then copies the
+    /// surviving ring slices, in final order, into the result's
+    /// [`GroupTable`] (one row and `len + 1` arena nodes per ring).  A
+    /// counting-only run (`collect_groups: false`) writes no row and
+    /// fills the same counters and arc set.
+    ///
+    /// The rank is [`GroupRef::cmp_key`] order: score descending, then
+    /// the closing arc `(last, first)`, then the ring slice, equal keys
+    /// in emission order.  The walk emits rings in ascending `first`,
+    /// its start id, so a stable counting sort of the row ids by `last`
+    /// alone leaves them in `(last, first)` order.  Only rings sharing a
+    /// closing arc, which share their start too, are then compared slice
+    /// by slice, within their run.  The score sort comes last and is
+    /// stable, so it keeps that order among equal scores; without rate
+    /// data every ring scores zero and it is skipped.
     fn mine(&self, tpiin: &Tpiin, ctx: &MineContext) -> DetectionResult {
         let mut rings = self.enumerate(tpiin);
         let g = |v: u32| NodeId::from_index(v as usize);
-
-        // A ring's key is ((last, first), ring, [first]).
-        let arc = |ring: &[u32]| (ring[ring.len() - 1], ring[0]);
-        let order = {
-            let scores: Vec<f64> = (0..rings.len())
-                .map(|row| ring_score(tpiin, ctx, rings.ring(row).iter().map(|&v| g(v))))
-                .collect();
-            let mut order: Vec<usize> = (0..rings.len())
-                .filter(|&row| scores[row] >= self.min_differential)
-                .collect();
-            order.sort_by(|&a, &b| {
-                let (ra, rb) = (rings.ring(a), rings.ring(b));
-                scores[b]
-                    .total_cmp(&scores[a])
-                    .then_with(|| arc(ra).cmp(&arc(rb)))
-                    .then_with(|| ra.cmp(rb))
-            });
-            order
-        };
+        let order = self.rank(tpiin, ctx, &rings);
 
         // Unlike Rule 1/Rule 2 groups (one suspicious trading arc each),
         // every arc of a ring is suspicious.  Rings share arcs heavily,
@@ -631,7 +680,7 @@ impl GroupMiner for CircularTradingMiner {
             result.groups = GroupTable::with_capacity(order.len(), nodes);
             for &row in &order {
                 let ring = rings.ring(row);
-                let (last, start) = arc(ring);
+                let (last, start) = rings.closing_arc(row);
                 result.groups.push_with(
                     GroupHead {
                         subtpiin: 0,

@@ -455,6 +455,89 @@ fn parallel_arcs_match_the_oracle() {
     assert!(miner.mine(&tpiin, &ctx).group_count() >= single + 3);
 }
 
+/// Rings sharing a closing arc rank by slice, whatever order the walk
+/// finds them in.  With `n0 … n6` the company nodes in id order, the
+/// start's row lists `n4, n3, n1, n2`, so the walk emits the three rings
+/// closing `n5 -> n0` against slice order, with the 2-ring through `n1`
+/// between them, and a ring from the start `n1` last.
+#[test]
+fn rings_sharing_a_closing_arc_rank_by_slice() {
+    let (mut registry, companies) = lone_companies(7);
+    let tpiin = fused(&registry);
+    let mut by_node: Vec<(NodeId, CompanyId)> = companies
+        .iter()
+        .map(|&c| (tpiin.company_node[c.index()], c))
+        .collect();
+    by_node.sort();
+    let n: Vec<NodeId> = by_node.iter().map(|&(v, _)| v).collect();
+    let trades = [
+        (0, 4),
+        (0, 3),
+        (0, 1),
+        (0, 2),
+        (4, 5),
+        (3, 5),
+        (2, 5),
+        (5, 0),
+        (1, 0),
+        (1, 6),
+        (6, 1),
+    ];
+    let mut graph = tpiin.graph.clone();
+    for (u, v) in trades {
+        let arc = TpiinArc {
+            color: ArcColor::Trading,
+            weight: 1.0,
+        };
+        graph.add_edge(n[u], n[v], arc);
+    }
+    let network = Tpiin::assemble(
+        graph,
+        tpiin.person_node.clone(),
+        tpiin.company_node.clone(),
+        tpiin.influence_arc_count,
+        trades.len(),
+        Vec::new(),
+        tpiin.arc_sources.clone(),
+    );
+    // `[n0 n4 n5]` scores 0.8, `[n0 n3 n5]` and `[n0 n2 n5]` tie at 0.4,
+    // the two 2-rings tie at 0.
+    for (i, rate) in [0.1, 0.1, 0.2, 0.2, 0.5, 0.3, 0.1].into_iter().enumerate() {
+        registry.set_company_tax_rate(by_node[i].1, rate);
+    }
+
+    let rings = |ids: &[&[usize]]| -> Vec<Vec<NodeId>> {
+        ids.iter()
+            .map(|ring| ring.iter().map(|&i| n[i]).collect())
+            .collect()
+    };
+    let ranked = |miner: &CircularTradingMiner, ctx: &MineContext| -> Vec<Vec<NodeId>> {
+        check("shared closing arcs", miner, &network, ctx);
+        let result = miner.mine(&network, ctx);
+        result
+            .groups
+            .iter()
+            .map(|g| g.trail_with_trade.to_vec())
+            .collect()
+    };
+    let open = CircularTradingMiner::default();
+    let unrated = MineContext::default();
+    assert_eq!(
+        ranked(&open, &unrated),
+        rings(&[&[0, 1], &[0, 2, 5], &[0, 3, 5], &[0, 4, 5], &[1, 6]])
+    );
+    assert_eq!(
+        ranked(&open, &rated(&registry)),
+        rings(&[&[0, 4, 5], &[0, 2, 5], &[0, 3, 5], &[0, 1], &[1, 6]])
+    );
+    // A budget of two keeps the first two rings the walk emits.
+    let two = CircularTradingMiner {
+        max_cycles: 2,
+        ..open
+    };
+    assert_eq!(ranked(&two, &unrated), rings(&[&[0, 3, 5], &[0, 4, 5]]));
+}
+
 #[test]
 fn syndicates_and_self_pairs_match_the_oracle() {
     // One province per density, each with contracted syndicates; the
