@@ -334,16 +334,29 @@ pub fn detect_one(opts: &Options) -> Result<(), tpiin::Error> {
         );
         if miner.supports_provenance() {
             // Rule 1/Rule 2 shaped groups rank by chain strength x
-            // trade volume.
-            let mut scored: Vec<_> = result
-                .groups
-                .iter()
-                .map(|g| (tpiin_core::score_group(&tpiin, g), g))
-                .collect();
-            scored.sort_by(|a, b| b.0.score.total_cmp(&a.0.score));
-            println!("top {} groups by score:", opts.top.min(scored.len()));
-            for (score, group) in scored.iter().take(opts.top) {
-                println!("  [{:>12.0}] {}", score.score, group.explain(&tpiin));
+            // trade volume, ties in row order.  Only the top `top` are
+            // sorted, and `--top 0` scores nothing.
+            let top = opts.top.min(result.groups.len());
+            let mut scored: Vec<(f64, usize)> = if top == 0 {
+                Vec::new()
+            } else {
+                result
+                    .groups
+                    .iter()
+                    .map(|g| tpiin_core::score_group(&tpiin, g).score)
+                    .zip(0..)
+                    .collect()
+            };
+            let rank = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+            if top < scored.len() {
+                scored.select_nth_unstable_by(top, rank);
+                scored.truncate(top);
+            }
+            scored.sort_unstable_by(rank);
+            println!("top {top} groups by score:");
+            for &(score, row) in &scored {
+                let group = result.groups.row(row);
+                println!("  [{score:>12.0}] {}", group.explain(&tpiin));
             }
         } else {
             // Other strategies (e.g. circular trading) already order

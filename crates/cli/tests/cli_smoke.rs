@@ -281,6 +281,18 @@ fn detect_runs_every_requested_miner_strategy() {
 }
 
 #[test]
+fn detect_top_zero_prints_no_group() {
+    let (stdout, stderr, ok) = run(&["detect", "--scale", "0.1", "--top", "0"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("top 0 groups by score:"), "{stdout}");
+    assert!(!stdout.lines().any(|l| l.starts_with("  [")), "{stdout}");
+
+    let (stdout, stderr, ok) = run(&["detect", "--scale", "0.1", "--top", "3"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("  [")).count(), 3);
+}
+
+#[test]
 fn explain_names_the_owning_miner_and_rejects_provenance_less_miners() {
     let (stdout, _, ok) = run(&["explain", "0"]);
     assert!(ok, "{stdout}");

@@ -35,6 +35,9 @@ pub struct LocalGroupView<'a> {
     pub trade_source: u32,
     /// The trading arc's target `Cj` (the group's end node).
     pub target: u32,
+    /// The trading arc's position in the shard's packed trading CSR
+    /// ([`crate::TradingLeaf::arc`]).
+    pub arc: u32,
     /// The matched pure influence trail `A1 … Cj`; for circles, the
     /// single-element trail `[Cj]`.
     pub plain: &'a [u32],
@@ -82,6 +85,7 @@ pub fn match_root(tree: &mut PatternsTree, mut emit: impl FnMut(LocalGroupView<'
                     prefix: circle,
                     trade_source,
                     target,
+                    arc: leaf.arc,
                     plain: &plain,
                     circle: true,
                     // The circle's influence path and the single trading
@@ -104,6 +108,7 @@ pub fn match_root(tree: &mut PatternsTree, mut emit: impl FnMut(LocalGroupView<'
                 prefix: &prefix,
                 trade_source,
                 target,
+                arc: leaf.arc,
                 plain: &plain,
                 circle: false,
                 simple: disjoint,

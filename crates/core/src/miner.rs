@@ -448,6 +448,16 @@ impl CircularTradingMiner {
             run.sort_by(|&a, &b| rings.ring(a).cmp(rings.ring(b)));
         }
 
+        // Without rate data every node takes the default rate, so every
+        // ring scores exactly 0.0: the filter keeps all rings or none,
+        // and the score sort has nothing to reorder.
+        if ctx.tax_rates.is_none() {
+            let keeps_zero = 0.0 >= self.min_differential;
+            if !keeps_zero {
+                order.clear();
+            }
+            return order;
+        }
         let scores: Vec<f64> = (0..rows)
             .map(|row| {
                 let ring = rings.ring(row).iter();
@@ -648,7 +658,8 @@ impl GroupMiner for CircularTradingMiner {
     /// closing arc, which share their start too, are then compared slice
     /// by slice, within their run.  The score sort comes last and is
     /// stable, so it keeps that order among equal scores; without rate
-    /// data every ring scores zero and it is skipped.
+    /// data every ring scores zero, so no ring is scored and only the
+    /// filter's verdict on zero is applied.
     fn mine(&self, tpiin: &Tpiin, ctx: &MineContext) -> DetectionResult {
         let mut rings = self.enumerate(tpiin);
         let g = |v: u32| NodeId::from_index(v as usize);

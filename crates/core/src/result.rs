@@ -153,6 +153,18 @@ impl DetectionResult {
         self.complex_group_count + self.simple_group_count
     }
 
+    /// A copy with room in its group table for `rows` more groups of
+    /// `nodes` more trail nodes, so that growing it by as much moves
+    /// nothing.
+    pub fn clone_with_room(&self, rows: usize, nodes: usize) -> DetectionResult {
+        DetectionResult {
+            groups: self.groups.clone_with_room(rows, nodes),
+            suspicious_trading_arcs: self.suspicious_trading_arcs.clone(),
+            per_subtpiin: self.per_subtpiin.clone(),
+            ..*self
+        }
+    }
+
     /// Groups involving `node` (as member, antecedent or trading party).
     /// Requires a result collected with `collect_groups: true`.
     #[inline]

@@ -119,6 +119,15 @@ impl SubTpiin {
             ..self.trading_offsets[v as usize + 1] as usize]
     }
 
+    /// Position of local node `v`'s first trading arc in the packed
+    /// trading CSR: `v`'s arcs hold positions `trading_start(v)..` in
+    /// the order of [`SubTpiin::trading`], sellers in ascending local
+    /// id.  Rows of the shard are ordered by this position.
+    #[inline]
+    pub fn trading_start(&self, v: u32) -> u32 {
+        self.trading_offsets[v as usize]
+    }
+
     /// Number of influence arcs.
     pub fn influence_arc_count(&self) -> usize {
         self.influence_targets.len()

@@ -99,6 +99,26 @@ impl<'a> GroupRef<'a> {
         }
     }
 
+    /// The owned copy of this group with every node id passed through
+    /// `map` and its subTPIIN set to `subtpiin`: a group mined in one
+    /// id space (a shard's, a restricted network's), read in another.
+    pub fn to_owned_mapped(
+        self,
+        subtpiin: usize,
+        map: impl Fn(NodeId) -> NodeId,
+    ) -> SuspiciousGroup {
+        SuspiciousGroup {
+            subtpiin,
+            kind: self.kind,
+            antecedent: map(self.antecedent),
+            end: map(self.end),
+            trading_arc: (map(self.trading_arc.0), map(self.trading_arc.1)),
+            trail_with_trade: self.trail_with_trade.iter().map(|&v| map(v)).collect(),
+            trail_plain: self.trail_plain.iter().map(|&v| map(v)).collect(),
+            simple: self.simple,
+        }
+    }
+
     /// All member nodes of the group, deduplicated and ordered.
     pub fn members(&self) -> BTreeSet<NodeId> {
         let mut m: BTreeSet<NodeId> = self.trail_with_trade.iter().copied().collect();
@@ -237,6 +257,15 @@ impl GroupTable {
             rows: Vec::with_capacity(rows),
             nodes: Vec::with_capacity(nodes),
         }
+    }
+
+    /// A copy with room for `rows` more groups of `nodes` more trail
+    /// nodes.
+    pub(crate) fn clone_with_room(&self, rows: usize, nodes: usize) -> GroupTable {
+        let mut copy = GroupTable::with_capacity(self.len() + rows, self.node_count() + nodes);
+        copy.rows.extend_from_slice(&self.rows);
+        copy.nodes.extend_from_slice(&self.nodes);
+        copy
     }
 
     /// Number of groups.
@@ -437,6 +466,172 @@ impl GroupTable {
         );
     }
 
+    /// A copy of the table at its exact size with the rows stably sorted
+    /// by `keys` (one per row, each below `key_count`).  A counting sort
+    /// scatters the rows, then one pass gathers their trails in the new
+    /// order; `slots` is the sort's scratch (`key_count + 1` counters),
+    /// kept by the caller so one allocation serves every call.
+    pub(crate) fn sorted_by_key(
+        &self,
+        keys: &[u32],
+        key_count: usize,
+        slots: &mut Vec<u32>,
+    ) -> GroupTable {
+        assert_eq!(keys.len(), self.rows.len(), "one key per row");
+        let Some(&filler) = self.rows.first() else {
+            return GroupTable::default();
+        };
+        // After the prefix sum, `slots[k]` is where the next row of key
+        // `k` goes.
+        slots.clear();
+        slots.resize(key_count + 1, 0);
+        for &k in keys {
+            slots[k as usize + 1] += 1;
+        }
+        for k in 1..slots.len() {
+            slots[k] += slots[k - 1];
+        }
+        let mut rows = vec![filler; self.rows.len()];
+        for (row, &k) in self.rows.iter().zip(keys) {
+            let slot = &mut slots[k as usize];
+            rows[*slot as usize] = *row;
+            *slot += 1;
+        }
+        // Rows that follow each other in both orders copy their trails
+        // as one slice: `run` is the source stretch not copied yet.
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        let mut run = 0..0;
+        for row in &mut rows {
+            if row.start as usize != run.end {
+                nodes.extend_from_slice(&self.nodes[run]);
+                run = row.start as usize..row.start as usize;
+            }
+            let base = offset(nodes.len() + run.len());
+            run.end = row.stop as usize;
+            (row.start, row.split, row.stop) = (
+                base,
+                row.split - row.start + base,
+                row.stop - row.start + base,
+            );
+        }
+        nodes.extend_from_slice(&self.nodes[run]);
+        GroupTable { rows, nodes }
+    }
+
+    /// Merges the rows of `new` into rows `range` of this table, both
+    /// ordered by trading-arc seller, through
+    /// [`GroupTable::seller_positions`] and
+    /// [`GroupTable::insert_rows`].  `map` takes `new`'s node ids to
+    /// this table's and must keep seller order; `subtpiin` overrides the
+    /// new rows' subTPIIN (`None` keeps each row's own).
+    pub(crate) fn merge_by_seller(
+        &mut self,
+        range: Range<usize>,
+        new: &GroupTable,
+        subtpiin: Option<usize>,
+        map: impl Fn(NodeId) -> NodeId,
+    ) {
+        let mut at = Vec::with_capacity(new.len());
+        self.seller_positions(range, new, &map, &mut at);
+        self.insert_rows(&at, new, subtpiin, map);
+    }
+
+    /// Appends to `at`, for each row of `new` (ordered by trading-arc
+    /// seller, ids taken to this table's by `map`), where it goes among
+    /// rows `range` (ordered the same way): after every row whose seller
+    /// is at most its own, so among equal sellers the old rows come
+    /// first and the new ones keep their order.
+    pub(crate) fn seller_positions(
+        &self,
+        range: Range<usize>,
+        new: &GroupTable,
+        map: impl Fn(NodeId) -> NodeId,
+        at: &mut Vec<usize>,
+    ) {
+        let old = &self.rows[range.clone()];
+        at.extend(new.rows.iter().map(|row| {
+            let seller = map(row.trading_arc.0);
+            range.start + old.partition_point(|r| r.trading_arc.0 <= seller)
+        }));
+    }
+
+    /// Inserts row `i` of `new` before the row now at `at[i]` (`at`
+    /// ascending; rows bound for one position keep `new`'s order), with
+    /// each node id passed through `map` and the subTPIIN set to
+    /// `subtpiin` (`None` keeps each row's own).  In place: both vectors
+    /// grow once, then a pass from the back moves every old row after
+    /// `at[0]` once, each stretch between two insertion points with one
+    /// `copy_within` of its rows and one of its arena run.
+    ///
+    /// # Panics
+    /// Panics unless `at` holds one ascending position per row of `new`,
+    /// none past the last row.
+    pub(crate) fn insert_rows(
+        &mut self,
+        at: &[usize],
+        new: &GroupTable,
+        subtpiin: Option<usize>,
+        map: impl Fn(NodeId) -> NodeId,
+    ) {
+        assert_eq!(at.len(), new.rows.len(), "one position per new row");
+        assert!(
+            at.windows(2).all(|w| w[0] <= w[1]) && at.last().is_none_or(|&p| p <= self.rows.len()),
+            "positions ascend within the table"
+        );
+        let Some(&filler) = new.rows.first() else {
+            return;
+        };
+        let (old_rows, old_nodes) = (self.rows.len(), self.nodes.len());
+        self.rows.resize(old_rows + new.rows.len(), filler);
+        self.nodes
+            .resize(old_nodes + new.nodes.len(), NodeId::from_index(0));
+        // Checked once: every offset below is at most the arena length.
+        offset(self.nodes.len());
+        let subtpiin = subtpiin.map(|s| u32::try_from(s).expect("subTPIIN index fits u32"));
+        // Old rows `at[i]..end` have not moved yet.
+        let mut end = old_rows;
+        for (i, (&pos, row)) in at.iter().zip(&new.rows).enumerate().rev() {
+            // Where old row `pos` starts in the arena, before any move.
+            let base = match pos {
+                0 => 0,
+                _ => self.rows[pos - 1].stop,
+            };
+            // New rows `0..=i` land before old row `pos`: it and the rest
+            // of its stretch shift by that many rows and trail nodes
+            // (rows lie back to back, so `row.stop` counts the nodes).
+            if pos < end {
+                let shift = row.stop;
+                let run = self.rows[pos].start as usize..self.rows[end - 1].stop as usize;
+                self.nodes
+                    .copy_within(run.clone(), run.start + shift as usize);
+                self.rows.copy_within(pos..end, pos + i + 1);
+                for moved in &mut self.rows[pos + i + 1..end + i + 1] {
+                    moved.start += shift;
+                    moved.split += shift;
+                    moved.stop += shift;
+                }
+            }
+            let at_node = (base + row.start) as usize;
+            for (slot, &v) in self.nodes[at_node..]
+                .iter_mut()
+                .zip(&new.nodes[row.start as usize..row.stop as usize])
+            {
+                *slot = map(v);
+            }
+            self.rows[pos + i] = Row {
+                subtpiin: subtpiin.unwrap_or(row.subtpiin),
+                antecedent: map(row.antecedent),
+                end: map(row.end),
+                trading_arc: (map(row.trading_arc.0), map(row.trading_arc.1)),
+                start: base + row.start,
+                split: base + row.split,
+                stop: base + row.stop,
+                ..*row
+            };
+            end = pos;
+        }
+    }
+
     /// Removes every group, keeping the allocations.
     pub(crate) fn clear(&mut self) {
         self.rows.clear();
@@ -520,3 +715,61 @@ impl DoubleEndedIterator for Groups<'_> {
 }
 
 impl ExactSizeIterator for Groups<'_> {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn group(seller: usize, len: usize) -> SuspiciousGroup {
+        let n = NodeId::from_index;
+        SuspiciousGroup {
+            subtpiin: seller % 3,
+            kind: GroupKind::Matched,
+            antecedent: n(0),
+            end: n(100 + seller),
+            trading_arc: (n(seller), n(100 + seller)),
+            trail_with_trade: (0..len).map(|i| n(10 * seller + i)).collect(),
+            trail_plain: vec![n(0), n(100 + seller)],
+            simple: len.is_multiple_of(2),
+        }
+    }
+
+    #[test]
+    fn merging_by_seller_equals_a_stable_sort_of_both_lists() {
+        let old: Vec<SuspiciousGroup> = [1, 1, 3, 4, 4, 4, 7, 9]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| group(s, 1 + i % 4))
+            .collect();
+        let new_sellers: &[&[usize]] = &[&[0], &[1, 1, 2], &[4, 8, 9, 9], &[0, 5, 10], &[]];
+        for sellers in new_sellers {
+            let new: Vec<SuspiciousGroup> = sellers
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| group(s, 2 + i))
+                .collect();
+            // The whole table, and a range of it with rows on either side.
+            for (lo, hi) in [(0, old.len()), (2, 6)] {
+                let mut want: Vec<SuspiciousGroup> = old[lo..hi].to_vec();
+                want.extend(new.iter().map(|g| SuspiciousGroup {
+                    subtpiin: 7,
+                    ..g.clone()
+                }));
+                want.sort_by_key(|g| g.trading_arc.0);
+                let mut all = old[..lo].to_vec();
+                all.extend(want);
+                all.extend_from_slice(&old[hi..]);
+                let mut table = GroupTable::from(old.as_slice());
+                table.merge_by_seller(lo..hi, &GroupTable::from(new.as_slice()), Some(7), |v| v);
+                assert_eq!(
+                    table,
+                    GroupTable::from(all.as_slice()),
+                    "{sellers:?} into {lo}..{hi}"
+                );
+                let packed = table.rows.windows(2).all(|w| w[0].stop == w[1].start);
+                let last = table.rows.last().map_or(0, |r| r.stop as usize);
+                assert!(packed && last == table.nodes.len(), "rows back to back");
+            }
+        }
+    }
+}

@@ -33,6 +33,10 @@ pub struct TradingLeaf {
     pub tree_node: u32,
     /// Local node the trading arc points at (`Cj`).
     pub target: u32,
+    /// The trading arc's position in the shard's packed trading CSR
+    /// ([`SubTpiin::trading_start`]): seller ascending, then the
+    /// seller's row order.
+    pub arc: u32,
 }
 
 /// The patterns tree of one root (Fig. 9), with its type-(a)/(b) leaves
@@ -104,10 +108,13 @@ impl PatternsTree {
             let influence = sub.influence(v);
             let trading = sub.trading(v);
             // Rule 2: every outgoing trading arc ends one walk here.
-            self.b_leaves.extend(trading.iter().map(|&c| TradingLeaf {
-                tree_node: t,
-                target: c,
-            }));
+            let first = sub.trading_start(v);
+            self.b_leaves
+                .extend(trading.iter().zip(first..).map(|(&c, arc)| TradingLeaf {
+                    tree_node: t,
+                    target: c,
+                    arc,
+                }));
             if influence.is_empty() {
                 if trading.is_empty() {
                     // Rule 1: outdegree-zero tip.

@@ -18,7 +18,9 @@
 //! * **Trading append** — batches of `AddTrading` mutations patch arcs
 //!   surgically into the frozen network (appended records carry the
 //!   highest dedup sequence numbers, so a surgical append is exactly
-//!   what the full pipeline would produce);
+//!   what the full pipeline would produce) and mine only the new arcs
+//!   ([`tpiin_core::mine_appended`]), whose groups merge in place: a
+//!   trading arc changes no patterns tree, so no existing group moves;
 //! * **Company append** — batches that only register companies (plus
 //!   trading) splice each new company node and its legal-person arc
 //!   into the frozen network: a new company is a singleton SCC with the

@@ -37,7 +37,9 @@ pub struct DeltaStats {
     /// mutation other than a company append (persons, influence,
     /// investments, interdependence, removals).
     pub full_rebuilds: u64,
-    /// SubTPIINs re-mined because their local structure changed.
+    /// SubTPIINs mined whole because their local structure changed.  A
+    /// trading append that mines only its own arcs in a shard counts
+    /// none.
     pub shards_remined: u64,
     /// SubTPIINs whose groups replayed from the shard cache.
     pub shard_cache_hits: u64,

@@ -3,12 +3,13 @@
 //! TPIIN, groups and provenance are bit-identical to a from-scratch
 //! [`tpiin_fusion::fuse`] + [`tpiin_core::detect`] over a shadow
 //! registry replaying the same mutations.  Rejected batches must leave
-//! the engine untouched.
+//! the engine untouched.  Hand-built trading batches pin the arc-local
+//! merge of a trading append case by case.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use tpiin_core::{detect, DetectionResult, GroupKind, GroupRef, Provenance};
-use tpiin_delta::DeltaEngine;
+use tpiin_core::{DetectionResult, Detector, DetectorConfig, GroupKind, GroupRef, Provenance};
+use tpiin_delta::{ApplyOutcome, DeltaEngine};
 use tpiin_fusion::{fuse, Tpiin, INFLUENCE_LANE, TRADING_LANE};
 use tpiin_model::{
     CompanyId, InfluenceKind, InfluenceRecord, InterdependenceKind, InvestmentRecord, Mutation,
@@ -248,6 +249,39 @@ fn assert_identical(a: &Tpiin, b: &Tpiin) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The engine against a from-scratch `fuse` + `detect` (mining with
+/// `config`) of `registry`: network, groups in order, provenance,
+/// counters, suspicious arcs and per-shard statistics.  Returns the
+/// from-scratch pair.
+fn check_engine(
+    engine: &DeltaEngine,
+    registry: &SourceRegistry,
+    config: DetectorConfig,
+) -> Result<(Tpiin, DetectionResult), TestCaseError> {
+    let (expected_tpiin, _) = fuse(registry).expect("registry fuses");
+    let expected = Detector::new(config).detect(&expected_tpiin);
+    assert_identical(engine.tpiin(), &expected_tpiin)?;
+    let got = engine.detection();
+    prop_assert_eq!(&got.groups, &expected.groups);
+    for g in &expected.groups {
+        let chain = Provenance::assemble(engine.tpiin(), g);
+        prop_assert_eq!(&chain, &Provenance::assemble(&expected_tpiin, g));
+        prop_assert!(chain.audit(engine.tpiin()).is_ok());
+        prop_assert!(chain.audit(&expected_tpiin).is_ok());
+    }
+    prop_assert_eq!(
+        &got.suspicious_trading_arcs,
+        &expected.suspicious_trading_arcs
+    );
+    prop_assert_eq!(got.complex_group_count, expected.complex_group_count);
+    prop_assert_eq!(got.simple_group_count, expected.simple_group_count);
+    prop_assert_eq!(got.total_trading_arcs, expected.total_trading_arcs);
+    prop_assert_eq!(got.intra_syndicate_trades, expected.intra_syndicate_trades);
+    prop_assert_eq!(&got.per_subtpiin, &expected.per_subtpiin);
+    prop_assert_eq!(got.overflowed, expected.overflowed);
+    Ok((expected_tpiin, expected))
+}
+
 /// Label-space identity of a group: kind plus the labels of the trading
 /// arc and both trails.  Unlike node ids it survives re-contraction, so
 /// it can name "the same group" on either side of any batch.
@@ -329,24 +363,8 @@ proptest! {
             }
             // Accepted or rejected, the engine must now equal a
             // from-scratch pipeline over the shadow registry.
-            let (expected_tpiin, _) = fuse(&shadow).expect("shadow fuses");
-            let expected = detect(&expected_tpiin);
-            assert_identical(engine.tpiin(), &expected_tpiin)?;
-            let got = engine.detection();
-            prop_assert_eq!(&got.groups, &expected.groups);
-            for g in &expected.groups {
-                let chain = Provenance::assemble(engine.tpiin(), g);
-                prop_assert_eq!(&chain, &Provenance::assemble(&expected_tpiin, g));
-                prop_assert!(chain.audit(engine.tpiin()).is_ok());
-                prop_assert!(chain.audit(&expected_tpiin).is_ok());
-            }
-            prop_assert_eq!(&got.suspicious_trading_arcs, &expected.suspicious_trading_arcs);
-            prop_assert_eq!(got.complex_group_count, expected.complex_group_count);
-            prop_assert_eq!(got.simple_group_count, expected.simple_group_count);
-            prop_assert_eq!(got.total_trading_arcs, expected.total_trading_arcs);
-            prop_assert_eq!(got.intra_syndicate_trades, expected.intra_syndicate_trades);
-            prop_assert_eq!(&got.per_subtpiin, &expected.per_subtpiin);
-            prop_assert_eq!(got.overflowed, expected.overflowed);
+            let (expected_tpiin, expected) =
+                check_engine(&engine, &shadow, DetectorConfig::default())?;
 
             // What the batch reported as new is exactly what a
             // from-scratch detection has now and did not have before,
@@ -373,5 +391,138 @@ proptest! {
             }
             before = after;
         }
+    }
+}
+
+/// A registry for the hand-built trading batches, with three antecedent
+/// components:
+/// - A: roots P0 and P1 over C0–C7.  P0 is the legal person of C0, C1,
+///   C2 and C6, P1 of C3, C4, C5 and C7, and P1 also directs C1.  C1
+///   invests in C2, C2 in C4, and C6 and C7 invest in each other (one
+///   syndicate node).  It already trades C1 -> C4 and C3 -> C2.
+/// - B: P2 over C8 and C9, no trade.
+/// - L: P3 over the lattice D0–D5 (29 trails from P3), plus P4
+///   directing D5 (2 trails).  It already trades D1 -> D2.
+fn append_registry() -> SourceRegistry {
+    let mut r = SourceRegistry::new();
+    let person = |r: &mut SourceRegistry, name: &str| r.add_person(name, RoleSet::of(&[Role::Ceo]));
+    let p: Vec<PersonId> = (0..5).map(|i| person(&mut r, &format!("P{i}"))).collect();
+    let names = ["C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9"];
+    let lattice = ["D0", "D1", "D2", "D3", "D4", "D5"];
+    let legal = [0, 0, 0, 1, 1, 1, 0, 1, 2, 2, 3, 3, 3, 3, 3, 3];
+    for (i, name) in names.iter().chain(&lattice).enumerate() {
+        let company = r.add_company(*name);
+        r.add_influence(InfluenceRecord {
+            person: p[legal[i]],
+            company,
+            kind: InfluenceKind::CeoOf,
+            is_legal_person: true,
+        });
+    }
+    for (person, company) in [(1, 1), (4, 15)] {
+        r.add_influence(InfluenceRecord {
+            person: p[person],
+            company: CompanyId(company),
+            kind: InfluenceKind::DirectorOf,
+            is_legal_person: false,
+        });
+    }
+    let investments = [
+        (1, 2),
+        (2, 4),
+        (6, 7),
+        (7, 6),
+        (10, 11),
+        (10, 12),
+        (11, 13),
+        (12, 13),
+        (13, 14),
+        (13, 15),
+        (14, 15),
+    ];
+    for (investor, investee) in investments {
+        r.add_investment(InvestmentRecord {
+            investor: CompanyId(investor),
+            investee: CompanyId(investee),
+            share: 0.5,
+        });
+    }
+    for (seller, buyer) in [(1, 4), (3, 2), (11, 12)] {
+        r.add_trading(trade(seller, buyer));
+    }
+    r
+}
+
+fn trade(seller: u32, buyer: u32) -> TradingRecord {
+    TradingRecord {
+        seller: CompanyId(seller),
+        buyer: CompanyId(buyer),
+        volume: 1.0,
+    }
+}
+
+/// Hand-built trading batches, each checked against a from-scratch
+/// `fuse` + `detect`: several arcs from one seller, sellers before,
+/// inside and after the shard's existing rows, a duplicate within the
+/// batch, a cross-shard arc, an intra-syndicate trade, an arc closing a
+/// circle both roots reach, and an arc in a shard whose root overflows
+/// under a small `max_tree_nodes`.  Run unbounded, every batch but the
+/// overflow one mines only its own arcs; bounded, the lattice shard
+/// falls back to a whole re-mine.
+#[test]
+fn hand_built_trading_appends_merge_in_place() {
+    let batches: [&[(u32, u32)]; 4] = [
+        // C1 already sells (to C4): three more arcs from it, one twice;
+        // sellers C0 before, C2 between and C5 after the existing rows.
+        &[(1, 0), (1, 5), (0, 2), (1, 3), (2, 3), (5, 0), (1, 0)],
+        // A cross-shard arc, an intra-syndicate trade, and an arc that
+        // two roots' trails meet.
+        &[(0, 8), (6, 7), (4, 3)],
+        // Closes the circle C1 -> C2 -> C1, which P0 and P1 both reach.
+        &[(2, 1)],
+        // Behind P3, whose 29 trails overflow the bounded run.
+        &[(14, 12), (15, 10)],
+    ];
+    for (bound, remined) in [(usize::MAX, [0, 0, 0, 0]), (16, [0, 0, 0, 1])] {
+        let config = DetectorConfig {
+            max_tree_nodes: bound,
+            ..DetectorConfig::default()
+        };
+        let mut shadow = append_registry();
+        let mut engine = DeltaEngine::with_config(shadow.clone(), config).unwrap();
+        check_engine(&engine, &shadow, config).unwrap();
+        let mut groups = engine.detection().group_count();
+        for (i, records) in batches.iter().enumerate() {
+            let records: Vec<TradingRecord> = records.iter().map(|&(s, b)| trade(s, b)).collect();
+            // Every other batch, a served epoch still holds the result,
+            // so the batch works on a copy and must leave this one be.
+            let served = (i % 2 == 0)
+                .then(|| (engine.shared_detection(), engine.detection().groups.clone()));
+            let outcome: ApplyOutcome = engine.ingest(&records).unwrap();
+            if let Some((held, groups)) = served {
+                assert_eq!(
+                    held.groups, groups,
+                    "bound {bound}, batch {i}: the served epoch"
+                );
+            }
+            for &r in &records {
+                shadow.add_trading(r);
+            }
+            let what = format!("bound {bound}, batch {i}");
+            let (_, expected) =
+                check_engine(&engine, &shadow, config).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            assert_eq!(
+                outcome.shards_remined, remined[i],
+                "{what}: whole-shard mines"
+            );
+            assert_eq!(outcome.cache_hits, 0, "{what}: replays");
+            assert_eq!(
+                outcome.new_groups.len(),
+                expected.group_count() - groups,
+                "{what}: new groups"
+            );
+            groups = expected.group_count();
+        }
+        assert_eq!(engine.detection().overflowed, bound == 16);
     }
 }

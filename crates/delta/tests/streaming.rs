@@ -357,7 +357,9 @@ fn tpiin_only_mode_rejects_registry_mutations() {
 
 /// Shards untouched by a batch are not re-mined — and not even looked
 /// up: the splice path leaves them entirely alone, so the only mining
-/// work is the one component the batch touched.
+/// work is the one component the batch touched.  A shard's first trade
+/// mines the shard whole (through the cache), a later one only its own
+/// arc.
 #[test]
 fn untouched_shards_are_left_alone() {
     let mut r = SourceRegistry::new();
@@ -373,34 +375,37 @@ fn untouched_shards_are_left_alone() {
                 is_legal_person: true,
             });
         }
+    }
+    // Component 0 trades both ways, a shape no other shard takes below.
+    for (seller, buyer) in [(0, 1), (1, 0)] {
         r.add_trading(TradingRecord {
-            seller: a,
-            buyer: b,
+            seller: CompanyId(seller),
+            buyer: CompanyId(buyer),
             volume: 1.0,
         });
     }
     let mut engine = DeltaEngine::new(r).unwrap();
-    // Appending a reverse trade in component 0 leaves components 1 and 2
-    // structurally untouched.
-    let outcome = engine
-        .ingest(&[TradingRecord {
-            seller: CompanyId(1),
-            buyer: CompanyId(0),
-            volume: 2.0,
-        }])
-        .unwrap();
+    let trade = |seller, buyer| TradingRecord {
+        seller: CompanyId(seller),
+        buyer: CompanyId(buyer),
+        volume: 2.0,
+    };
+    // Component 1's first trade leaves components 0 and 2 structurally
+    // untouched; with no trade before, component 1 mines whole.
+    let outcome = engine.ingest(&[trade(2, 3)]).unwrap();
     assert_eq!(outcome.cache_hits, 0, "untouched shards cost nothing");
     assert_eq!(outcome.shards_remined, 1);
-    // Replaying the same local structure later does hit the cache: a
-    // second reverse trade in component 1 re-mines a shard whose shape
-    // component 0 already produced.
-    let outcome = engine
-        .ingest(&[TradingRecord {
-            seller: CompanyId(3),
-            buyer: CompanyId(2),
-            volume: 2.0,
-        }])
-        .unwrap();
+    assert_eq!(outcome.new_groups.len(), 1);
+    // Replaying the same local structure later does hit the cache:
+    // component 2's first trade gives a shard whose shape component 1
+    // already produced.
+    let outcome = engine.ingest(&[trade(4, 5)]).unwrap();
     assert_eq!(outcome.cache_hits, 1, "same local shape replays");
     assert_eq!(outcome.shards_remined, 0);
+    // A reverse trade in component 1, which traded before, mines only
+    // its own arc: no shard re-mines whole or replays.
+    let outcome = engine.ingest(&[trade(3, 2)]).unwrap();
+    assert_eq!((outcome.shards_remined, outcome.cache_hits), (0, 0));
+    assert_eq!(outcome.new_groups.len(), 1);
+    assert_eq!(engine.detection().groups, detect(engine.tpiin()).groups);
 }

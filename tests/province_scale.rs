@@ -256,6 +256,8 @@ fn fixture_counts_are_pinned() {
     // (name, registry, [nodes, influence arcs, trading arcs],
     //  subTPIINs, rules groups, circular groups,
     //  [rules group order hash, circular group order hash])
+    // The rules hashes are those of `rules_kernel_oracle`'s reference
+    // rows stably sorted by trading-arc CSR position within each shard.
     let fixtures = [
         (
             "fig7",
@@ -273,7 +275,7 @@ fn fixture_counts_are_pinned() {
             4,
             863,
             0,
-            [0x7563_1c81_7df6_270f, NO_GROUPS],
+            [0x73db_08e8_5cc6_8e0b, NO_GROUPS],
         ),
         (
             "nation-0.1",
@@ -282,7 +284,7 @@ fn fixture_counts_are_pinned() {
             17,
             1412,
             10,
-            [0xcce0_d243_bda8_412a, 0x750f_34ec_f15f_6f86],
+            [0x4327_63af_07d1_7f3e, 0x750f_34ec_f15f_6f86],
         ),
         (
             "province-0.05-dense",
@@ -291,7 +293,7 @@ fn fixture_counts_are_pinned() {
             5,
             367,
             71,
-            [0xbece_6f6b_445b_0fa5, 0x7a27_5dc6_a0aa_fe62],
+            [0x3591_eb7a_28c3_69c5, 0x7a27_5dc6_a0aa_fe62],
         ),
     ];
     let ctx = MineContext::default();

@@ -7,14 +7,17 @@
 //! scanning all of the root's trails, classifies each pair by
 //! Definition 3 on node sets, dedups circles per root and then per
 //! shard, and marks a root whose trail count exceeds the tree bound as
-//! overflowed.  `mine_shard` must equal it field for field and in
-//! order, and so must `detect` (collecting and counting-only) and
-//! `mine_shard` per shard against the reference outcomes assembled — on random hand-built
-//! shards (trading arcs into any node, so circles and person targets
-//! occur) and on random fused provinces with trades planted against
-//! investment arcs, across tree bounds on both sides of a root's trail
-//! count.  `groups_behind_arc` must return exactly the groups `detect`
-//! reports behind each suspicious arc.
+//! overflowed.  Its rows come out root-major; the specified row order
+//! ([`spec_shard`]) is that list stably sorted by each row's trading-arc
+//! position in the shard's packed trading CSR.  `mine_shard` must equal
+//! the spec field for field and row for row, and so must `detect`
+//! (collecting and counting-only) and `mine_shard` per shard against
+//! the spec outcomes assembled — on random hand-built shards (trading
+//! arcs into any node, so circles and person targets occur) and on
+//! random fused provinces with trades planted against investment arcs,
+//! across tree bounds on both sides of a root's trail count.
+//! `groups_behind_arc` must return exactly the groups `detect` reports
+//! behind each suspicious arc, in `detect`'s order.
 //!
 //! `RULES_KERNEL_CASES` sets the number of random cases (default 64,
 //! sized for an unoptimised `cargo test`; CI runs 2048 in release).
@@ -131,7 +134,9 @@ fn reference_root(sub: &SubTpiin, root: u32) -> RootRef {
     out
 }
 
-/// The shard outcome `mine_shard` must produce, with groups collected.
+/// The shard outcome of Algorithm 2 restated, with groups collected, in
+/// root-major order: per root, its matched groups, then its circles that
+/// no earlier root found.
 fn reference_shard(sub: &SubTpiin, max_tree_nodes: usize) -> ShardOutcome {
     let mut out = ShardOutcome::default();
     if sub.trading_arc_count == 0 {
@@ -166,6 +171,30 @@ fn reference_shard(sub: &SubTpiin, max_tree_nodes: usize) -> ShardOutcome {
     }
     out.arcs.sort_unstable();
     out.arcs.dedup();
+    out
+}
+
+/// The trading arc `(source, target)`'s position in `sub`'s packed
+/// trading CSR: the arcs of every lower source first, then its place in
+/// its source's row.
+fn arc_position(sub: &SubTpiin, (source, target): (u32, u32)) -> usize {
+    let before: usize = (0..source).map(|v| sub.trading(v).len()).sum();
+    let row = sub.trading(source);
+    before
+        + row
+            .iter()
+            .position(|&t| t == target)
+            .expect("a trading arc")
+}
+
+/// The shard outcome `mine_shard` must produce: [`reference_shard`]
+/// with its rows stably sorted by their trading arc's CSR position, so
+/// the rows behind one arc keep the root-major order.
+fn spec_shard(sub: &SubTpiin, max_tree_nodes: usize) -> ShardOutcome {
+    let mut out = reference_shard(sub, max_tree_nodes);
+    let mut rows = out.groups.to_vec();
+    rows.sort_by_key(|g| arc_position(sub, arc(g)));
+    out.groups = GroupTable::from(rows.as_slice());
     out
 }
 
@@ -248,7 +277,7 @@ fn check_shard(what: &str, sub: &SubTpiin, rng: &mut StdRng) {
         assert_same_shard(
             &format!("{what}, bound {max_tree_nodes}"),
             &mine_shard(sub, &config),
-            &reference_shard(sub, max_tree_nodes),
+            &spec_shard(sub, max_tree_nodes),
         );
     }
 }
@@ -258,10 +287,7 @@ fn check_shard(what: &str, sub: &SubTpiin, rng: &mut StdRng) {
 /// against `detect`; returns the collecting detection.
 fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionResult {
     let subs = segment_tpiin(tpiin);
-    let reference: Vec<ShardOutcome> = subs
-        .iter()
-        .map(|s| reference_shard(s, max_tree_nodes))
-        .collect();
+    let reference: Vec<ShardOutcome> = subs.iter().map(|s| spec_shard(s, max_tree_nodes)).collect();
     let counted: Vec<ShardOutcome> = reference
         .iter()
         .map(|out| ShardOutcome {
@@ -296,14 +322,12 @@ fn check_network(what: &str, tpiin: &Tpiin, max_tree_nodes: usize) -> DetectionR
     if detected.overflowed {
         return detected;
     }
-    // The query emits a root's circle where it meets it; the detector
-    // folds it in after the root's matched groups.  Compare as sets.
-    let shapes = |groups: &mut dyn Iterator<Item = GroupRef<'_>>| {
-        let mut shapes: Vec<_> = groups
+    // The query mines the arc alone and emits its rows root-major, as
+    // the detector orders the rows behind one arc.
+    let shapes = |groups: &mut dyn Iterator<Item = GroupRef<'_>>| -> Vec<_> {
+        groups
             .map(|g| (g.kind, g.antecedent, g.end, g.key(), g.simple))
-            .collect();
-        shapes.sort();
-        shapes
+            .collect()
     };
     for &(s, b) in &detected.suspicious_trading_arcs {
         assert_eq!(
