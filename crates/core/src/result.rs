@@ -68,7 +68,7 @@ impl SuspiciousGroup {
     }
 
     /// All member nodes of the group, deduplicated and ordered.
-    pub fn members(&self) -> BTreeSet<NodeId> {
+    pub fn members(&self) -> Vec<NodeId> {
         self.view().members()
     }
 

@@ -3,7 +3,6 @@
 
 use crate::result::{GroupKind, SuspiciousGroup};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::ops::{Deref, Range};
 use tpiin_fusion::Tpiin;
 use tpiin_graph::NodeId;
@@ -120,10 +119,16 @@ impl<'a> GroupRef<'a> {
     }
 
     /// All member nodes of the group, deduplicated and ordered.
-    pub fn members(&self) -> BTreeSet<NodeId> {
-        let mut m: BTreeSet<NodeId> = self.trail_with_trade.iter().copied().collect();
-        m.extend(self.trail_plain.iter().copied());
-        m.insert(self.end);
+    pub fn members(&self) -> Vec<NodeId> {
+        let mut m: Vec<NodeId> = self
+            .trail_with_trade
+            .iter()
+            .chain(&self.trail_plain)
+            .copied()
+            .collect();
+        m.push(self.end);
+        m.sort_unstable();
+        m.dedup();
         m
     }
 
@@ -157,31 +162,46 @@ impl<'a> GroupRef<'a> {
             .then_with(|| self.trail_plain.cmp(&other.trail_plain))
     }
 
+    /// The formation name of the group: `circle`, `simple` or `complex`.
+    pub fn kind_name(&self) -> &'static str {
+        match self.kind {
+            GroupKind::Circle => "circle",
+            GroupKind::Matched if self.simple => "simple",
+            GroupKind::Matched => "complex",
+        }
+    }
+
     /// Human-readable proof chain, labelled via `tpiin` — the explanation
     /// the paper highlights as an advantage over black-box methods.
     pub fn explain(&self, tpiin: &Tpiin) -> String {
-        let label = |n: NodeId| tpiin.label(n).to_string();
-        let members: Vec<String> = self.members().into_iter().map(label).collect();
-        let t1: Vec<String> = self.trail_with_trade.iter().copied().map(label).collect();
-        let t2: Vec<String> = self.trail_plain.iter().copied().map(label).collect();
-        format!(
-            "{} group ({}) behind IAT {} -> {}: trail [{} ->TR {}] with trail [{}]",
-            match self.kind {
-                GroupKind::Matched =>
-                    if self.simple {
-                        "simple"
-                    } else {
-                        "complex"
-                    },
-                GroupKind::Circle => "circle",
-            },
-            members.join(", "),
-            label(self.trading_arc.0),
-            label(self.trading_arc.1),
-            t1.join(" -> "),
-            label(self.end),
-            t2.join(" -> "),
-        )
+        let mut out = String::new();
+        self.write_explanation(tpiin, &self.members(), &mut out);
+        out
+    }
+
+    /// Appends [`GroupRef::explain`]'s text to `out`, given the group's
+    /// [`GroupRef::members`].
+    pub fn write_explanation(&self, tpiin: &Tpiin, members: &[NodeId], out: &mut String) {
+        let join = |out: &mut String, nodes: &[NodeId], sep: &str| {
+            for (i, &node) in nodes.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(sep);
+                }
+                out.push_str(tpiin.label(node));
+            }
+        };
+        out.push_str(self.kind_name());
+        out.push_str(" group (");
+        join(out, members, ", ");
+        out.push_str(") behind IAT ");
+        join(out, &[self.trading_arc.0, self.trading_arc.1], " -> ");
+        out.push_str(": trail [");
+        join(out, &self.trail_with_trade, " -> ");
+        out.push_str(" ->TR ");
+        out.push_str(tpiin.label(self.end));
+        out.push_str("] with trail [");
+        join(out, &self.trail_plain, " -> ");
+        out.push(']');
     }
 }
 

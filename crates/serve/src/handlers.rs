@@ -378,9 +378,9 @@ fn groups(state: &ServerState, req: &Request) -> Response {
             ),
         );
     };
-    Response::json(
+    Response::json_text(
         200,
-        &responses::groups_json(&snap, &miner, detection, limit, offset),
+        responses::groups_json(&snap, &miner, detection, limit, offset),
     )
 }
 
@@ -396,9 +396,9 @@ fn arc_query(state: &ServerState, req: &Request) -> Response {
         return Response::error(404, format!("unknown node `{dst}`"));
     };
     let groups = groups_behind_arc(&snap.tpiin, src_node, dst_node);
-    Response::json(
+    Response::json_text(
         200,
-        &responses::arc_query_json(&snap.tpiin, snap.epoch, src_node, dst_node, &groups),
+        responses::arc_query_json(&snap.tpiin, snap.epoch, src_node, dst_node, &groups),
     )
 }
 
@@ -455,9 +455,9 @@ fn provenance(state: &ServerState, req: &Request) -> Response {
             ),
         );
     };
-    Response::json(
+    Response::json_text(
         200,
-        &responses::provenance_json(&snap, &miner, group, index, &prov),
+        responses::provenance_json(&snap, &miner, group, index, &prov),
     )
 }
 
@@ -489,7 +489,7 @@ fn company(state: &ServerState, req: &Request) -> Response {
     let Some(node) = snap.resolve_node(id) else {
         return Response::error(404, format!("unknown node `{id}`"));
     };
-    Response::json(200, &responses::company_json(&snap, node))
+    Response::json_text(200, responses::company_json(&snap, node))
 }
 
 /// Decodes `{"records": [{"seller": n, "buyer": n, "volume": x}, ...]}`.
@@ -549,6 +549,8 @@ fn ingest(state: &ServerState, req: &Request) -> Response {
     // Single-writer section: apply the delta, then swap the next epoch
     // in while still holding the writer lock so concurrent `/reload`
     // serializes.  Readers keep serving the previous epoch throughout.
+    // The ack is written after the lock is released, from the epoch this
+    // batch made.
     let mut writer = state.writer.lock();
     let span = Span::at("serve.ingest.delta");
     let outcome = match writer.apply(&batch) {
@@ -562,12 +564,17 @@ fn ingest(state: &ServerState, req: &Request) -> Response {
     let prev = state.store.current();
     let epoch = state.next_epoch();
     let prev = Some((&*prev, outcome.path));
-    let snapshot = ServeSnapshot::from_engine(epoch, &writer, &state.miners, prev);
-    let body = responses::ingest_json(&snapshot.tpiin, epoch, &outcome, &stats);
-    state.store.swap(snapshot);
+    let snapshot = Arc::new(ServeSnapshot::from_engine(
+        epoch,
+        &writer,
+        &state.miners,
+        prev,
+    ));
+    state.store.swap(Arc::clone(&snapshot));
     drop(span);
     drop(writer);
-    Response::json(200, &body)
+    let body = responses::ingest_json(&snapshot.tpiin, epoch, &outcome, &stats);
+    Response::json_text(200, body)
 }
 
 /// Reloads the snapshot file and swaps the result in; used by both the
@@ -591,7 +598,7 @@ pub fn reload(state: &ServerState) -> Result<u64, (u16, String)> {
     // 422 until the daemon is restarted with a registry).
     *writer = DeltaEngine::from_tpiin(tpiin);
     let snapshot = ServeSnapshot::from_engine(epoch, &writer, &state.miners, None);
-    state.store.swap(snapshot);
+    state.store.swap(Arc::new(snapshot));
     drop(writer);
     state.last_load_micros.store(load_micros, Ordering::Relaxed);
     drop(span);

@@ -4,7 +4,8 @@
 //! TPIIN, a full detection result and a label index — behind an `Arc`.
 //! The parts an ingest did not change (every miner but `rules`, and the
 //! label index when no node was added or relabelled) are themselves
-//! `Arc`s shared with the previous epoch, not copies of it.
+//! `Arc`s shared with the previous epoch, not copies of it.  The label
+//! index is built by the first lookup that needs it, not at the swap.
 //! The [`SnapshotStore`] holds the current snapshot under a `RwLock`
 //! taken only long enough to clone the `Arc`: readers never block each
 //! other, never block on detection, and in-flight requests keep serving
@@ -12,8 +13,8 @@
 //! snapshot in behind them.
 
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::cell::OnceCell;
+use std::sync::{Arc, OnceLock};
 use tpiin_core::{mine_with_obs, DetectionResult, MineContext, MinerRegistry, RULES_MINER};
 use tpiin_delta::{DeltaEngine, DeltaPath};
 use tpiin_fusion::Tpiin;
@@ -33,13 +34,15 @@ pub struct ServeSnapshot {
     /// The epoch each `detections` entry was mined at, in the same
     /// order: older than `epoch` for a result carried across an ingest.
     mined_at: Vec<u64>,
-    /// Label -> node index for query-by-label endpoints.
-    labels: Arc<BTreeMap<String, NodeId>>,
+    /// Label -> node index for query-by-label endpoints, built on the
+    /// first lookup: every node id, stably sorted by label.
+    labels: Arc<OnceLock<Vec<NodeId>>>,
 }
 
-fn label_index(tpiin: &Tpiin) -> Arc<BTreeMap<String, NodeId>> {
-    let nodes = tpiin.graph.nodes();
-    Arc::new(nodes.map(|(id, n)| (n.label().to_string(), id)).collect())
+fn label_index(tpiin: &Tpiin) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = tpiin.graph.nodes().map(|(id, _)| id).collect();
+    ids.sort_by(|&a, &b| tpiin.label(a).cmp(tpiin.label(b)));
+    ids
 }
 
 impl ServeSnapshot {
@@ -77,10 +80,11 @@ impl ServeSnapshot {
     /// `Pipeline` and `tpiin detect` mine, so a registry-backed daemon
     /// ranks rings by their rate differential.  A snapshot-backed engine
     /// carries no registry and mines with every rate at the default.
+    /// The rates are gathered only when some miner is mined here.
     ///
     /// `prev` comes with the path the batch took: a trading append adds
     /// and relabels no node, so the label index is `prev`'s; any other
-    /// path rebuilds it.
+    /// path starts an empty one.
     pub(crate) fn from_engine(
         epoch: u64,
         engine: &DeltaEngine,
@@ -88,9 +92,12 @@ impl ServeSnapshot {
         prev: Option<(&ServeSnapshot, DeltaPath)>,
     ) -> ServeSnapshot {
         let tpiin = engine.tpiin().clone();
-        let ctx = MineContext {
-            tax_rates: engine.registry().and_then(|r| r.company_tax_rates()),
-            ..MineContext::default()
+        let ctx = OnceCell::new();
+        let ctx = || {
+            ctx.get_or_init(|| MineContext {
+                tax_rates: engine.registry().and_then(|r| r.company_tax_rates()),
+                ..MineContext::default()
+            })
         };
         let carried = |name: &str| {
             let (p, _) = prev?;
@@ -104,14 +111,14 @@ impl ServeSnapshot {
                     (engine.shared_detection(), epoch)
                 } else {
                     carried(m.name())
-                        .unwrap_or_else(|| (Arc::new(mine_with_obs(m, &tpiin, &ctx)), epoch))
+                        .unwrap_or_else(|| (Arc::new(mine_with_obs(m, &tpiin, ctx())), epoch))
                 };
                 ((m.name().to_string(), detection), mined_at)
             })
             .unzip();
         let labels = match prev {
             Some((p, DeltaPath::TradingAppend)) => Arc::clone(&p.labels),
-            _ => label_index(&tpiin),
+            _ => Arc::default(),
         };
         ServeSnapshot {
             epoch,
@@ -136,7 +143,7 @@ impl ServeSnapshot {
         assert!(!detections.is_empty(), "a snapshot needs >= 1 detection");
         ServeSnapshot {
             epoch,
-            labels: label_index(&tpiin),
+            labels: Arc::default(),
             tpiin,
             mined_at: vec![epoch; detections.len()],
             detections: (detections.into_iter())
@@ -186,8 +193,14 @@ impl ServeSnapshot {
 
     /// Resolves `text` to a node: exact label first, then a bare node
     /// index (useful for syndicate nodes with long composite labels).
+    /// Of several nodes sharing a label, the highest id answers.
     pub fn resolve_node(&self, text: &str) -> Option<NodeId> {
-        if let Some(&id) = self.labels.get(text) {
+        let ids = self.labels.get_or_init(|| label_index(&self.tpiin));
+        let end = ids.partition_point(|&id| self.tpiin.label(id) <= text);
+        if let Some(&id) = ids[..end]
+            .last()
+            .filter(|&&id| self.tpiin.label(id) == text)
+        {
             return Some(id);
         }
         let index: usize = text.parse().ok()?;
@@ -216,10 +229,11 @@ impl SnapshotStore {
     }
 
     /// Atomically replaces the served snapshot; returns its epoch.
-    /// In-flight requests holding the old `Arc` finish undisturbed.
-    pub fn swap(&self, snapshot: ServeSnapshot) -> u64 {
+    /// In-flight requests holding the old `Arc` finish undisturbed, and
+    /// the caller may keep a clone to answer from the new epoch.
+    pub fn swap(&self, snapshot: Arc<ServeSnapshot>) -> u64 {
         let epoch = snapshot.epoch;
-        *self.current.write() = Arc::new(snapshot);
+        *self.current.write() = snapshot;
         epoch
     }
 }
@@ -269,6 +283,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&bound.detections[0].1, &next.detections[0].1));
         assert!(Arc::ptr_eq(&bound.detections[1].1, &next.detections[1].1));
         assert!(Arc::ptr_eq(&bound.labels, &next.labels));
+        // A lookup on either epoch builds the index both share.
+        assert!(next.resolve_node("C3").is_some());
+        assert!(bound.labels.get().is_some());
         assert_eq!(next.mined_at_epoch("rules"), Some(2));
         assert_eq!(next.mined_at_epoch("circular"), Some(1));
         assert_eq!(next.mined_at_epoch("no-such-miner"), None);
@@ -276,8 +293,45 @@ mod tests {
         let prev = Some((&next, DeltaPath::CompanyAppend));
         let other = ServeSnapshot::from_engine(3, &engine, &miners, prev);
         assert!(!Arc::ptr_eq(&next.labels, &other.labels));
-        assert_eq!(next.labels, other.labels);
+        assert!(other.labels.get().is_none(), "built on first lookup");
+        for (id, node) in other.tpiin.graph.nodes() {
+            assert_eq!(other.resolve_node(node.label()), Some(id));
+        }
+        assert_eq!(next.labels.get(), other.labels.get());
         assert_eq!(other.mined_at_epoch("circular"), Some(1));
+    }
+
+    #[test]
+    fn a_shared_label_resolves_to_the_last_node_that_bears_it() {
+        let mut registry = tpiin_datagen::fig7_registry();
+        let ceo = tpiin_model::RoleSet::of(&[tpiin_model::Role::Ceo]);
+        let person = registry.add_person("LT", ceo);
+        let twin = registry.add_company("C3");
+        registry.add_influence(tpiin_model::InfluenceRecord {
+            person,
+            company: twin,
+            kind: tpiin_model::InfluenceKind::CeoOf,
+            is_legal_person: true,
+        });
+        let (tpiin, _) = tpiin_fusion::fuse(&registry).unwrap();
+        let bearers: Vec<NodeId> = tpiin
+            .graph
+            .nodes()
+            .filter(|(_, node)| node.label() == "C3")
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(bearers.len(), 2, "{twin:?} shares C3's label");
+        let snap = ServeSnapshot::build(1, tpiin);
+        assert_eq!(snap.resolve_node("C3"), bearers.last().copied());
+        // Neighbours of the shared label still resolve to themselves.
+        for label in ["C2", "C4", "C30", "C"] {
+            let want = snap
+                .tpiin
+                .graph
+                .nodes()
+                .find(|(_, node)| node.label() == label);
+            assert_eq!(snap.resolve_node(label), want.map(|(id, _)| id), "{label}");
+        }
     }
 
     #[test]
@@ -287,7 +341,7 @@ mod tests {
         assert_eq!(old.epoch, 1);
         let mut next = fig7_snapshot();
         next.epoch = 2;
-        assert_eq!(store.swap(next), 2);
+        assert_eq!(store.swap(Arc::new(next)), 2);
         assert_eq!(store.current().epoch, 2);
         // The in-flight reader still owns the old epoch.
         assert_eq!(old.epoch, 1);

@@ -87,7 +87,7 @@ fn arc_query_matches_offline_pipeline_bit_for_bit() {
     assert!(!detection.suspicious_trading_arcs.is_empty());
     for &(src, dst) in &detection.suspicious_trading_arcs {
         let groups = groups_behind_arc(&tpiin, src, dst);
-        let expected = responses::arc_query_json(&tpiin, 1, src, dst, &groups).to_string();
+        let expected = responses::arc_query_json(&tpiin, 1, src, dst, &groups);
         let path = format!(
             "/groups_behind_arc?src={}&dst={}",
             tpiin.label(src),
@@ -777,7 +777,8 @@ fn registry_backed_daemon_ranks_rings_by_tax_rate_differential() {
     let (status, body) = get(handle.addr(), "/groups?miner=circular&limit=1");
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     assert!(body.contains("\"group_count\":2"), "{body}");
-    let expected = responses::group_json(&tpiin, first, "circular").to_string();
+    let mut expected = String::new();
+    responses::write_group(&mut expected, &tpiin, first, "circular");
     assert!(
         body.contains(&expected),
         "daemon's first ring is not the offline first ring {expected}: {body}"
@@ -860,7 +861,7 @@ fn registry_backed_daemon_applies_mutation_batches() {
         let want = responses::provenance_json(&oracle, "rules", group, i, &chain);
         let (status, body) = get(addr, &format!("/groups/{i}/provenance"));
         assert_eq!(status, "HTTP/1.1 200 OK", "group {i}: {body}");
-        assert_eq!(body, want.to_string(), "group {i}");
+        assert_eq!(body, want, "group {i}");
     }
     assert!(
         shifted_arcs > 0,
